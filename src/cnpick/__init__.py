@@ -72,7 +72,6 @@ from .feasibility import (
     ball_membership,
     ball_sample,
     ball_unstructured,
-    conjugation_diagnostic,
     one_point_disk,
     pencil_build,
     pencil_from_parts,

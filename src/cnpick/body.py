@@ -39,7 +39,7 @@ from .feasibility import (
     FEASIBLE,
     _batched_margins,
     _disk_grid,
-    _refine_grid,
+    _disk_search,
     ball_unstructured,
     one_point_disk,
     pencil_from_parts,
@@ -193,8 +193,9 @@ def body_membership(
 
     Membership holds exactly when some parameter ``x`` in the disk makes
     the 4x4 augmented matrix PSD.  The search covers any caller-supplied
-    hint values first, then a polar grid of the feasible parameter disk
-    with local refinement.
+    hint values first, then a polar grid of the feasible parameter disk,
+    and always runs all ``refine`` local refinement passes, so the
+    witness is the best point found rather than the first that passes.
 
     Returns ``(inside, witness_x, margin)``; ``witness_x`` is None when
     no parameter passed the test (which does not prove exclusion, only
@@ -210,26 +211,15 @@ def body_membership(
     grid = disk0.center + disk0.radius * _disk_grid(x_resolution)
     xs = np.concatenate([base, grid])
     xs = xs[np.abs(xs) < 1.0]
-    lmin, scale = _batched_margins(_membership_stack(z1, w1, z0, w0, xs))
-    rel = lmin / scale
-    best = int(np.argmax(rel))
-    best_x, best_lmin, best_scale = xs[best], lmin[best], scale[best]
-    halfwidth = 2.5 * disk0.radius / max(x_resolution, 4)
-    for _ in range(max(0, refine)):
-        if best_lmin >= -tol.psd_tol * best_scale:
-            break
-        sub = _refine_grid(best_x, halfwidth)
-        sub = sub[np.abs(sub) < 1.0]
-        if sub.size == 0:
-            break
-        slmin, sscale = _batched_margins(_membership_stack(z1, w1, z0, w0, sub))
-        srel = slmin / sscale
-        sbest = int(np.argmax(srel))
-        if srel[sbest] > best_lmin / best_scale:
-            best_x, best_lmin, best_scale = sub[sbest], slmin[sbest], sscale[sbest]
-        halfwidth /= 6.0
+    best_x, best_lmin, best_scale, _, _ = _disk_search(
+        lambda pts: _membership_stack(z1, w1, z0, w0, pts),
+        xs,
+        2.5 * disk0.radius / max(x_resolution, 4),
+        refine,
+        tol,
+    )
     inside = bool(best_lmin >= -tol.psd_tol * best_scale)
-    return inside, (complex(best_x) if inside else None), float(best_lmin)
+    return inside, (complex(best_x) if inside else None), best_lmin
 
 
 @dataclass(frozen=True)
@@ -290,11 +280,8 @@ def body_union(
             inner.append((complex(x), disk))
 
     outer = []
-    w_grid = _disk_grid(w_resolution)
-    chunk = 512
-    for start in range(0, w_grid.size, chunk):
-        for w0 in w_grid[start : start + chunk]:
-            lmin, scale = _batched_margins(_membership_stack(z1, w1, z0, complex(w0), xs))
-            inside = bool(np.any(lmin >= -tol.psd_tol * scale))
-            outer.append((complex(w0), inside))
+    for w0 in _disk_grid(w_resolution):
+        lmin, scale = _batched_margins(_membership_stack(z1, w1, z0, complex(w0), xs))
+        inside = bool(np.any(lmin >= -tol.psd_tol * scale))
+        outer.append((complex(w0), inside))
     return BodyReport(z0=complex(z0), inner_disks=tuple(inner), outer_grid=tuple(outer))

@@ -323,9 +323,10 @@ def cmd_stein(args) -> int:
         except json.JSONDecodeError as exc:
             raise ProblemFileError(exc.msg, location=f"line {exc.lineno} column {exc.colno}")
     blaschke = parse_blaschke(payload, location="$")
-    nodes = [
-        complex(part) for part in args.nodes.replace(" ", "").split(",") if part
-    ] if args.nodes else []
+    try:
+        nodes = [complex(part) for part in args.nodes.replace(" ", "").split(",") if part]
+    except ValueError:
+        raise ProblemFileError(f"--nodes must list complex numbers, got {args.nodes!r}")
     if not nodes:
         raise DomainError("--nodes must list at least one node, e.g. --nodes '0.5,-0.5'")
     k = args.k

@@ -20,15 +20,18 @@ with ``C = -Et* G^-1 Wt``, ``Lam = I - Et* G^-1 Et``,
 strict positivity.  Note the factor order: the completed square reads
 ``(Xt - C) L^-1 (Xt - C)* <= Lam``, so ``Lam`` is the left semi-radius.
 
-The grid searches recover the structured (repeated-parameter) problem:
-for scalar data the disk is swept directly with an equal-area polar
-grid plus refinement; for matrix data only candidates and seeded random
-contractions are tried, and a miss reports Undetermined, never
-Infeasible, because the structured set is a positive-dimensional
-manifold a grid cannot exhaust.
-
-Grid cells are independent and could run concurrently; reports are
-reduced deterministically (best margin, earliest index on ties).
+The searches (``search_x_grid``, ``search_lambda`` and the body
+membership test) each ask whether some point of a disk makes a small
+Hermitian matrix PSD.  All run through ``_disk_search``: one batched
+eigenvalue call per stack of points, then optional local refinement
+around the best point (earliest index on ties).  The constrained Pick
+matrix is affine in the parameter, so ``_AffineBuilder`` builds whole
+stacks from ``2 k^2 + 1`` builder calls.  Scalar data are searched on
+an equal-area polar grid plus candidates; matrix data only over one
+stack of structured candidates (data values, ball-guided points,
+seeded contractions), so a miss reports Undetermined, never
+Infeasible: the structured set is a positive-dimensional manifold that
+finitely many candidates cannot exhaust.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, NotPsdError, SingularBlockError
-from .kernels import lambda_criterion_matrix, scalar_criterion_matrix
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -57,7 +59,6 @@ from .pick import (
     aux_matrices,
     check_overlap,
     constrained_pick,
-    constrained_pick_compressed,
     pick_matrix,
 )
 
@@ -80,7 +81,6 @@ __all__ = [
     "one_point_disk",
     "search_x_grid",
     "search_lambda",
-    "conjugation_diagnostic",
 ]
 
 FEASIBLE = "Feasible"
@@ -435,61 +435,66 @@ def _batched_margins(stack: np.ndarray):
 
 
 class _AffineBuilder:
-    """Batch evaluator of an affine Hermitian-valued map ``x -> A0 + x A1 + conj(x) A1*``."""
+    """Batch evaluator of an affine Hermitian-valued map of a k x k parameter,
 
-    def __init__(self, build):
-        a0 = build(0.0 + 0.0j)
-        b1 = build(1.0 + 0.0j) - a0
-        b2 = build(0.0 + 1.0j) - a0
-        self.a0 = a0
-        self.a1 = 0.5 * (b1 - 1j * b2)
+        x -> A0 + sum_ab (x_ab A_ab + conj(x_ab) A_ab*),
+
+    recovered from ``2 k^2 + 1`` calls of ``build``.  For k = 1 this is
+    ``A0 + x A1 + conj(x) A1*`` evaluated in that order.
+    """
+
+    def __init__(self, build, k: int):
+        self.k = k
+        self.a0 = build(np.zeros((k, k), dtype=complex))
+        self.terms = []
+        for index in range(k * k):
+            unit = np.zeros((k, k), dtype=complex)
+            unit.flat[index] = 1.0
+            b1 = build(unit) - self.a0
+            b2 = build(1j * unit) - self.a0
+            a1 = 0.5 * (b1 - 1j * b2)
+            self.terms.append((a1, a1.conj().T))
 
     def stack(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=complex).reshape(-1)
-        a1h = self.a1.conj().T
-        return (
-            self.a0[None, :, :]
-            + xs[:, None, None] * self.a1[None, :, :]
-            + np.conj(xs)[:, None, None] * a1h[None, :, :]
-        )
+        xs = np.asarray(xs, dtype=complex).reshape(-1, self.k * self.k)
+        out = self.a0[None, :, :]
+        for index, (a1, a1h) in enumerate(self.terms):
+            x = xs[:, index, None, None]
+            out = out + x * a1[None, :, :] + np.conj(x) * a1h[None, :, :]
+        return out
 
 
-def _grid_search_scalar(build, candidates, resolution: int, refine: int, tol: ToleranceConfig):
-    """Shared scalar grid search: returns (best_x, best_margin, best_scale, stats)."""
-    builder = _AffineBuilder(build)
-    pts = np.concatenate([np.asarray(candidates, dtype=complex).reshape(-1), _disk_grid(resolution)])
-    lmin, scale = _batched_margins(builder.stack(pts))
-    rel = lmin / scale
-    best = int(np.argmax(rel))
-    uniform_infeasible = bool(np.all(lmin < -INFEASIBLE_MARGIN_FACTOR * tol.psd_tol * scale))
-    total = pts.size
+def _certifies_infeasible(resolution: int, refine: int, uniform: bool) -> bool:
+    """Gate for a grid-backed Infeasible verdict: fine grid, refined, uniformly negative."""
+    return resolution >= INFEASIBLE_MIN_RESOLUTION and refine >= 2 and uniform
 
-    best_x, best_lmin, best_scale = pts[best], lmin[best], scale[best]
-    halfwidth = 2.5 / max(resolution, 4)
-    for _ in range(max(0, refine)):
-        sub = _refine_grid(best_x, halfwidth)
-        if sub.size == 0:
-            break
-        slmin, sscale = _batched_margins(builder.stack(sub))
-        srel = slmin / sscale
-        sbest = int(np.argmax(srel))
-        total += sub.size
-        uniform_infeasible = uniform_infeasible and bool(
-            np.all(slmin < -INFEASIBLE_MARGIN_FACTOR * tol.psd_tol * sscale)
-        )
-        if srel[sbest] > best_lmin / best_scale:
-            best_x, best_lmin, best_scale = sub[sbest], slmin[sbest], sscale[sbest]
-        halfwidth /= 6.0
 
-    stats = {
-        "resolution": int(resolution),
-        "refine": int(refine),
-        "points": int(total),
-        "best_margin": float(best_lmin),
-        "best_scale": float(best_scale),
-        "uniform_infeasible": uniform_infeasible,
-    }
-    return complex(best_x), float(best_lmin), float(best_scale), stats
+def _disk_search(stack_for, points, halfwidth: float, refine: int, tol: ToleranceConfig):
+    """Best of ``points`` by relative smallest eigenvalue, then ``refine`` local passes.
+
+    ``stack_for`` maps an array of points to the stack of Hermitian
+    matrices to test.  Each refinement pass evaluates a square grid of
+    ``halfwidth`` around the best point so far (the halfwidth shrinks
+    six-fold per pass) and keeps a strictly better point; ties go to the
+    earliest index.  Returns ``(best_point, margin, scale, points_evaluated,
+    uniformly_negative)``, the last flag covering every evaluated point.
+    """
+    best_x, best_lmin, best_scale = None, -np.inf, 1.0
+    total, uniform = 0, True
+    for step in range(max(0, refine) + 1):
+        if step:
+            points = _refine_grid(best_x, halfwidth)
+            halfwidth /= 6.0
+            if points.size == 0:
+                break
+        lmin, scale = _batched_margins(stack_for(points))
+        rel = lmin / scale
+        best = int(np.argmax(rel))
+        total += len(points)
+        uniform = uniform and bool(np.all(lmin < -INFEASIBLE_MARGIN_FACTOR * tol.psd_tol * scale))
+        if best_x is None or rel[best] > best_lmin / best_scale:
+            best_x, best_lmin, best_scale = points[best], lmin[best], scale[best]
+    return best_x, float(best_lmin), float(best_scale), total, uniform
 
 
 def _overlap_report(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasReport:
@@ -566,6 +571,7 @@ def search_x_grid(
     if any(np.any(b.zeros == z) for z in d.nodes):
         return _overlap_report(d, b, tol)
     bundle = assemble_bundle(d, b, tol)
+    builder = _AffineBuilder(lambda x: constrained_pick(d, b, x, bundle=bundle), d.k)
 
     if d.k == 1:
         candidates = [0.0 + 0.0j]
@@ -578,12 +584,18 @@ def search_x_grid(
             c = outcome.ball.center
             candidates.append(complex(-0.5 * (c[0, 0] + c[1, 1])))
 
-        def build(x):
-            return constrained_pick(d, b, np.array([[x]]), bundle=bundle)
-
-        best_x, best_lmin, best_scale, stats = _grid_search_scalar(
-            build, candidates, resolution, refine, tol
+        pts = np.concatenate([np.asarray(candidates, dtype=complex), _disk_grid(resolution)])
+        best_x, best_lmin, best_scale, total, uniform = _disk_search(
+            builder.stack, pts, 2.5 / max(resolution, 4), refine, tol
         )
+        stats = {
+            "resolution": int(resolution),
+            "refine": int(refine),
+            "points": total,
+            "best_margin": best_lmin,
+            "best_scale": best_scale,
+            "uniform_infeasible": uniform,
+        }
         if best_lmin >= -tol.psd_tol * best_scale:
             return FeasReport(
                 FEASIBLE,
@@ -592,11 +604,7 @@ def search_x_grid(
                 grid_stats=stats,
                 detail="witness found by disk grid",
             )
-        if (
-            resolution >= INFEASIBLE_MIN_RESOLUTION
-            and refine >= 2
-            and stats["uniform_infeasible"]
-        ):
+        if _certifies_infeasible(resolution, refine, uniform):
             return FeasReport(
                 INFEASIBLE,
                 margin=best_lmin,
@@ -612,13 +620,9 @@ def search_x_grid(
 
     # matrix data: candidate search only
     count = max(64, 4 * resolution)
-    best_margin, best_scale, witness = -np.inf, 1.0, None
-    for x in _structured_candidates(d, b, seed, count, tol):
-        mat = constrained_pick(d, b, x, bundle=bundle)
-        min_eig, scale = psd_margin(mat, tol)
-        if min_eig / scale > best_margin / best_scale or witness is None:
-            best_margin, best_scale, witness = min_eig, scale, x
-    stats = {"resolution": int(resolution), "candidates": count, "best_margin": float(best_margin)}
+    candidates = np.asarray(_structured_candidates(d, b, seed, count, tol))
+    witness, best_margin, best_scale, _, _ = _disk_search(builder.stack, candidates, 0.0, 0, tol)
+    stats = {"resolution": int(resolution), "candidates": count, "best_margin": best_margin}
     if best_margin >= -tol.psd_tol * best_scale:
         return FeasReport(
             FEASIBLE, witness_x=witness, margin=best_margin, grid_stats=stats,
@@ -661,93 +665,31 @@ def search_lambda(
 
     candidates = [0.0 + 0.0j] + [complex(v) for v in w if abs(v) < 1]
     pts = np.concatenate([np.asarray(candidates), _disk_grid(resolution)])
-    lmin, scale = _batched_margins(stack_for(pts))
-    rel = lmin / scale
-    best = int(np.argmax(rel))
-    uniform = bool(np.all(lmin < -INFEASIBLE_MARGIN_FACTOR * tol.psd_tol * scale))
-    total = pts.size
-    best_l, best_lmin, best_scale = pts[best], lmin[best], scale[best]
-    halfwidth = 2.5 / max(resolution, 4)
-    for _ in range(max(0, refine)):
-        sub = _refine_grid(best_l, halfwidth)
-        if sub.size == 0:
-            break
-        slmin, sscale = _batched_margins(stack_for(sub))
-        srel = slmin / sscale
-        sbest = int(np.argmax(srel))
-        total += sub.size
-        uniform = uniform and bool(
-            np.all(slmin < -INFEASIBLE_MARGIN_FACTOR * tol.psd_tol * sscale)
-        )
-        if srel[sbest] > best_lmin / best_scale:
-            best_l, best_lmin, best_scale = sub[sbest], slmin[sbest], sscale[sbest]
-        halfwidth /= 6.0
-
+    best_l, best_lmin, best_scale, total, uniform = _disk_search(
+        stack_for, pts, 2.5 / max(resolution, 4), refine, tol
+    )
     stats = {
         "resolution": int(resolution),
         "refine": int(refine),
-        "points": int(total),
-        "best_margin": float(best_lmin),
+        "points": total,
+        "best_margin": best_lmin,
         "uniform_infeasible": uniform,
     }
     if best_lmin >= -tol.psd_tol * best_scale:
         return FeasReport(
             FEASIBLE,
             witness_lambda=complex(best_l),
-            margin=float(best_lmin),
+            margin=best_lmin,
             grid_stats=stats,
             detail="criterion matrix PSD at the reported parameter",
         )
-    if resolution >= INFEASIBLE_MIN_RESOLUTION and refine >= 2 and uniform:
+    if _certifies_infeasible(resolution, refine, uniform):
         return FeasReport(
-            INFEASIBLE, margin=float(best_lmin), grid_stats=stats,
+            INFEASIBLE, margin=best_lmin, grid_stats=stats,
             detail="margin uniformly negative over the refined grid",
         )
     return FeasReport(
-        UNDETERMINED, margin=float(best_lmin), grid_stats=stats,
+        UNDETERMINED, margin=best_lmin, grid_stats=stats,
         detail="no witness found; grid too coarse to certify infeasibility",
     )
 
-
-def conjugation_diagnostic(
-    d: DataSet,
-    lam: complex,
-    sweep: int = 24,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> dict:
-    """Diagnostic comparing the compressed Pick matrix against the kernel criteria.
-
-    Conjugates the compressed constrained Pick matrix at ``lam`` by the
-    diagonal ``T = diag((1 - conj(lam) w_i) / sqrt(1 - |lam|^2))`` and
-    reports entrywise distances to (a) the one-parameter criterion
-    matrix at the same ``lam`` and (b) the nearest scalar-parameter
-    criterion matrix over a ``sweep``-point normalized parameter sweep.
-    PSD verdicts of the two sides are reported as well.  No equality is
-    asserted anywhere: the correspondence between the parameterizations
-    is not pinned down, and empirically only the PSD verdicts agree.
-    """
-    if d.k != 1:
-        raise DomainError("diagnostic applies to scalar data only")
-    if abs(lam) >= 1.0:
-        raise DomainError("lambda must lie in the open unit disk")
-    w = d.scalar_values()
-    phat = constrained_pick_compressed(d, BlaschkeSpec.z_squared(), np.array([[lam]]))
-    t = np.diag((1.0 - np.conj(lam) * w) / np.sqrt(1.0 - abs(lam) ** 2))
-    conjugated = t @ phat @ t.conj().T
-    lam_mat = lambda_criterion_matrix(d, lam)
-    dist_lambda = float(np.max(np.abs(conjugated - lam_mat)))
-    best = np.inf
-    best_theta = 0.0
-    for theta in np.linspace(-np.pi / 2, np.pi / 2, sweep + 2)[1:-1]:
-        m = scalar_criterion_matrix(d, np.cos(theta), np.sin(theta))
-        dist = float(np.max(np.abs(conjugated - m)))
-        if dist < best:
-            best, best_theta = dist, float(theta)
-    return {
-        "lambda": complex(lam),
-        "distance_to_lambda_criterion": dist_lambda,
-        "best_distance_to_scalar_criterion": best,
-        "best_scalar_theta": best_theta,
-        "verdict_compressed": is_psd(phat, tol)[0],
-        "verdict_lambda_criterion": is_psd(lam_mat, tol)[0],
-    }

@@ -56,6 +56,10 @@ class ToleranceConfig:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
+        # NaN compares false against everything and inf passes every PSD
+        # test, so either would silently change verdicts.
+        if not (np.isfinite(self.psd_tol) and np.isfinite(self.residual_tol)):
+            raise DomainError("tolerances must be finite")
         if self.psd_tol < 0 or self.residual_tol < 0:
             raise DomainError("tolerances must be nonnegative")
 

@@ -209,3 +209,28 @@ def test_tol_env_override(workdir, capsys, monkeypatch):
     assert main(["check", str(path)]) == 64
     monkeypatch.setenv("CNP_TOL", "1e-6")
     assert main(["check", str(path), "--grid", "32"]) == 0
+
+
+@pytest.mark.parametrize("route", ["flag", "env", "file"])
+def test_non_finite_tolerance_is_usage_error(workdir, capsys, monkeypatch, route):
+    # The documented gap instance: an infinite tolerance would call it Feasible.
+    path = write_problem(workdir / "p.json", [0.3, -0.3], [0.3, -0.3])
+    argv = ["check", str(path), "--grid", "16"]
+    if route == "flag":
+        argv += ["--tol", "inf"]
+    elif route == "env":
+        monkeypatch.setenv("CNP_TOL", "nan")
+    else:
+        doc = json.loads(path.read_text())
+        doc["tolerances"] = {"psd_tol": float("inf")}
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+    assert main(argv) == 64
+    assert "finite" in capsys.readouterr().err
+
+
+def test_stein_malformed_node_is_usage_error(workdir, capsys):
+    blaschke = workdir / "b.json"
+    blaschke.write_text(json.dumps({"zeros": [[0.0, 0.0]], "multiplicities": [2]}))
+    assert main(["stein", str(blaschke), "--nodes", "foo"]) == 64
+    assert "--nodes" in capsys.readouterr().err

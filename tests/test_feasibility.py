@@ -7,10 +7,11 @@ from cnpick.feasibility import (
     INFEASIBLE,
     UNDETERMINED,
     MatrixBall,
+    _AffineBuilder,
+    _structured_candidates,
     ball_membership,
     ball_sample,
     ball_unstructured,
-    conjugation_diagnostic,
     lambda_alt,
     one_point_disk,
     pencil_build,
@@ -20,12 +21,15 @@ from cnpick.feasibility import (
     search_lambda,
     search_x_grid,
 )
-from cnpick.kernels import necessity_scan
-from cnpick.linalg import DEFAULT_TOL, hermitian_part, is_psd, operator_norm
+from cnpick.kernels import lambda_criterion_matrix, necessity_scan
+from cnpick.linalg import DEFAULT_TOL, hermitian_part, is_psd, operator_norm, psd_margin
 from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
+    assemble_bundle,
     aux_matrices,
+    constrained_pick,
+    constrained_pick_compressed,
     constrained_pick_z2_quadratic,
     pick_matrix,
 )
@@ -314,18 +318,70 @@ class TestSearch:
         assert necessity_scan(data, samples=500, seed=seed).passed
 
 
+def degree4_blaschke():
+    return BlaschkeSpec(np.array([0.4 + 0.2j, -0.3 + 0.3j]), np.array([2, 2]))
+
+
+def matrix_feasible(seed, k, n):
+    """``W_i = C + z_i^2 D`` with ``||C|| + ||D|| < 1``: feasible by construction."""
+    rng = rng_for(seed)
+    nodes = random_dataset(seed, n=n).nodes
+    c, dd = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+    c *= 0.3 / np.linalg.norm(c, 2)
+    dd *= 0.5 / np.linalg.norm(dd, 2)
+    return DataSet(nodes, np.array([c + z**2 * dd for z in nodes]))
+
+
+class TestBatchEvaluator:
+    @pytest.mark.parametrize(
+        "data, b",
+        [
+            (random_dataset(7, n=3, k=2), BlaschkeSpec.z_squared()),
+            (random_dataset(8, n=2, k=3), BlaschkeSpec.z_squared()),
+            (random_dataset(9, n=3, k=1), degree4_blaschke()),
+        ],
+        ids=["k2", "k3", "scalar_degree4"],
+    )
+    def test_stack_matches_direct_builds(self, data, b):
+        bundle = assemble_bundle(data, b)
+        builder = _AffineBuilder(lambda x: constrained_pick(data, b, x, bundle=bundle), data.k)
+        rng = rng_for(data.n + data.k)
+        xs = rng.standard_normal((6, data.k, data.k)) + 1j * rng.standard_normal((6, data.k, data.k))
+        xs *= 0.9 / np.linalg.norm(xs, 2, axis=(1, 2))[:, None, None]
+        stack = builder.stack(xs)
+        for x, mat in zip(xs, stack):
+            direct = constrained_pick(data, b, x, bundle=bundle)
+            assert np.max(np.abs(mat - direct)) <= 1e-12 * (1.0 + np.max(np.abs(direct)))
+
+    @pytest.mark.parametrize(
+        "data",
+        [random_dataset(11, n=3, k=2), random_dataset(12, n=2, k=3), matrix_feasible(13, 2, 3)],
+        ids=["random_k2", "random_k3", "feasible_k2"],
+    )
+    def test_matrix_search_matches_candidate_loop(self, data):
+        b = BlaschkeSpec.z_squared()
+        report = search_x_grid(data, b, resolution=16, seed=3)
+        bundle = assemble_bundle(data, b)
+        best, best_margin, best_scale = None, -np.inf, 1.0
+        for x in _structured_candidates(data, b, 3, 64, DEFAULT_TOL):
+            margin, scale = psd_margin(constrained_pick(data, b, x, bundle=bundle))
+            if best is None or margin / scale > best_margin / best_scale:
+                best, best_margin, best_scale = x, margin, scale
+        feasible = best_margin >= -DEFAULT_TOL.psd_tol * best_scale
+        assert report.status == (FEASIBLE if feasible else UNDETERMINED)
+        assert abs(report.margin - best_margin) <= 1e-12
+        if feasible:
+            assert np.array_equal(report.witness_x, best)
+
+
 class TestConjugationDiagnostic:
-    def test_reports_distances_and_verdicts(self):
-        d = DataSet.scalar([0.5, -0.3], [0.2, 0.1])
-        out = conjugation_diagnostic(d, 0.2 + 0.1j, sweep=8)
-        assert out["distance_to_lambda_criterion"] >= 0
-        assert out["best_distance_to_scalar_criterion"] >= 0
-        assert isinstance(out["verdict_compressed"], bool)
+    """The compressed Pick matrix at ``lam`` and the lambda-criterion matrix
+    give the same PSD verdict; only the verdicts are compared, not entries."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_psd_verdicts_agree_pointwise(self, seed):
         rng = rng_for(660_000 + seed)
         d = random_dataset(seed, k=1, wmax=0.8)
         lam = rng.uniform(0, 0.85) * np.exp(2j * np.pi * rng.uniform())
-        out = conjugation_diagnostic(d, lam)
-        assert out["verdict_compressed"] == out["verdict_lambda_criterion"]
+        compressed = constrained_pick_compressed(d, BlaschkeSpec.z_squared(), np.array([[lam]]))
+        assert is_psd(compressed)[0] == is_psd(lambda_criterion_matrix(d, lam))[0]

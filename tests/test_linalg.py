@@ -78,8 +78,9 @@ class TestIsPsd:
         assert is_psd(a)[0] and is_psd(b)[0] and is_psd(a + b)[0]
 
     def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            ToleranceConfig(psd_tol=-1.0)
+        for bad in ({"psd_tol": -1.0}, {"psd_tol": np.inf}, {"residual_tol": np.nan}):
+            with pytest.raises(DomainError):
+                ToleranceConfig(**bad)
 
 
 class TestSchurComplement:
