@@ -58,7 +58,6 @@ from .kernels import (
     necessity_form,
     necessity_form_matrix,
     necessity_scan,
-    scalar_criterion_matrix,
 )
 from .feasibility import (
     FEASIBLE,

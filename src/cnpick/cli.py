@@ -330,6 +330,8 @@ def cmd_stein(args) -> int:
     if not nodes:
         raise DomainError("--nodes must list at least one node, e.g. --nodes '0.5,-0.5'")
     k = args.k
+    if k < 1:
+        raise DomainError(f"--k must be a positive integer, got {k}")
     values = np.zeros((len(nodes), k, k), dtype=complex)
     data = DataSet(np.array(nodes, dtype=complex), values)
     bundle = assemble_bundle(data, blaschke)

@@ -26,7 +26,9 @@ Hermitian matrix PSD.  All run through ``_disk_search``: one batched
 eigenvalue call per stack of points, then optional local refinement
 around the best point (earliest index on ties).  The constrained Pick
 matrix is affine in the parameter, so ``_AffineBuilder`` builds whole
-stacks from ``2 k^2 + 1`` builder calls.  Scalar data are searched on
+stacks from ``2 k^2 + 1`` builder calls; ``search_lambda`` takes its
+stacks from ``lambda_criterion_matrix`` applied to the whole array of
+parameter values at once.  Scalar data are searched on
 an equal-area polar grid plus candidates; matrix data only over one
 stack of structured candidates (data values, ball-guided points,
 seeded contractions), so a miss reports Undetermined, never
@@ -42,6 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, NotPsdError, SingularBlockError
+from .kernels import lambda_criterion_matrix
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -240,26 +243,6 @@ def pencil_build(d: DataSet, tol: ToleranceConfig = DEFAULT_TOL) -> LmiPencil:
     e_tilde = np.hstack([aux.e, aux.z @ aux.e])
     w_tilde = np.hstack([aux.w_col, aux.z @ aux.w_col])
     return pencil_from_parts(p, e_tilde, w_tilde, tol)
-
-
-def lambda_alt(pencil: LmiPencil) -> np.ndarray:
-    """Second algebraic form of the solvability Schur complement.
-
-    ``I - Et* P^-1 Et + Et* P^-1 Wt (I + Wt* P^-1 Wt)^-1 Wt* P^-1 Et``;
-    agrees with the primary form by a push-through identity and is kept
-    as a cross-check.
-    """
-    if not pencil.p_is_pd:
-        raise NotPsdError("Pick matrix is not positive definite")
-    pinv_e = np.linalg.solve(pencil.p, pencil.e_tilde)
-    pinv_w = np.linalg.solve(pencil.p, pencil.w_tilde)
-    a = pencil.e_tilde.shape[1]
-    b = pencil.w_tilde.shape[1]
-    inner = np.eye(b) + pencil.w_tilde.conj().T @ pinv_w
-    cross = pencil.e_tilde.conj().T @ pinv_w
-    return hermitian_part(
-        np.eye(a) - pencil.e_tilde.conj().T @ pinv_e + cross @ np.linalg.solve(inner, cross.conj().T)
-    )
 
 
 @dataclass(frozen=True)
@@ -650,23 +633,12 @@ def search_lambda(
     """
     if d.k != 1:
         raise DomainError("the one-parameter criterion applies to scalar data only")
-    w = d.scalar_values()
-    z = d.nodes
-    if np.any(z == 0):
+    if np.any(d.nodes == 0):
         raise DomainError("the one-parameter criterion requires nonzero nodes")
-
-    z2 = np.outer(z**2, np.conj(z) ** 2)
-    cauchy = 1.0 - np.outer(z, z.conj())
-
-    def stack_for(lams: np.ndarray) -> np.ndarray:
-        lams = lams.reshape(-1)
-        u = (w[None, :] - lams[:, None]) / (1.0 - np.conj(lams)[:, None] * w[None, :])
-        return (z2[None, :, :] - u[:, :, None] * u.conj()[:, None, :]) / cauchy[None, :, :]
-
-    candidates = [0.0 + 0.0j] + [complex(v) for v in w if abs(v) < 1]
+    candidates = [0.0 + 0.0j] + [complex(v) for v in d.scalar_values() if abs(v) < 1]
     pts = np.concatenate([np.asarray(candidates), _disk_grid(resolution)])
     best_l, best_lmin, best_scale, total, uniform = _disk_search(
-        stack_for, pts, 2.5 / max(resolution, 4), refine, tol
+        lambda lams: lambda_criterion_matrix(d, lams), pts, 2.5 / max(resolution, 4), refine, tol
     )
     stats = {
         "resolution": int(resolution),

@@ -54,7 +54,6 @@ __all__ = [
     "kernel_gram",
     "necessity_form",
     "necessity_form_matrix",
-    "scalar_criterion_matrix",
     "lambda_criterion_matrix",
     "necessity_scan",
 ]
@@ -145,12 +144,20 @@ def _check_disk(z, name):
         raise DomainError(f"{name} must lie in the open unit disk")
 
 
-def kernel_eval(p: GrassmannParam, z: complex, w: complex) -> np.ndarray:
-    """Evaluate the ``ell x ell`` kernel at a pair of disk points."""
+def kernel_eval(p: GrassmannParam, z, w) -> np.ndarray:
+    """Evaluate the ``ell x ell`` kernel at pairs of disk points.
+
+    ``z`` and ``w`` broadcast against each other; the result has shape
+    ``broadcast(z, w) + (ell, ell)``, so scalar points give one
+    ``ell x ell`` matrix and ``(nodes[:, None], nodes[None, :])`` gives
+    every pair ``K(z_i, z_j)`` at once.
+    """
     _check_disk(z, "z")
     _check_disk(w, "w")
-    rank_part = (p.alpha.conj().T + np.conj(w) * p.beta.conj().T) @ (p.alpha + z * p.beta)
-    tail = np.conj(w) ** 2 * z**2 / (1.0 - np.conj(w) * z)
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    wc = np.conj(np.asarray(w, dtype=complex))[..., None, None]
+    rank_part = (p.alpha.conj().T + wc * p.beta.conj().T) @ (p.alpha + z * p.beta)
+    tail = wc**2 * z**2 / (1.0 - wc * z)
     return rank_part + tail * np.eye(p.ell)
 
 
@@ -167,57 +174,30 @@ def kernel_gram(p: GrassmannParam, points) -> np.ndarray:
     points = np.asarray(points, dtype=complex).reshape(-1)
     _check_disk(points, "points")
     m, l = points.size, p.ell
-    gram = np.empty((m * l, m * l), dtype=complex)
-    for i, zi in enumerate(points):
-        for j, zj in enumerate(points):
-            gram[i * l : (i + 1) * l, j * l : (j + 1) * l] = kernel_eval(p, zj, zi)
-    return gram
+    blocks = kernel_eval(p, points[None, :], points[:, None])
+    return blocks.transpose(0, 2, 1, 3).reshape(m * l, m * l)
 
 
-def _scalar_kernel_matrix(nodes: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
-    a = alpha + beta * nodes
-    cauchy = np.outer(nodes**2, np.conj(nodes) ** 2) / (1.0 - np.outer(nodes, np.conj(nodes)))
-    return np.outer(a, a.conj()) + cauchy
-
-
-def scalar_criterion_matrix(d: DataSet, alpha: complex, beta: complex) -> np.ndarray:
-    """Criterion matrix for one scalar kernel parameter.
-
-    For scalar data this is the n x n matrix with entries
-    ``(1 - w_i conj(w_j)) K(z_i, z_j)``; for matrix data the nk x nk
-    block matrix with blocks ``(I - W_i W_j*) K(z_i, z_j)``.  The
-    parameter must satisfy ``|alpha|^2 + |beta|^2 = 1``.
-    """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > DEFAULT_TOL.residual_tol * 10:
-        raise DomainError("scalar parameter must satisfy |alpha|^2 + |beta|^2 = 1")
-    kmat = _scalar_kernel_matrix(d.nodes, alpha, beta)
-    if d.k == 1:
-        w = d.scalar_values()
-        return (1.0 - np.outer(w, w.conj())) * kmat
-    k = d.k
-    blocks = (np.eye(k) - np.einsum("iab,jcb->ijac", d.values, d.values.conj())) * kmat[
-        :, :, None, None
-    ]
-    return blocks.transpose(0, 2, 1, 3).reshape(d.n * k, d.n * k)
-
-
-def lambda_criterion_matrix(d: DataSet, lam: complex) -> np.ndarray:
-    """One-parameter criterion matrix (k = 1) at a disk point ``lam``.
+def lambda_criterion_matrix(d: DataSet, lam) -> np.ndarray:
+    """One-parameter criterion matrix (k = 1) at disk points ``lam``.
 
     Entry (i, j) is
     ``(z_i^2 conj(z_j)^2 - phi(w_i) conj(phi(w_j))) / (1 - z_i conj(z_j))``
     with ``phi`` the disk automorphism vanishing at ``lam``.  Feasibility
     of the constrained problem is equivalent to this matrix being PSD
-    for some ``lam`` in the open disk.
+    for some ``lam`` in the open disk.  An array of ``lam`` gives the
+    stack of shape ``lam.shape + (n, n)``; a scalar gives one matrix.
     """
     if d.k != 1:
         raise DomainError("the one-parameter criterion applies to scalar data only")
-    if abs(lam) >= 1.0:
+    lam = np.asarray(lam)
+    if np.any(np.abs(lam) >= 1.0):
         raise DomainError("lambda must lie in the open unit disk")
     w = d.scalar_values()
+    lam = lam[..., None]
     u = (w - lam) / (1.0 - np.conj(lam) * w)
     z = d.nodes
-    return (np.outer(z**2, np.conj(z) ** 2) - np.outer(u, u.conj())) / (
+    return (np.outer(z**2, np.conj(z) ** 2) - u[..., :, None] * u.conj()[..., None, :]) / (
         1.0 - np.outer(z, z.conj())
     )
 
@@ -242,14 +222,11 @@ def necessity_form(d: DataSet, p: GrassmannParam, xs: XTuple, tol: ToleranceConf
     against ``residual_tol`` and discarded.
     """
     _validate_form_inputs(d, p, xs)
-    total = 0.0 + 0.0j
-    for i in range(d.n):
-        for j in range(d.n):
-            kij = kernel_eval(p, d.nodes[i], d.nodes[j])
-            core = xs.entries[j] @ kij @ xs.entries[i].conj().T
-            total += np.trace(core) - np.trace(
-                d.values[j].conj().T @ core @ d.values[i]
-            )
+    x, w = xs.entries, d.values
+    kmat = kernel_eval(p, d.nodes[:, None], d.nodes[None, :])
+    core = x[None, :] @ kmat @ x[:, None].conj().swapaxes(-1, -2)
+    outer = w[None, :].conj().swapaxes(-1, -2) @ core @ w[:, None]
+    total = np.sum(np.trace(core, axis1=-2, axis2=-1) - np.trace(outer, axis1=-2, axis2=-1))
     if abs(total.imag) > tol.residual_tol * (1.0 + abs(total.real)):
         raise DomainError(f"necessity form has non-real value {total}")
     return float(total.real)
@@ -266,20 +243,9 @@ def necessity_form_matrix(d: DataSet, p: GrassmannParam) -> np.ndarray:
     """
     _validate_form_inputs(d, p, None)
     n, k, l = d.n, d.k, p.ell
-    f = np.empty((n * k * l, n * k * l), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            kij = kernel_eval(p, d.nodes[i], d.nodes[j])
-            blk = np.kron(kij.T, np.eye(k) - d.values[i] @ d.values[j].conj().T)
-            f[i * k * l : (i + 1) * k * l, j * k * l : (j + 1) * k * l] = blk
-    return f
-
-
-def _unstack_tuple(v: np.ndarray, n: int, k: int, l: int) -> XTuple:
-    entries = np.empty((n, k, l), dtype=complex)
-    for i in range(n):
-        entries[i] = v[i * k * l : (i + 1) * k * l].reshape((k, l), order="F")
-    return XTuple(entries)
+    kmat = kernel_eval(p, d.nodes[:, None], d.nodes[None, :])
+    gap = np.eye(k) - d.values[:, None] @ d.values[None, :].conj().swapaxes(-1, -2)
+    return np.einsum("ijtr,ijsu->irsjtu", kmat, gap).reshape(n * l * k, n * l * k)
 
 
 @dataclass(frozen=True)
@@ -369,7 +335,7 @@ def necessity_scan(
         rel = w[0] / scale
         min_rel = min(min_rel, rel)
         if w[0] < -tol.psd_tol * scale:
-            xs = _unstack_tuple(v[:, 0], d.n, d.k, param.ell)
+            xs = XTuple(v[:, 0].reshape(d.n, param.ell, d.k).transpose(0, 2, 1))
             value = necessity_form(d, param, xs, tol)
             return ScanReport(
                 status="WITNESS",

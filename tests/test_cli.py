@@ -234,3 +234,5 @@ def test_stein_malformed_node_is_usage_error(workdir, capsys):
     blaschke.write_text(json.dumps({"zeros": [[0.0, 0.0]], "multiplicities": [2]}))
     assert main(["stein", str(blaschke), "--nodes", "foo"]) == 64
     assert "--nodes" in capsys.readouterr().err
+    assert main(["stein", str(blaschke), "--nodes", "0.5", "--k", "-1"]) == 64
+    assert "--k" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from cnpick.feasibility import (
     ball_membership,
     ball_sample,
     ball_unstructured,
-    lambda_alt,
     one_point_disk,
     pencil_build,
     pencil_from_parts,
@@ -56,6 +55,23 @@ def pd_pencil(seed, k=1, n=None):
             return d, pencil
     raise AssertionError("could not find a usable pencil")
 
+
+def lambda_alt(pencil):
+    """Second algebraic form of the solvability Schur complement.
+
+    ``I - Et* P^-1 Et + Et* P^-1 Wt (I + Wt* P^-1 Wt)^-1 Wt* P^-1 Et``;
+    agrees with the primary form ``pencil.lam`` by a push-through identity.
+    Needs a positive definite Pick matrix, as ``pd_pencil`` provides.
+    """
+    pinv_e = np.linalg.solve(pencil.p, pencil.e_tilde)
+    pinv_w = np.linalg.solve(pencil.p, pencil.w_tilde)
+    a = pencil.e_tilde.shape[1]
+    b = pencil.w_tilde.shape[1]
+    inner = np.eye(b) + pencil.w_tilde.conj().T @ pinv_w
+    cross = pencil.e_tilde.conj().T @ pinv_w
+    return hermitian_part(
+        np.eye(a) - pencil.e_tilde.conj().T @ pinv_e + cross @ np.linalg.solve(inner, cross.conj().T)
+    )
 
 class TestPencil:
     def test_zero_targets_identity_pick(self):

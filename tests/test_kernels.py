@@ -15,7 +15,6 @@ from cnpick.kernels import (
     necessity_form,
     necessity_form_matrix,
     necessity_scan,
-    scalar_criterion_matrix,
 )
 from cnpick.linalg import DEFAULT_TOL, is_psd
 from cnpick.pick import DataSet
@@ -95,6 +94,18 @@ class TestKernelEval:
         verdict, min_eig = is_psd(kernel_gram(p, pts))
         assert verdict, f"kernel Gram indefinite: {min_eig}"
 
+    @pytest.mark.parametrize("lp", [1, 2, 3])
+    def test_broadcast_matches_pairs(self, lp):
+        rng = rng_for(70_000 + lp)
+        p = grassmann_sample(lp, (lp + 1) // 2, lp)
+        zs = distinct_nodes(rng, 4, rmin=0.0, rmax=0.9, gap=0.01)
+        ws = distinct_nodes(rng, 3, rmin=0.0, rmax=0.9, gap=0.01)
+        stacked = kernel_eval(p, zs[:, None], ws[None, :])
+        assert stacked.shape == (4, 3, p.ell, p.ell)
+        for i, z in enumerate(zs):
+            for j, w in enumerate(ws):
+                assert np.allclose(stacked[i, j], kernel_eval(p, z, w), rtol=1e-14, atol=1e-15)
+
     def test_unitary_equivalence(self, rng):
         p = grassmann_sample(9, 2, 2)
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -108,24 +119,24 @@ class TestKernelEval:
 class TestCriterionMatrices:
     def test_zero_targets_gram(self):
         d = DataSet.scalar([0.3, -0.4], [0.0, 0.0])
-        m = scalar_criterion_matrix(d, 1.0, 0.0)
+        m = necessity_form_matrix(d, GrassmannParam.scalar(1.0, 0.0))
         assert is_psd(m)[0]
 
     def test_one_point_value(self):
         d = DataSet.scalar([0.5], [0.5])
-        m = scalar_criterion_matrix(d, 1.0, 0.0)
+        m = necessity_form_matrix(d, GrassmannParam.scalar(1.0, 0.0))
         assert m[0, 0] == pytest.approx(0.8125)
 
     def test_unimodular_target_boundary(self):
         # |w| = 1 zeroes the prefactor entirely.
-        m = scalar_criterion_matrix(DataSet.scalar([0.5], [1.0]), 1.0, 0.0)
+        m = necessity_form_matrix(DataSet.scalar([0.5], [1.0]), GrassmannParam.scalar(1.0, 0.0))
         assert m[0, 0] == pytest.approx(0.0)
         assert is_psd(m)[0]
 
     def test_requires_normalized_parameter(self):
         d = DataSet.scalar([0.5], [0.5])
         with pytest.raises(DomainError):
-            scalar_criterion_matrix(d, 1.0, 1.0)
+            necessity_form_matrix(d, GrassmannParam.scalar(1.0, 1.0))
 
     def test_lambda_matrix_fixture(self):
         d = DataSet.scalar([0.5], [0.0])
@@ -137,6 +148,16 @@ class TestCriterionMatrices:
         m = lambda_criterion_matrix(d, 0.3 + 0.2j)
         assert m[0, 0] == pytest.approx(0.0625 / 0.75)
         assert is_psd(m)[0]
+
+    def test_lambda_stack_matches_pointwise(self):
+        d = random_dataset(5, n=3, k=1)
+        rng = rng_for(5)
+        radii, angles = rng.uniform(size=(2, 3, 4))
+        lams = 0.95 * np.sqrt(radii) * np.exp(2j * np.pi * angles)
+        stack = lambda_criterion_matrix(d, lams)
+        assert stack.shape == (3, 4, d.n, d.n)
+        for index in np.ndindex(lams.shape):
+            assert np.array_equal(stack[index], lambda_criterion_matrix(d, complex(lams[index])))
 
     def test_lambda_rejects_outside(self):
         d = DataSet.scalar([0.5], [0.0])
@@ -175,8 +196,9 @@ class TestNecessityForm:
         theta = rng.uniform(-1.4, 1.4)
         alpha, beta = np.cos(theta), np.sin(theta)
         xs = rng.standard_normal((d.n, 1, 1)) + 1j * rng.standard_normal((d.n, 1, 1))
-        form = necessity_form(d, GrassmannParam.scalar(alpha, beta), XTuple(xs))
-        m = scalar_criterion_matrix(d, alpha, beta)
+        p = GrassmannParam.scalar(alpha, beta)
+        form = necessity_form(d, p, XTuple(xs))
+        m = necessity_form_matrix(d, p)
         vec = xs[:, 0, 0]
         assert form == pytest.approx(float((vec.conj() @ m @ vec).real), rel=1e-9, abs=1e-9)
 
