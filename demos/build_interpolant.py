@@ -32,7 +32,7 @@ print("targets:", np.round(data.scalar_values(), 4))
 
 # Find the best origin value, then reduce: after the two origin steps
 # the problem is classical interpolation with rescaled targets.
-found = search_x_grid(data, resolution=64)
+found = search_x_grid(data)
 x = complex(found.witness_x[0, 0])
 print(f"\nsearch: {found.status}, max-margin x = {x:.6f}")
 reduced = schur_reduce_constrained(data, x)

@@ -25,9 +25,9 @@ data = DataSet.scalar([0.5], [0.5])
 disk = one_point_disk(0.5, 0.5)
 print(f"feasible origin values: disk centered {disk.center:.6f}, radius {disk.radius:.6f}")
 
-# The grid search confirms and returns a concrete witness (the best
-# margin lands at the disk center).
-report = search_x_grid(data, resolution=64)
+# The search confirms and returns a concrete witness: the parameter
+# with the largest smallest eigenvalue, here the disk center.
+report = search_x_grid(data)
 print(f"search: {report.status}, witness x = {complex(report.witness_x[0, 0]):.6f}")
 
 # The complementary one-parameter criterion certifies feasibility by
@@ -42,10 +42,10 @@ data = DataSet.scalar([0.3, -0.3], [0.3, -0.3])
 ok, margin = is_psd(pick_matrix(data))
 print(f"\nclassical Pick matrix PSD: {ok} (min eigenvalue {margin:.2e})")
 
-# ... but no interpolant with vanishing derivative at 0 exists.  At the
-# certifying resolution the margin stays uniformly negative over the
-# whole refined parameter grid.
-report = search_x_grid(data, resolution=200, refine=2)
+# ... but no interpolant with vanishing derivative at 0 exists.  A dual
+# certificate bounds the smallest eigenvalue below zero for every
+# admissible parameter.
+report = search_x_grid(data)
 print(f"constrained search: {report.status}, best margin {report.margin:.4f}")
 print(f"grid stats: {report.grid_stats}")
 

@@ -91,14 +91,7 @@ def _optional_disk(data: DataSet) -> dict | None:
 def cmd_check(args) -> int:
     problem = parse_problem(args.input)
     tol = _tolerances(args, problem.tol)
-    report = search_x_grid(
-        problem.data,
-        problem.blaschke,
-        resolution=args.grid,
-        refine=args.refine,
-        seed=args.seed,
-        tol=tol,
-    )
+    report = search_x_grid(problem.data, problem.blaschke, tol=tol)
     document = {
         "schema": SCHEMA,
         "command": "check",
@@ -168,6 +161,9 @@ def cmd_body(args) -> int:
         raise DomainError("body computation needs a one-point scalar problem file")
     if not problem.blaschke.is_z_squared():
         raise DomainError("body computation is specific to the origin constraint B = z^2")
+    for flag, value in (("--xres", args.xres), ("--wres", args.wres)):
+        if value < 1:
+            raise DomainError(f"{flag} must be a positive integer, got {value}")
     z0 = _parse_complex(args.z0, "--z0")
     z1, w1 = complex(data.nodes[0]), complex(data.scalar_values()[0])
     if z0 == z1:
@@ -224,10 +220,7 @@ def cmd_solve(args) -> int:
         raise DomainError("construction supports the origin constraint B = z^2 only")
 
     if args.x == "auto":
-        report = search_x_grid(
-            data, problem.blaschke, resolution=args.grid, refine=args.refine,
-            seed=args.seed, tol=tol,
-        )
+        report = search_x_grid(data, problem.blaschke, tol=tol)
         if report.status != FEASIBLE:
             _emit(
                 args,
@@ -369,18 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol=True, seed=True):
+    ignored = "ignored; kept for old command lines"
+
+    def add_common(p, tol=True, seed="seed for all randomness"):
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         if tol:
             p.add_argument("--tol", type=float, default=None, help="PSD tolerance override")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+            p.add_argument("--seed", type=int, default=0, help=seed)
 
     p = sub.add_parser("check", help="decide solvability of a problem file")
     p.add_argument("input")
-    p.add_argument("--grid", type=int, default=200, help="disk grid resolution")
-    p.add_argument("--refine", type=int, default=2, help="refinement passes")
-    add_common(p)
+    p.add_argument("--grid", type=int, default=200, help=ignored)
+    p.add_argument("--refine", type=int, default=2, help=ignored)
+    add_common(p, seed=ignored)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("witness", help="hunt for a necessity-criterion infeasibility witness")
@@ -402,10 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--x", default="auto", help="'auto' or an explicit 're,im' parameter")
     p.add_argument("--out", default="chain.json", help="chain output path")
-    p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--refine", type=int, default=2)
+    p.add_argument("--grid", type=int, default=200, help=ignored)
+    p.add_argument("--refine", type=int, default=2, help=ignored)
     p.add_argument("--check-tol", type=float, default=1e-7, help="verification residual tolerance")
-    add_common(p)
+    add_common(p, seed=ignored)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify a chain file against a problem file")
@@ -427,11 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # argparse usage error; its exit code 2 would read as Undetermined
+            return EXIT_USAGE
+        raise
     try:
         return args.func(args)
-    except (ProblemFileError, DomainError, DegenerateDataError) as exc:
+    except (
+        ProblemFileError, DomainError, DegenerateDataError, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CnpError, np.linalg.LinAlgError) as exc:

@@ -1,5 +1,5 @@
 """Solvability analysis: matrix-ball description of the relaxed LMI,
-scalar closed forms, and seeded/grid parameter searches.
+scalar closed forms, the certified solver and the grid searches.
 
 The constrained interpolation problem is solvable exactly when the
 linearized constrained Pick matrix is PSD for some value of the free
@@ -20,20 +20,16 @@ with ``C = -Et* G^-1 Wt``, ``Lam = I - Et* G^-1 Et``,
 strict positivity.  Note the factor order: the completed square reads
 ``(Xt - C) L^-1 (Xt - C)* <= Lam``, so ``Lam`` is the left semi-radius.
 
-The searches (``search_x_grid``, ``search_lambda`` and the body
-membership test) each ask whether some point of a disk makes a small
-Hermitian matrix PSD.  All run through ``_disk_search``: one batched
-eigenvalue call per stack of points, then optional local refinement
-around the best point (earliest index on ties).  The constrained Pick
-matrix is affine in the parameter, so ``_AffineBuilder`` builds whole
-stacks from ``2 k^2 + 1`` builder calls; ``search_lambda`` takes its
-stacks from ``lambda_criterion_matrix`` applied to the whole array of
-parameter values at once.  Scalar data are searched on
-an equal-area polar grid plus candidates; matrix data only over one
-stack of structured candidates (data values, ball-guided points,
-seeded contractions), so a miss reports Undetermined, never
-Infeasible: the structured set is a positive-dimensional manifold that
-finitely many candidates cannot exhaust.
+``search_x_grid`` decides solvability for every k and every Blaschke
+constraint with one log-barrier solver: ``A(X)`` is affine in the
+parameter (``_AffineBuilder`` recovers it from ``2 k^2 + 1`` builds), so
+``lambda_min(A(X))`` is concave over ``||X|| <= 1``.  The maximiser is
+the Feasible witness; the dual matrix is an Infeasible certificate
+that ``_dual_bound`` checks without the solver.  ``search_lambda`` and
+the body membership test stay grid searches through ``_disk_search``
+(one batched eigenvalue call per stack of points, then local
+refinement): the lambda criterion is not affine in its parameter, and
+``search_lambda`` is the independent cross-check of ``search_x_grid``.
 """
 
 from __future__ import annotations
@@ -161,9 +157,9 @@ class FeasReport:
 
     ``status`` is Feasible, Infeasible or Undetermined.  Feasible
     reports carry a witness (parameter matrix or disk point).  ``margin``
-    is the best smallest-eigenvalue found; ``grid_stats`` records grid
-    resolution, point counts and the uniform margin bound that backs an
-    Infeasible verdict.
+    is the best smallest-eigenvalue found; ``grid_stats`` records point
+    counts and the bounds behind the verdict.  Infeasible verdicts of
+    :func:`search_x_grid` carry their dual ``certificate``.
     """
 
     status: str
@@ -172,6 +168,7 @@ class FeasReport:
     margin: float = -np.inf
     grid_stats: dict = field(default_factory=dict)
     detail: str = ""
+    certificate: Optional[np.ndarray] = None
 
     @property
     def feasible(self) -> bool:
@@ -447,9 +444,94 @@ class _AffineBuilder:
         return out
 
 
-def _certifies_infeasible(resolution: int, refine: int, uniform: bool) -> bool:
-    """Gate for a grid-backed Infeasible verdict: fine grid, refined, uniformly negative."""
-    return resolution >= INFEASIBLE_MIN_RESOLUTION and refine >= 2 and uniform
+def _dual_bound(builder: _AffineBuilder, y: np.ndarray) -> float:
+    """Upper bound on ``lambda_min(A(X))`` over all ``||X|| <= 1``, certified by ``y``.
+
+    With ``y`` clipped to its PSD part and scaled to unit trace,
+    ``lambda_min(A(X)) <= Re tr(y A(X)) = Re tr(y A0) + 2 Re tr(X G^T)``,
+    ``G_ab = tr(y A_ab)``, and ``|tr(X G^T)| <= ||X|| ||G||_*``.  Every
+    admissible ``X`` is the value of a contractive function at the
+    constraint zeros, so ``||X|| <= 1`` loses nothing.
+    """
+    w, v = np.linalg.eigh(hermitian_part(y))
+    w = np.clip(w, 0.0, None)
+    y = (v * (w / w.sum())) @ v.conj().T
+    g = np.array([np.trace(y @ a1) for a1, _ in builder.terms]).reshape(builder.k, builder.k)
+    return float(np.trace(y @ builder.a0).real + 2.0 * np.linalg.norm(g, "nuc"))
+
+
+def _maximize_min_eig(builder: _AffineBuilder, tol: ToleranceConfig):
+    """Maximise ``lambda_min(A(X))`` over ``||X|| <= 1`` by a log-barrier method.
+
+    Damped Newton on ``-s t - log det(A(X) - t I) - log det [[I, X], [X*, I]]``
+    in the real coordinates of ``(X, t)``, with ``s`` growing eight-fold
+    per pass.  Each pass yields a lower bound ``lambda_min(A(X))`` at the
+    current ``X`` and an upper bound :func:`_dual_bound` of
+    ``Y = (A(X) - t I)^-1``.  Stops once the upper bound is below
+    ``-psd_tol * scale``, or the gap or the central path's gap bound
+    ``size / s`` is at most ``psd_tol * scale`` (beyond it lies rounding).
+    Returns ``(best_x, best_lmin, best_scale, upper_bound, Y, newton_steps)``.
+    """
+    k, m = builder.k, builder.a0.shape[0]
+    units = np.eye(k * k).reshape(k * k, k, k)
+    coords = np.concatenate([units, 1j * units])  # X = sum_j y_j coords[j]
+    # One block-diagonal pencil F(v) = F0 + sum_j v_j F_j, v = (y, t), for both barriers.
+    f = np.zeros((len(coords) + 2, m + 2 * k, m + 2 * k), dtype=complex)
+    f[0, :m, :m] = builder.a0
+    f[0, m:, m:] = np.eye(2 * k)
+    f[1:-1, :m, :m] = builder.stack(coords) - builder.a0
+    f[1:-1, m : m + k, m + k :] = coords
+    f[1:-1, m + k :, m : m + k] = coords.conj().transpose(0, 2, 1)
+    f[-1, :m, :m] = -np.eye(m)
+    f = 0.5 * (f + f.conj().transpose(0, 2, 1))
+
+    def pencil(v):
+        return f[0] + np.tensordot(v, f[1:], 1)
+
+    def barrier(v, s):
+        try:
+            chol = np.linalg.cholesky(pencil(v))
+        except np.linalg.LinAlgError:
+            return np.inf
+        return -s * v[-1] - 2.0 * np.sum(np.log(chol.diagonal().real))
+
+    v = np.zeros(len(f) - 1)
+    v[-1] = -1.0 - np.linalg.norm(builder.a0)  # A0 - t I >= I
+    s = np.trace(np.linalg.inv(pencil(v)[:m, :m])).real
+    best = (None, -np.inf, 1.0)
+    upper, certificate, steps = np.inf, None, 0
+    for _ in range(40):
+        for _ in range(50):
+            g_mats = np.linalg.inv(pencil(v)) @ f[1:]
+            grad = -np.einsum("jaa->j", g_mats).real
+            grad[-1] -= s
+            flat = g_mats.reshape(len(g_mats), -1)  # hess_ij = Re tr(G_i G_j)
+            hess = (flat @ g_mats.transpose(0, 2, 1).reshape(len(g_mats), -1).T).real
+            step = -np.linalg.solve(hess, grad)
+            slope = grad @ step
+            if -slope < 1e-6:
+                break
+            value, alpha = barrier(v, s), 1.0
+            while alpha > 1e-6 and barrier(v + alpha * step, s) > value + 0.25 * alpha * slope:
+                alpha *= 0.5
+            if alpha <= 1e-6:  # the barrier's decrease is below its rounding
+                break
+            v, steps = v + alpha * step, steps + 1
+        shifted = pencil(v)[:m, :m]
+        lmin, scale = _batched_margins(shifted[None] + v[-1] * np.eye(m))
+        if lmin[0] / scale[0] > best[1] / best[2]:
+            best = (np.tensordot(v[:-1], coords, 1), float(lmin[0]), float(scale[0]))
+        y = np.linalg.inv(shifted)
+        y /= np.trace(y).real
+        bound = _dual_bound(builder, y)
+        if bound < upper:
+            upper, certificate = bound, y
+        if upper < -tol.psd_tol * best[2] or upper - best[1] <= tol.psd_tol * best[2]:
+            break
+        if len(f[0]) <= s * tol.psd_tol * best[2]:
+            break
+        s *= 8.0
+    return best[0], best[1], best[2], upper, certificate, steps
 
 
 def _disk_search(stack_for, points, halfwidth: float, refine: int, tol: ToleranceConfig):
@@ -493,129 +575,35 @@ def _overlap_report(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasRe
     )
 
 
-def _structured_candidates(d: DataSet, b: BlaschkeSpec, seed: int, count: int, tol):
-    """Candidate parameter matrices: data values, ball-guided, seeded contractions."""
-    k = d.k
-    cands = [np.zeros((k, k), dtype=complex)]
-    cands.extend(d.values[i] for i in range(d.n))
-    cands.append(d.values.mean(axis=0))
-    pencil = pencil_build(d, tol)
-    outcome = ball_unstructured(pencil, tol)
-    if outcome.status == FEASIBLE:
-        ball = outcome.ball
-        # Project the unstructured ball center onto the repeated structure;
-        # the LMI was posed with the opposite parameter sign, hence the flip.
-        blocks = [ball.center[i * k : (i + 1) * k, i * k : (i + 1) * k] for i in range(2)]
-        cands.append(-0.5 * (blocks[0] + blocks[1]))
-        rng = np.random.default_rng(seed)
-        lh = sqrt_psd(ball.left, tol)
-        rh = sqrt_psd(ball.right, tol)
-        for _ in range(8):
-            kk = rng.standard_normal((2 * k, 2 * k)) + 1j * rng.standard_normal((2 * k, 2 * k))
-            kk *= rng.uniform(0.0, 1.0) / max(operator_norm(kk), 1e-12)
-            xt = ball.center + lh @ kk @ rh
-            blocks = [xt[i * k : (i + 1) * k, i * k : (i + 1) * k] for i in range(2)]
-            cands.append(-0.5 * (blocks[0] + blocks[1]))
-    rng = np.random.default_rng(seed + 1)
-    for _ in range(count):
-        x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        x *= rng.uniform(0.0, 0.999) / max(operator_norm(x), 1e-12)
-        cands.append(x)
-    return cands
-
-
 def search_x_grid(
-    d: DataSet,
-    b: Optional[BlaschkeSpec] = None,
-    resolution: int = 64,
-    refine: int = 2,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    d: DataSet, b: Optional[BlaschkeSpec] = None, tol: ToleranceConfig = DEFAULT_TOL
 ) -> FeasReport:
-    """Search for a parameter making the constrained Pick matrix PSD.
+    """Decide whether some parameter makes the constrained Pick matrix PSD.
 
-    Scalar data: equal-area polar grid over the disk (plus the data
-    values, the one-point disk center when available, and ball-guided
-    candidates), followed by ``refine`` local refinement passes around
-    the best margin.  The verdict is Feasible as soon as the best point
-    passes the PSD test.  Infeasible is declared only for scalar data,
-    only at ``resolution >= 200`` with ``refine >= 2``, and only when
-    the margin stays below ``-10 psd_tol`` (relative) uniformly over
-    every evaluated point; anything weaker reports Undetermined, since
-    a finite grid cannot prove emptiness.
-
-    Matrix data: candidates plus seeded random contractions only, so the
-    outcome is Feasible or Undetermined.
-
-    Overlapping nodes and constraint zeros short-circuit to the exact
-    overlap analysis.
+    Feasible when the maximal smallest eigenvalue found is at least
+    ``-psd_tol * scale`` (the maximiser is the witness), Infeasible when
+    the dual ``certificate`` bounds it below ``-psd_tol * scale``, else
+    Undetermined.  Overlapping nodes and constraint zeros short-circuit
+    to the exact overlap analysis.
     """
     b = b if b is not None else BlaschkeSpec.z_squared()
     if any(np.any(b.zeros == z) for z in d.nodes):
         return _overlap_report(d, b, tol)
     bundle = assemble_bundle(d, b, tol)
     builder = _AffineBuilder(lambda x: constrained_pick(d, b, x, bundle=bundle), d.k)
-
-    if d.k == 1:
-        candidates = [0.0 + 0.0j]
-        candidates.extend(complex(v) for v in d.scalar_values() if abs(v) < 1)
-        if d.n == 1 and 0 < abs(d.nodes[0]) < 1 and abs(d.scalar_values()[0]) < 1:
-            candidates.append(complex(one_point_disk(d.nodes[0], d.scalar_values()[0]).center))
-        pencil = pencil_build(d, tol)
-        outcome = ball_unstructured(pencil, tol)
-        if outcome.status == FEASIBLE:
-            c = outcome.ball.center
-            candidates.append(complex(-0.5 * (c[0, 0] + c[1, 1])))
-
-        pts = np.concatenate([np.asarray(candidates, dtype=complex), _disk_grid(resolution)])
-        best_x, best_lmin, best_scale, total, uniform = _disk_search(
-            builder.stack, pts, 2.5 / max(resolution, 4), refine, tol
-        )
-        stats = {
-            "resolution": int(resolution),
-            "refine": int(refine),
-            "points": total,
-            "best_margin": best_lmin,
-            "best_scale": best_scale,
-            "uniform_infeasible": uniform,
-        }
-        if best_lmin >= -tol.psd_tol * best_scale:
-            return FeasReport(
-                FEASIBLE,
-                witness_x=np.array([[best_x]]),
-                margin=best_lmin,
-                grid_stats=stats,
-                detail="witness found by disk grid",
-            )
-        if _certifies_infeasible(resolution, refine, uniform):
-            return FeasReport(
-                INFEASIBLE,
-                margin=best_lmin,
-                grid_stats=stats,
-                detail="margin uniformly negative over the refined grid",
-            )
-        return FeasReport(
-            UNDETERMINED,
-            margin=best_lmin,
-            grid_stats=stats,
-            detail="no witness found; grid too coarse to certify infeasibility",
-        )
-
-    # matrix data: candidate search only
-    count = max(64, 4 * resolution)
-    candidates = np.asarray(_structured_candidates(d, b, seed, count, tol))
-    witness, best_margin, best_scale, _, _ = _disk_search(builder.stack, candidates, 0.0, 0, tol)
-    stats = {"resolution": int(resolution), "candidates": count, "best_margin": best_margin}
-    if best_margin >= -tol.psd_tol * best_scale:
-        return FeasReport(
-            FEASIBLE, witness_x=witness, margin=best_margin, grid_stats=stats,
-            detail="witness found among structured candidates",
-        )
+    best_x, best_lmin, best_scale, upper, certificate, steps = _maximize_min_eig(builder, tol)
+    certified = upper < -tol.psd_tol * best_scale
+    stats = {"points": steps, "best_margin": best_lmin, "best_scale": best_scale,
+             "upper_bound": upper, "uniform_infeasible": certified}
+    if best_lmin >= -tol.psd_tol * best_scale:
+        status, detail = FEASIBLE, "witness maximises the smallest eigenvalue"
+    elif certified:
+        status, detail = INFEASIBLE, "dual certificate bounds every admissible parameter below zero"
+    else:
+        status, detail = UNDETERMINED, f"gap [{best_lmin:.3e}, {upper:.3e}] straddles the tolerance"
     return FeasReport(
-        UNDETERMINED,
-        margin=best_margin,
-        grid_stats=stats,
-        detail="candidate search cannot certify infeasibility for matrix data",
+        status, witness_x=best_x if status == FEASIBLE else None, margin=best_lmin,
+        grid_stats=stats, detail=detail, certificate=certificate if certified else None,
     )
 
 
@@ -628,8 +616,8 @@ def search_lambda(
     """One-parameter grid search of the disk-automorphism criterion (k = 1).
 
     A single parameter value whose criterion matrix is PSD certifies
-    feasibility.  The Infeasible gate mirrors :func:`search_x_grid`:
-    resolution >= 200, refine >= 2 and uniformly negative margins.
+    feasibility.  Infeasible needs resolution >= 200, refine >= 2 and
+    uniformly negative margins.
     """
     if d.k != 1:
         raise DomainError("the one-parameter criterion applies to scalar data only")
@@ -655,7 +643,7 @@ def search_lambda(
             grid_stats=stats,
             detail="criterion matrix PSD at the reported parameter",
         )
-    if _certifies_infeasible(resolution, refine, uniform):
+    if resolution >= INFEASIBLE_MIN_RESOLUTION and refine >= 2 and uniform:
         return FeasReport(
             INFEASIBLE, margin=best_lmin, grid_stats=stats,
             detail="margin uniformly negative over the refined grid",

@@ -7,7 +7,8 @@ exactly; no test draws from global random state.
 import numpy as np
 import pytest
 
-from cnpick.pick import BlaschkeSpec, DataSet
+from cnpick.feasibility import _AffineBuilder
+from cnpick.pick import BlaschkeSpec, DataSet, assemble_bundle, constrained_pick
 
 
 def rng_for(seed):
@@ -56,6 +57,13 @@ def random_blaschke(seed, max_degree=4):
         mult.append(r)
         left -= r
     return BlaschkeSpec(zeros, np.array(mult))
+
+
+def fresh_builder(data, b=None):
+    """Batch evaluator of the constrained Pick matrix, built independently of any search."""
+    b = b if b is not None else BlaschkeSpec.z_squared()
+    bundle = assemble_bundle(data, b)
+    return _AffineBuilder(lambda x: constrained_pick(data, b, x, bundle=bundle), data.k)
 
 
 def random_contraction(rng, k, norm=None):

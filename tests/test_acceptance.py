@@ -240,7 +240,7 @@ def test_criterion_5_criterion_agreement():
         instances.append(random_dataset(5_000_000 + seed, k=1, wmax=0.9))
 
     for idx, d in enumerate(instances):
-        rx = search_x_grid(d, resolution=48)
+        rx = search_x_grid(d)
         rl = search_lambda(d, resolution=48)
         if rx.status != "Undetermined" and rl.status != "Undetermined":
             both += 1
@@ -251,7 +251,7 @@ def test_criterion_5_criterion_agreement():
 
     # escalate a few indeterminate pairs to the certifying resolution
     for idx in indeterminate_pairs[:8]:
-        rx = search_x_grid(instances[idx], resolution=200, refine=2)
+        rx = search_x_grid(instances[idx])
         rl = search_lambda(instances[idx], resolution=200, refine=2)
         if rx.status != "Undetermined" and rl.status != "Undetermined":
             both += 1
@@ -267,7 +267,7 @@ def test_criterion_5_criterion_agreement():
 
 def test_criterion_6_documented_gap():
     classical_ok, classical_margin = is_psd(pick_matrix(INFEASIBLE_DATA))
-    rx = search_x_grid(INFEASIBLE_DATA, resolution=200, refine=2)
+    rx = search_x_grid(INFEASIBLE_DATA)
     scan = necessity_scan(INFEASIBLE_DATA, samples=2000, seed=0)
     ok = (
         classical_ok
@@ -292,7 +292,7 @@ def test_criterion_7_end_to_end_construction():
     for seed in range(100):
         rng = rng_for(seed)
         data, _ = generate_feasible(seed, int(rng.integers(1, 4)))
-        found = search_x_grid(data, resolution=48)
+        found = search_x_grid(data)
         assert found.status == FEASIBLE, f"seed {seed} not found feasible"
         chain = construct_interpolant(data, complex(found.witness_x[0, 0]))
         result = verify_interpolant(chain, data, tol=1e-7)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from cnpick.cli import main
-from cnpick.feasibility import search_x_grid
+from cnpick.feasibility import _dual_bound, search_x_grid
 from cnpick.interpolant import chain_from_json, verify_interpolant
 from cnpick.problemfile import parse_problem
+
+from conftest import fresh_builder
 
 
 @pytest.fixture
@@ -44,7 +46,7 @@ def test_check_matches_library_verdict(workdir, capsys):
     code = main(["check", str(path), "--grid", "48", "--json"])
     out = json.loads(capsys.readouterr().out)
     problem = parse_problem(path)
-    report = search_x_grid(problem.data, problem.blaschke, resolution=48)
+    report = search_x_grid(problem.data, problem.blaschke)
     assert out["status"] == report.status
     assert (code == 0) == (report.status == "Feasible")
 
@@ -94,6 +96,7 @@ def test_check_matrix_data_feasible(workdir, capsys):
 
 
 def test_check_matrix_data_undetermined_exit_2(workdir, capsys):
+    """Norm-2 matrix data: Infeasible (exit 1), backed by a certificate."""
     doc = {
         "k": 2,
         "nodes": [[0.4, 0.0]],
@@ -103,7 +106,13 @@ def test_check_matrix_data_undetermined_exit_2(workdir, capsys):
     path.write_text(json.dumps(doc))
     code = main(["check", str(path), "--grid", "16", "--json"])
     out = json.loads(capsys.readouterr().out)
-    assert code == 2 and out["status"] == "Undetermined"
+    assert code == 1 and out["status"] == "Infeasible"
+    assert out["grid_stats"]["uniform_infeasible"]
+    problem = parse_problem(path)
+    report = search_x_grid(problem.data, problem.blaschke)
+    bound = _dual_bound(fresh_builder(problem.data, problem.blaschke), report.certificate)
+    assert bound < -1e-9 * report.grid_stats["best_scale"]
+    assert bound <= out["grid_stats"]["upper_bound"] + 1e-12
 
 
 def test_solve_then_verify_round_trip(workdir, capsys):
@@ -189,6 +198,13 @@ def test_body_z0_equals_node_is_usage_error(workdir, capsys):
     assert main(["body", str(path), "--z0", "0.5,0"]) == 64
 
 
+@pytest.mark.parametrize("flag, value", [("--xres", "0"), ("--xres", "-4"), ("--wres", "-2")])
+def test_body_nonpositive_resolution_is_usage_error(workdir, capsys, flag, value):
+    path = write_problem(workdir / "p.json", [0.5], [0.0])
+    assert main(["body", str(path), "--z0", "0.2,0", flag, value]) == 64
+    assert flag in capsys.readouterr().err
+
+
 def test_stein_origin_double_zero(workdir, capsys):
     blaschke = workdir / "b.json"
     blaschke.write_text(json.dumps({"zeros": [[0.0, 0.0]], "multiplicities": [2]}))
@@ -236,3 +252,33 @@ def test_stein_malformed_node_is_usage_error(workdir, capsys):
     assert "--nodes" in capsys.readouterr().err
     assert main(["stein", str(blaschke), "--nodes", "0.5", "--k", "-1"]) == 64
     assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "p.json", "--bogus"], ["check"], ["check", "p.json", "--grid", "abc"]]
+)
+def test_command_line_usage_error_exit_64(workdir, capsys, argv):
+    write_problem(workdir / "p.json", [0.5], [0.5])
+    assert main(argv) == 64
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("target", ["missing.json", "."])
+def test_unreadable_input_is_usage_error(workdir, capsys, target):
+    problem = write_problem(workdir / "p.json", [0.5], [0.5])
+    assert main(["check", target]) == 64
+    assert "error:" in capsys.readouterr().err
+    assert main(["verify", target, str(problem)]) == 64
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_problem_is_usage_error(workdir, capsys):
+    path = workdir / "p.json"
+    path.write_bytes(b'{"k": 1, "nodes": "\xff\xfe"}')
+    assert main(["check", str(path)]) == 64
+    assert "error:" in capsys.readouterr().err

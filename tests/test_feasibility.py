@@ -8,7 +8,7 @@ from cnpick.feasibility import (
     UNDETERMINED,
     MatrixBall,
     _AffineBuilder,
-    _structured_candidates,
+    _dual_bound,
     ball_membership,
     ball_sample,
     ball_unstructured,
@@ -21,22 +21,41 @@ from cnpick.feasibility import (
     search_x_grid,
 )
 from cnpick.kernels import lambda_criterion_matrix, necessity_scan
-from cnpick.linalg import DEFAULT_TOL, hermitian_part, is_psd, operator_norm, psd_margin
+from cnpick.linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    hermitian_part,
+    is_psd,
+    operator_norm,
+    psd_margin,
+)
 from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
     assemble_bundle,
     aux_matrices,
     constrained_pick,
+    constrained_pick_cf,
     constrained_pick_compressed,
     constrained_pick_z2_quadratic,
     pick_matrix,
 )
 from cnpick.interpolant import generate_feasible
 
-from conftest import random_dataset, rng_for
+from conftest import fresh_builder, random_dataset, rng_for
 
 INFEASIBLE_DATA = DataSet.scalar([0.3, -0.3], [0.3, -0.3])
+
+# Feasible by construction, with a maximal margin within ~1e-6 of zero.
+BOUNDARY_FEASIBLE = [(2022850573, 3), (392565374, 16), (747495142, 3), (654321114, 3)]
+
+
+def assert_certified(report, data, b=None, below=None):
+    """An Infeasible report whose certificate checks on a fresh builder."""
+    assert report.status == INFEASIBLE
+    if below is None:
+        below = -DEFAULT_TOL.psd_tol * report.grid_stats["best_scale"]
+    assert _dual_bound(fresh_builder(data, b), report.certificate) < below
 
 
 def criterion_matrix(pencil, xt):
@@ -270,26 +289,36 @@ class TestOnePointDisk:
 class TestSearch:
     def test_one_point_feasible_witness_in_disk(self):
         d = DataSet.scalar([0.5], [0.5])
-        report = search_x_grid(d, resolution=48)
+        report = search_x_grid(d)
         assert report.status == FEASIBLE
         assert one_point_disk(0.5, 0.5).contains(complex(report.witness_x[0, 0]), 1e-9)
 
     def test_constant_data_feasible(self):
         d = DataSet.scalar([0.2, -0.3, 0.4j], [0.25 + 0.1j] * 3)
-        report = search_x_grid(d, resolution=32)
+        report = search_x_grid(d)
         assert report.status == FEASIBLE
         assert abs(complex(report.witness_x[0, 0]) - (0.25 + 0.1j)) < 0.15
 
     def test_documented_gap_instance(self):
         assert is_psd(pick_matrix(INFEASIBLE_DATA))[0]
-        report = search_x_grid(INFEASIBLE_DATA, resolution=200, refine=2)
+        report = search_x_grid(INFEASIBLE_DATA)
         assert report.status == INFEASIBLE
         assert report.grid_stats["uniform_infeasible"]
         assert report.margin < -1e-3
 
     def test_undetermined_below_resolution_gate(self):
-        report = search_x_grid(INFEASIBLE_DATA, resolution=64, refine=2)
-        assert report.status == UNDETERMINED
+        """The gap instance's certificate bounds every parameter below -1e-3 on its own."""
+        assert_certified(search_x_grid(INFEASIBLE_DATA), INFEASIBLE_DATA, below=-1e-3)
+
+    @pytest.mark.parametrize("seed, n", BOUNDARY_FEASIBLE)
+    def test_boundary_feasible_never_infeasible(self, seed, n):
+        data, _ = generate_feasible(seed, n)
+        report = search_x_grid(data)
+        assert report.status != INFEASIBLE
+        if report.status == FEASIBLE:
+            cf = constrained_pick_cf(data, BlaschkeSpec.z_squared(), report.witness_x)
+            assert is_psd(cf, ToleranceConfig(psd_tol=1e-7))[0]
+            assert operator_norm(report.witness_x) < 1.0
 
     def test_lambda_one_point_target_witness(self):
         d = DataSet.scalar([0.5], [0.3 + 0.2j])
@@ -303,7 +332,7 @@ class TestSearch:
     def test_overlap_routes(self):
         d = DataSet.scalar([0.3, 0.5], [0.1, 0.4])
         b = BlaschkeSpec(np.array([0.3]), np.array([1]))
-        report = search_x_grid(d, b, resolution=16)
+        report = search_x_grid(d, b)
         assert report.status == INFEASIBLE
         assert "overlap" in report.detail
 
@@ -311,26 +340,26 @@ class TestSearch:
         rng = rng_for(5)
         w = 0.2 * np.eye(2) + 0.02 * rng.standard_normal((2, 2))
         d = DataSet(np.array([0.3, -0.4 + 0.2j]), np.stack([w, w]))
-        report = search_x_grid(d, resolution=16, seed=1)
+        report = search_x_grid(d)
         assert report.status == FEASIBLE
 
     def test_matrix_data_never_infeasible(self):
+        """Norm-2 matrix data are certified Infeasible."""
         w = np.array([[0.0, 2.0], [0.0, 0.0]])  # norm 2, clearly infeasible
         d = DataSet(np.array([0.3]), w.reshape(1, 2, 2))
-        report = search_x_grid(d, resolution=16, seed=0)
-        assert report.status == UNDETERMINED
+        assert_certified(search_x_grid(d), d, below=-1e-3)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_feasible_implies_classical_psd(self, seed):
         data, _ = generate_feasible(seed, int(rng_for(seed).integers(1, 4)))
-        report = search_x_grid(data, resolution=32)
+        report = search_x_grid(data)
         assert report.status == FEASIBLE
         assert is_psd(pick_matrix(data))[0]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_feasible_implies_scan_pass(self, seed):
         data, _ = generate_feasible(400 + seed, 2)
-        assert search_x_grid(data, resolution=32).status == FEASIBLE
+        assert search_x_grid(data).status == FEASIBLE
         assert necessity_scan(data, samples=500, seed=seed).passed
 
 
@@ -370,24 +399,26 @@ class TestBatchEvaluator:
             assert np.max(np.abs(mat - direct)) <= 1e-12 * (1.0 + np.max(np.abs(direct)))
 
     @pytest.mark.parametrize(
-        "data",
-        [random_dataset(11, n=3, k=2), random_dataset(12, n=2, k=3), matrix_feasible(13, 2, 3)],
+        "data, expected",
+        [
+            (random_dataset(11, n=3, k=2), None),
+            (random_dataset(12, n=2, k=3), None),
+            (matrix_feasible(13, 2, 3), FEASIBLE),
+        ],
         ids=["random_k2", "random_k3", "feasible_k2"],
     )
-    def test_matrix_search_matches_candidate_loop(self, data):
+    def test_matrix_search_matches_candidate_loop(self, data, expected):
+        """A matrix verdict checks on its own: the witness directly, else the certificate."""
         b = BlaschkeSpec.z_squared()
-        report = search_x_grid(data, b, resolution=16, seed=3)
-        bundle = assemble_bundle(data, b)
-        best, best_margin, best_scale = None, -np.inf, 1.0
-        for x in _structured_candidates(data, b, 3, 64, DEFAULT_TOL):
-            margin, scale = psd_margin(constrained_pick(data, b, x, bundle=bundle))
-            if best is None or margin / scale > best_margin / best_scale:
-                best, best_margin, best_scale = x, margin, scale
-        feasible = best_margin >= -DEFAULT_TOL.psd_tol * best_scale
-        assert report.status == (FEASIBLE if feasible else UNDETERMINED)
-        assert abs(report.margin - best_margin) <= 1e-12
-        if feasible:
-            assert np.array_equal(report.witness_x, best)
+        report = search_x_grid(data, b)
+        assert expected in (None, report.status)
+        if report.status == FEASIBLE:
+            margin, scale = psd_margin(constrained_pick(data, b, report.witness_x))
+            assert margin >= -DEFAULT_TOL.psd_tol * scale
+            assert abs(report.margin - margin) <= 1e-12 * scale
+            assert operator_norm(report.witness_x) < 1.0
+        else:
+            assert_certified(report, data, b)
 
 
 class TestConjugationDiagnostic:

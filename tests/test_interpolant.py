@@ -239,7 +239,7 @@ class TestGenerator:
     def test_round_trip(self, seed):
         rng = rng_for(seed)
         data, _ = generate_feasible(seed, int(rng.integers(1, 4)))
-        found = search_x_grid(data, resolution=48)
+        found = search_x_grid(data)
         assert found.status == "Feasible"
         chain = construct_interpolant(data, complex(found.witness_x[0, 0]))
         report = verify_interpolant(chain, data, tol=1e-7)
