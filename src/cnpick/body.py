@@ -15,11 +15,17 @@ matrix to the pencil; membership in the resulting ball agrees with the
 PSD test on the (n+1)-point Pick matrix, which the tests check.)
 
 Constrained case (scalar, one node): the body is no longer a disk.  For
-each admissible parameter value ``x`` the attainable values form a disk
-``D(c_x, R_x)``; sweeping ``x`` over its own feasible disk yields a
-union of disks that is contained in the body.  Only the inclusion is
-proved, so results are reported as an (inner union, outer grid) pair
-and never as the full body.
+each admissible origin value ``x`` the constrained problem reduces to
+an unconstrained one (:func:`schur_reduce_constrained`), so the
+attainable values form a disk ``D(c_x, R_x)``: the image under
+``t -> (t + x) / (1 + conj(x) t)`` of ``z0^2`` times the unconstrained
+body of the reduced data.  Sweeping ``x`` over its own feasible disk
+yields a union of disks that is contained in the body.  Only the
+inclusion is proved, so results are reported as an (inner union, outer
+grid) pair and never as the full body.  The outer grid tests each
+candidate value with the lambda-criterion of the augmented data over
+the same ``x`` values; a single membership query is decided by the
+certified solver behind :func:`search_x_grid`.
 
 Everything here is embarrassingly parallel over grid points; the
 implementation simply vectorizes.
@@ -39,11 +45,13 @@ from .feasibility import (
     FEASIBLE,
     _batched_margins,
     _disk_grid,
-    _disk_search,
     ball_unstructured,
     one_point_disk,
     pencil_from_parts,
+    search_x_grid,
 )
+from .interpolant import schur_reduce_constrained
+from .kernels import lambda_criterion_matrix
 from .linalg import DEFAULT_TOL, ToleranceConfig, psd_margin
 from .pick import DataSet, aux_matrices, pick_matrix
 
@@ -89,6 +97,10 @@ def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_T
 # ---------------------------------------------------------------------------
 # constrained body, scalar data with one node
 
+# Fraction of the feasible parameter disk swept by ``body_union``; the
+# rim is left out because its disks shrink to points.
+INTERIOR_SHRINK = 0.995
+
 
 def _check_body_args(z1, w1, z0):
     if not 0 < abs(z1) < 1 or not 0 < abs(z0) < 1:
@@ -99,127 +111,51 @@ def _check_body_args(z1, w1, z0):
         raise DomainError("need |w1| < 1")
 
 
-def _anchored_one_node(z1: complex, w1: complex, x) -> np.ndarray:
-    """3x3 anchored Pick matrix of the one-node problem, parameter first."""
-    x = complex(x)
-    return np.array(
-        [
-            [1 - abs(x) ** 2, 0, 1 - np.conj(w1) * x],
-            [0, 1 - abs(x) ** 2, np.conj(z1) * (1 - np.conj(w1) * x)],
-            [1 - w1 * np.conj(x), z1 * (1 - w1 * np.conj(x)), (1 - abs(w1) ** 2) / (1 - abs(z1) ** 2)],
-        ],
-        dtype=complex,
-    )
-
-
-def _body_columns(z1: complex, w1: complex, z0: complex, x) -> tuple:
-    delta0 = 1.0 - abs(z0) ** 2
-    root = np.sqrt(delta0)
-    e = np.array([[1.0], [np.conj(z0)], [1.0 / (1.0 - np.conj(z0) * z1)]], dtype=complex) * root
-    w = (
-        np.array([[-x], [-np.conj(z0) * x], [-w1 / (1.0 - np.conj(z0) * z1)]], dtype=complex)
-        * root
-    )
-    return e, w
-
-
 def body_disk_x(
     z1: complex, w1: complex, z0: complex, x: complex, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Optional[Disk]:
-    """Disk of attainable values at ``z0`` for one fixed parameter value.
+    """Disk of attainable values at ``z0`` for one fixed origin value ``x``.
 
-    Returns ``D(c_x, R_x)`` when the anchored one-node Pick matrix at
-    ``x`` is positive definite and the evaluation-side semi-radius is
-    positive; otherwise None (the parameter contributes no interior
-    disk).
+    The interpolants with ``s(0) = x`` are ``s = M_x(z^2 g)``, with
+    ``M_x(t) = (t + x) / (1 + conj(x) t)`` and ``g`` any Schur function
+    through the reduced data of :func:`schur_reduce_constrained`.  The
+    disk is therefore the image under ``M_x`` of ``z0^2`` times the
+    unconstrained disk ``D(c, r)`` of the reduced data.  Returns None
+    when the reduced Pick matrix is not positive definite (the
+    parameter contributes no interior disk).
     """
     _check_body_args(z1, w1, z0)
-    if abs(x) >= 1:
-        raise DomainError("need |x| < 1")
-    p = _anchored_one_node(z1, w1, x)
-    min_eig, scale = psd_margin(p, tol)
-    if min_eig <= tol.psd_tol * scale:
+    reduced = schur_reduce_constrained(DataSet.scalar([z1], [w1]), x)
+    try:
+        disk = unconstrained_body(reduced, z0, tol).as_disk()
+    except NotPsdError:
         return None
-    e, w = _body_columns(z1, w1, z0, x)
-    gram = p + w @ w.conj().T
-    sol_e = np.linalg.solve(gram, e)
-    sol_w = np.linalg.solve(gram, w)
-    center = complex((-e.conj().T @ sol_w)[0, 0])
-    r_x = float((1.0 - e.conj().T @ sol_e)[0, 0].real)
-    l_x = float((1.0 - w.conj().T @ sol_w)[0, 0].real)
-    if r_x <= 0:
-        return None
-    return Disk(center, float(np.sqrt(max(l_x, 0.0) * r_x)))
-
-
-def _membership_stack(z1, w1, z0, w0, xs: np.ndarray) -> np.ndarray:
-    """Batch of 4x4 membership matrices over parameter values ``xs``."""
-    xs = np.asarray(xs, dtype=complex).reshape(-1)
-    m = np.zeros((xs.size, 4, 4), dtype=complex)
-    delta0 = 1.0 - abs(z0) ** 2
-    root = np.sqrt(delta0)
-    gap = 1.0 - np.abs(xs) ** 2
-    top1 = 1.0 - np.conj(w1) * xs
-    top0 = (1.0 - np.conj(w0) * xs) * root
-    m[:, 0, 0] = gap
-    m[:, 1, 1] = gap
-    m[:, 0, 2] = top1
-    m[:, 2, 0] = np.conj(top1)
-    m[:, 1, 2] = np.conj(z1) * top1
-    m[:, 2, 1] = np.conj(np.conj(z1) * top1)
-    m[:, 0, 3] = top0
-    m[:, 3, 0] = np.conj(top0)
-    m[:, 1, 3] = np.conj(z0) * top0
-    m[:, 3, 1] = np.conj(np.conj(z0) * top0)
-    m[:, 2, 2] = (1.0 - abs(w1) ** 2) / (1.0 - abs(z1) ** 2)
-    cross = root * (1.0 - w1 * np.conj(w0)) / (1.0 - np.conj(z0) * z1)
-    m[:, 2, 3] = cross
-    m[:, 3, 2] = np.conj(cross)
-    m[:, 3, 3] = 1.0 - abs(w0) ** 2
-    return m
+    c, r = z0**2 * disk.center, abs(z0) ** 2 * disk.radius
+    pole = np.conj(x) * c + 1.0
+    den = abs(pole) ** 2 - abs(x) ** 2 * r**2
+    center = ((c + x) * np.conj(pole) - x * r**2) / den
+    return Disk(complex(center), float(r * (1.0 - abs(x) ** 2) / den))
 
 
 def body_membership(
-    z1: complex,
-    w1: complex,
-    z0: complex,
-    w0: complex,
-    x_resolution: int = 24,
-    refine: int = 2,
-    hints=(),
-    tol: ToleranceConfig = DEFAULT_TOL,
+    z1: complex, w1: complex, z0: complex, w0: complex, tol: ToleranceConfig = DEFAULT_TOL
 ):
     """Decide whether ``w0`` is an attainable value at ``z0``.
 
-    Membership holds exactly when some parameter ``x`` in the disk makes
-    the 4x4 augmented matrix PSD.  The search covers any caller-supplied
-    hint values first, then a polar grid of the feasible parameter disk,
-    and always runs all ``refine`` local refinement passes, so the
-    witness is the best point found rather than the first that passes.
+    ``w0`` is attainable exactly when the augmented data
+    ``{(z1, w1), (z0, w0)}`` is solvable, which :func:`search_x_grid`
+    decides: a Feasible verdict carries the maximising origin value as
+    witness, an Infeasible one a dual certificate.
 
-    Returns ``(inside, witness_x, margin)``; ``witness_x`` is None when
-    no parameter passed the test (which does not prove exclusion, only
-    grid-level absence).
+    Returns ``(inside, witness_x, margin)``; ``witness_x`` is None unless
+    ``w0`` is inside.
     """
     _check_body_args(z1, w1, z0)
     if abs(w0) > 1.0:
         return False, None, -np.inf
-    disk0 = one_point_disk(z1, w1)
-    pts = [complex(h) for h in hints]
-    pts.append(complex(disk0.center))
-    base = np.asarray(pts, dtype=complex)
-    grid = disk0.center + disk0.radius * _disk_grid(x_resolution)
-    xs = np.concatenate([base, grid])
-    xs = xs[np.abs(xs) < 1.0]
-    best_x, best_lmin, best_scale, _, _ = _disk_search(
-        lambda pts: _membership_stack(z1, w1, z0, w0, pts),
-        xs,
-        2.5 * disk0.radius / max(x_resolution, 4),
-        refine,
-        tol,
-    )
-    inside = bool(best_lmin >= -tol.psd_tol * best_scale)
-    return inside, (complex(best_x) if inside else None), best_lmin
+    report = search_x_grid(DataSet.scalar([z1, z0], [w1, w0]), tol=tol)
+    inside = report.status == FEASIBLE
+    return inside, (complex(report.witness_x[0, 0]) if inside else None), report.margin
 
 
 @dataclass(frozen=True)
@@ -258,20 +194,21 @@ def body_union(
     z0: complex,
     x_resolution: int = 10,
     w_resolution: int = 32,
-    interior_shrink: float = 0.995,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> BodyReport:
     """Inner union-of-disks approximation plus an independent outer grid.
 
     The parameter sweeps an equal-area grid of the (slightly shrunk)
     feasible parameter disk; each admissible value contributes one disk.
-    The outer grid tests candidate values ``w0`` directly with the 4x4
-    PSD oracle against the same parameter grid, independently of the
-    disk formulas.
+    The outer grid tests candidate values ``w0`` directly against the
+    same parameter grid, independently of the disk formulas: ``w0`` is
+    flagged inside when the lambda-criterion matrix of the augmented
+    data is PSD at some grid value ``x`` (at ``lambda = x`` it is
+    congruent to the reduced Pick matrix).
     """
     _check_body_args(z1, w1, z0)
     disk0 = one_point_disk(z1, w1)
-    xs = disk0.center + interior_shrink * disk0.radius * _disk_grid(x_resolution)
+    xs = disk0.center + INTERIOR_SHRINK * disk0.radius * _disk_grid(x_resolution)
     xs = xs[np.abs(xs) < 1.0]
     inner = []
     for x in xs:
@@ -281,7 +218,8 @@ def body_union(
 
     outer = []
     for w0 in _disk_grid(w_resolution):
-        lmin, scale = _batched_margins(_membership_stack(z1, w1, z0, complex(w0), xs))
+        augmented = DataSet.scalar([z1, z0], [w1, w0])
+        lmin, scale = _batched_margins(lambda_criterion_matrix(augmented, xs))
         inside = bool(np.any(lmin >= -tol.psd_tol * scale))
         outer.append((complex(w0), inside))
     return BodyReport(z0=complex(z0), inner_disks=tuple(inner), outer_grid=tuple(outer))

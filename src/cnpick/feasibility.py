@@ -25,8 +25,9 @@ constraint with one log-barrier solver: ``A(X)`` is affine in the
 parameter (``_AffineBuilder`` recovers it from ``2 k^2 + 1`` builds), so
 ``lambda_min(A(X))`` is concave over ``||X|| <= 1``.  The maximiser is
 the Feasible witness; the dual matrix is an Infeasible certificate
-that ``_dual_bound`` checks without the solver.  ``search_lambda`` and
-the body membership test stay grid searches through ``_disk_search``
+that ``_dual_bound`` checks without the solver.  Body membership is
+not a separate search: it is ``search_x_grid`` on the augmented data.
+``search_lambda`` alone stays a grid search through ``_disk_search``
 (one batched eigenvalue call per stack of points, then local
 refinement): the lambda criterion is not affine in its parameter, and
 ``search_lambda`` is the independent cross-check of ``search_x_grid``.

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import DomainError, ProblemFileError
 from .linalg import DEFAULT_TOL, ToleranceConfig, operator_norm
 from .pick import BlaschkeSpec, DataSet
+from .problemfile import _complex_from
 
 __all__ = [
     "SchurChain",
@@ -348,18 +349,14 @@ def chain_from_json(payload: dict) -> SchurChain:
         raise ProblemFileError("missing or invalid list", location="steps")
     parsed = []
     for idx, row in enumerate(steps):
-        if not (isinstance(row, list) and len(row) == 4) or not all(
-            isinstance(e, (int, float)) for e in row
-        ):
+        if not (isinstance(row, list) and len(row) == 4):
             raise ProblemFileError(
                 "each step must be [zeta_re, zeta_im, v_re, v_im]", location=f"steps[{idx}]"
             )
-        parsed.append((complex(row[0], row[1]), complex(row[2], row[3])))
-    if not (isinstance(tail, list) and len(tail) == 2) or not all(
-        isinstance(e, (int, float)) for e in tail
-    ):
-        raise ProblemFileError("tail must be [re, im]", location="tail")
+        where = f"steps[{idx}]"
+        parsed.append((_complex_from(row[:2], where), _complex_from(row[2:], where)))
+    tail = _complex_from(tail, "tail")
     try:
-        return SchurChain(steps=tuple(parsed), tail=complex(tail[0], tail[1]))
+        return SchurChain(steps=tuple(parsed), tail=tail)
     except DomainError as exc:
         raise ProblemFileError(str(exc)) from exc

@@ -28,7 +28,10 @@ equivalent to the existence of a single ``lambda`` in the disk making
 
 positive semidefinite, where ``phi`` is the disk automorphism
 ``phi(t) = (t - lambda) / (1 - conj(lambda) t)``.  Finding one good
-``lambda`` certifies feasibility.
+``lambda`` certifies feasibility.  The parameter ``lambda`` is the
+origin value ``x = s(0)``: the matrix equals ``diag(z_i^2) P_x
+diag(conj(z_i)^2)``, with ``P_x`` the Pick matrix of the data reduced
+at ``x`` (``schur_reduce_constrained``), so the two are congruent.
 
 All functions here are pure; scan samples are independent and the
 reported witness is the one with the lowest sample index.

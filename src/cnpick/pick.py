@@ -503,13 +503,17 @@ def constrained_pick_z2(d: DataSet, x) -> np.ndarray:
 
 
 def _bundle_for(d, b, bundle: Optional[PickBundle]) -> PickBundle:
-    if bundle is not None:
-        if bundle.data is not d or bundle.blaschke is not b:
-            # Same-content reuse is fine; only shapes are actually required.
-            if bundle.p.shape[0] != d.n * d.k or bundle.q.shape[0] != b.degree * d.k:
-                raise DomainError("bundle does not match the data set / Blaschke spec")
-        return bundle
-    return assemble_bundle(d, b)
+    if bundle is None:
+        return assemble_bundle(d, b)
+    pairs = (
+        (bundle.data.nodes, d.nodes),
+        (bundle.data.values, d.values),
+        (bundle.blaschke.zeros, b.zeros),
+        (bundle.blaschke.multiplicities, b.multiplicities),
+    )
+    if not all(np.array_equal(have, want) for have, want in pairs):
+        raise DomainError("bundle was assembled for a different data set / Blaschke spec")
+    return bundle
 
 
 def _coupling_block(bundle: PickBundle, x: np.ndarray) -> np.ndarray:

@@ -56,11 +56,21 @@ def _want(obj, types, what, location):
     return obj
 
 
+def _float_from(obj, what, location) -> float:
+    """A JSON number (not a boolean) as a double; integers beyond its range are refused."""
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
+        raise ProblemFileError(f"expected {what}", location=location)
+    try:
+        return float(obj)
+    except OverflowError:
+        raise ProblemFileError("number too large for a double", location=location) from None
+
+
 def _complex_from(obj, location) -> complex:
     _want(obj, list, "a [re, im] pair", location)
-    if len(obj) != 2 or not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in obj):
+    if len(obj) != 2:
         raise ProblemFileError("expected a [re, im] pair of numbers", location=location)
-    return complex(obj[0], obj[1])
+    return complex(*(_float_from(e, "a [re, im] pair of numbers", location) for e in obj))
 
 
 def complex_to_json(z: complex):
@@ -104,8 +114,8 @@ def parse_blaschke(obj, location="blaschke") -> BlaschkeSpec:
         )
     zvals = [_complex_from(z, f"{location}.zeros[{i}]") for i, z in enumerate(zeros)]
     for i, r in enumerate(mult):
-        if not isinstance(r, int) or isinstance(r, bool):
-            raise ProblemFileError("multiplicity must be an integer",
+        if not isinstance(r, int) or isinstance(r, bool) or abs(r) >= 2**63:
+            raise ProblemFileError("multiplicity must be a 64-bit integer",
                                    location=f"{location}.multiplicities[{i}]")
     try:
         return BlaschkeSpec(np.array(zvals, dtype=complex), np.array(mult, dtype=int))
@@ -146,10 +156,9 @@ def parse_problem_text(text: str) -> ProblemFile:
     for key in tol_raw:
         if key not in ("psd_tol", "residual_tol"):
             raise ProblemFileError(f"unknown tolerance {key!r}", location="tolerances")
-        if not isinstance(tol_raw[key], (int, float)) or isinstance(tol_raw[key], bool):
-            raise ProblemFileError("tolerance must be a number", location=f"tolerances.{key}")
+    tols = {key: _float_from(v, "a number", f"tolerances.{key}") for key, v in tol_raw.items()}
     try:
-        tol = ToleranceConfig(**tol_raw)
+        tol = ToleranceConfig(**tols)
     except CnpError as exc:
         raise ProblemFileError(str(exc), location="tolerances") from exc
     return ProblemFile(data=data, blaschke=blaschke, tol=tol)

@@ -347,16 +347,16 @@ def test_criterion_9_body_subset_and_realizability():
     boundary_checked = 0
     for x, disk in union.inner_disks:
         for w0 in disk.boundary(12):
-            inside, _, _ = body_membership(z1, w1, z0, w0, hints=[x])
+            inside, _, _ = body_membership(z1, w1, z0, w0)
             boundary_checked += 1
             if not inside:
                 boundary_failures += 1
-    # spot-check a few boundary points with the hint-free search as well
+    # spot-check a few points of a coarser boundary sampling as well
     independent_failures = 0
     step = max(1, len(union.inner_disks) // 10)
     for x, disk in union.inner_disks[::step][:10]:
         w0 = disk.boundary(8)[0]
-        inside, _, _ = body_membership(z1, w1, z0, w0, x_resolution=32, refine=2)
+        inside, _, _ = body_membership(z1, w1, z0, w0)
         if not inside:
             independent_failures += 1
 

@@ -8,9 +8,15 @@ from cnpick.body import (
     unconstrained_body,
 )
 from cnpick.errors import DomainError, NotPsdError
-from cnpick.feasibility import ball_membership, one_point_disk
+from cnpick.feasibility import (
+    FEASIBLE,
+    INFEASIBLE,
+    ball_membership,
+    one_point_disk,
+    search_x_grid,
+)
 from cnpick.linalg import DEFAULT_TOL, is_psd
-from cnpick.pick import DataSet, pick_matrix
+from cnpick.pick import DataSet, constrained_pick_z2_quadratic, pick_matrix
 
 from conftest import disk_point, random_dataset, rng_for
 
@@ -91,8 +97,28 @@ class TestBodyDisk:
         if disk is None:
             return
         for w0 in disk.boundary(12):
-            inside, witness, _ = body_membership(z1, w1, z0, w0, hints=[complex(x)])
+            inside, witness, _ = body_membership(z1, w1, z0, w0)
             assert inside
+            pair = DataSet.scalar([z1, z0], [w1, w0])
+            assert is_psd(constrained_pick_z2_quadratic(pair, x))[0]
+
+    @pytest.mark.parametrize(
+        "case, center, radius",
+        [
+            ((0.5, 0.3, 0.3, 0.29 + 0.02j), 0.29326247380486914 + 0.013159779352519729j,
+             0.019176644004262715),
+            ((0.4 - 0.3j, 0.2 + 0.5j, -0.6 + 0.1j, 0.3 + 0.4j),
+             0.17871051774947663 + 0.35873841904469594j, 0.1894274139643585),
+            ((-0.7j, -0.6, 0.25 + 0.25j, -0.5 - 0.1j),
+             -0.4859810697575479 - 0.09039722418413208j, 0.07325057233755763),
+        ],
+    )
+    def test_disk_matches_recorded_values(self, case, center, radius):
+        # Reference values from an independent closed form: the 3x3 anchored
+        # one-node Pick matrix and its LMI pencil.
+        disk = body_disk_x(*case)
+        assert abs(disk.center - center) <= 1e-12
+        assert abs(disk.radius - radius) <= 1e-12
 
 
 class TestBodyMembership:
@@ -122,6 +148,20 @@ class TestBodyUnion:
         for w0, inside in report.outer_grid:
             if report.covers(w0, -1e-9):
                 assert inside
+
+    def test_outer_grid_agrees_with_certified_solver(self):
+        z1, w1, z0 = 0.5, 0.3, 0.3
+        report = body_union(z1, w1, z0, x_resolution=8, w_resolution=16)
+        inside_feasible = outside_infeasible = 0
+        for w0, inside in report.outer_grid:
+            status = search_x_grid(DataSet.scalar([z1, z0], [w1, w0])).status
+            if inside:
+                assert status == FEASIBLE
+                inside_feasible += 1
+            else:
+                outside_infeasible += status == INFEASIBLE
+        assert inside_feasible >= 1
+        assert outside_infeasible >= 1
 
     def test_collapse_as_z0_approaches_node(self):
         report = body_union(0.5, 0.3, 0.5 + 1e-4, x_resolution=6, w_resolution=8)

@@ -180,8 +180,15 @@ def test_witness_deterministic(workdir, capsys):
 
 def test_body_writes_csv(workdir, capsys):
     path = write_problem(workdir / "p.json", [0.5], [0.0])
-    code = main(["body", str(path), "--z0", "0.3,0", "--csv", "out", "--xres", "6", "--wres", "12"])
+    code = main(
+        ["body", str(path), "--z0", "0.3,0", "--csv", "out", "--xres", "6", "--wres", "12", "--json"]
+    )
     assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    # Reference counts from independent closed forms: the 4x4 membership
+    # matrix and the 3x3 anchored one-node Pick matrix.
+    assert doc["inner_disks"] == 34
+    assert doc["outer_inside"] == 1
     with open("out/disks.csv") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["x_re", "x_im", "c_re", "c_im", "R"]
@@ -281,4 +288,38 @@ def test_non_utf8_problem_is_usage_error(workdir, capsys):
     path = workdir / "p.json"
     path.write_bytes(b'{"k": 1, "nodes": "\xff\xfe"}')
     assert main(["check", str(path)]) == 64
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["node", "shorthand_value", "psd_tol", "multiplicity"])
+def test_oversized_integer_is_usage_error(workdir, capsys, case):
+    huge = 10**400
+    doc = {"k": 1, "nodes": [[0.5, 0.0]], "values": [[0.2, 0.0]]}
+    if case == "node":
+        doc["nodes"] = [[huge, 0]]
+    elif case == "shorthand_value":
+        doc["values"] = [[0, huge]]
+    elif case == "psd_tol":
+        doc["tolerances"] = {"psd_tol": huge}
+    else:
+        doc["blaschke"] = {"zeros": [[0.0, 0.0]], "multiplicities": [10**30]}
+    path = workdir / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 64
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        {"steps": [[0.0, 0.0, 10**400, 0.0]], "tail": [0.0, 0.0]},
+        {"steps": [[0.0, 0.0, 0.5, 0.0]], "tail": [True, False]},
+    ],
+    ids=["oversized_step", "boolean_tail"],
+)
+def test_malformed_chain_is_usage_error(workdir, capsys, chain):
+    path = write_problem(workdir / "p.json", [0.5], [0.5])
+    chain_path = workdir / "chain.json"
+    chain_path.write_text(json.dumps(chain))
+    assert main(["verify", str(chain_path), str(path)]) == 64
     assert "error:" in capsys.readouterr().err

@@ -297,6 +297,23 @@ class TestGeneralBuilders:
             for m in (constrained_pick_z2_quadratic(d, x), constrained_pick_z2(d, x)):
                 assert operator_norm(m - m.conj().T) == 0.0
 
+    @pytest.mark.parametrize(
+        "builder", [constrained_pick, constrained_pick_cf, constrained_pick_compressed]
+    )
+    def test_rejects_bundle_of_other_data(self, builder):
+        d1 = DataSet.scalar([0.5, -0.3], [0.2, 0.1])
+        d2 = DataSet.scalar([0.5, -0.3], [0.2, -0.4])
+        d3 = DataSet.scalar([0.5, 0.3j], [0.2, 0.1])
+        b = BlaschkeSpec.z_squared()
+        b_other = BlaschkeSpec(np.array([0.2, -0.1j]), np.array([1, 1]))
+        bundle = assemble_bundle(d1, b)
+        for d, spec in ((d2, b), (d3, b), (d1, b_other)):
+            with pytest.raises(DomainError, match="bundle"):
+                builder(d, spec, 0.1, bundle=bundle)
+        same = DataSet.scalar([0.5, -0.3], [0.2, 0.1])
+        expected = builder(d1, b, 0.1)
+        assert np.array_equal(builder(same, BlaschkeSpec.z_squared(), 0.1, bundle=bundle), expected)
+
     def test_rejects_overlapping_node(self):
         d = DataSet.scalar([0.3, 0.5], [0.1, 0.1])
         b = BlaschkeSpec(np.array([0.3]), np.array([2]))
