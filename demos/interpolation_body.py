@@ -6,8 +6,8 @@ Fix one interpolation condition and ask which values an interpolant can
 take at another point of the disk.  Without the constraint the answer is
 a single disk.  With the vanishing-derivative constraint the body is
 richer: the library reports an inner approximation (a union of disks,
-one per admissible origin value) together with an independent membership
-grid, because only the inner inclusion is proved.
+one per admissible origin value) and reads it off on a grid of values;
+a value off the grid's disks is not proved unattainable.
 """
 
 import numpy as np
@@ -40,8 +40,8 @@ print(f"outer membership grid ({len(union.outer_grid)} points, shared x grid): "
       f"{inside} attainable")
 
 # Only the inner inclusion is proved; the union need not be the whole
-# body.  Measure the gap on a local grid with the refined membership
-# search: points inside the body but not covered by any disk.
+# body.  Measure the gap on a local grid with the certified membership
+# query: points inside the body but not covered by any disk.
 grid = np.linspace(0.16, 0.43, 12)
 in_body = in_union = 0
 for re in grid:

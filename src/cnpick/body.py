@@ -20,20 +20,16 @@ an unconstrained one (:func:`schur_reduce_constrained`), so the
 attainable values form a disk ``D(c_x, R_x)``: the image under
 ``t -> (t + x) / (1 + conj(x) t)`` of ``z0^2`` times the unconstrained
 body of the reduced data.  Sweeping ``x`` over its own feasible disk
-yields a union of disks that is contained in the body.  Only the
-inclusion is proved, so results are reported as an (inner union, outer
-grid) pair and never as the full body.  The outer grid tests each
-candidate value with the lambda-criterion of the augmented data over
-the same ``x`` values; a single membership query is decided by the
+yields a union of disks that is contained in the body.  The outer grid
+is that union read off on a raster of candidate values: a 1 is attainable
+(it lies in some ``D(c_x, R_x)``), a 0 is only "not covered at this
+parameter resolution".  A single membership query is decided by the
 certified solver behind :func:`search_x_grid`.
-
-Everything here is embarrassingly parallel over grid points; the
-implementation simply vectorizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -43,7 +39,6 @@ from .feasibility import (
     Disk,
     MatrixBall,
     FEASIBLE,
-    _batched_margins,
     _disk_grid,
     ball_unstructured,
     one_point_disk,
@@ -51,7 +46,6 @@ from .feasibility import (
     search_x_grid,
 )
 from .interpolant import schur_reduce_constrained
-from .kernels import lambda_criterion_matrix
 from .linalg import DEFAULT_TOL, ToleranceConfig, psd_margin
 from .pick import DataSet, aux_matrices, pick_matrix
 
@@ -163,10 +157,10 @@ class BodyReport:
     """Inner and outer approximations of a constrained interpolation body.
 
     ``inner_disks`` holds ``(x, Disk)`` pairs from the parameter sweep;
-    their union is contained in the body.  ``outer_grid`` is an
-    independent membership map (rows ``(w0, inside)``) over a grid of
-    candidate values; it is reported alongside because only the inner
-    inclusion is proved.
+    their union is contained in the body.  ``outer_grid`` holds rows
+    ``(w0, inside)`` over a grid of candidate values, ``inside`` being
+    :meth:`covers` at ``w0``: 1 is proved attainable, 0 is not a proof
+    of exclusion.
     """
 
     z0: complex
@@ -184,8 +178,13 @@ class BodyReport:
                 best = max(best, abs(a.center - bdisk.center) + a.radius + bdisk.radius)
         return float(best)
 
-    def covers(self, w0: complex, slack: float = 0.0) -> bool:
-        return any(disk.contains(w0, slack) for _, disk in self.inner_disks)
+    def covers(self, w0, slack: float = 0.0):
+        """Whether ``w0`` lies in some inner disk; elementwise for arrays."""
+        w0 = np.asarray(w0)
+        hit = np.zeros(w0.shape, dtype=bool)
+        for _, disk in self.inner_disks:
+            hit |= np.abs(w0 - disk.center) <= disk.radius + slack
+        return bool(hit) if hit.ndim == 0 else hit
 
 
 def body_union(
@@ -196,15 +195,12 @@ def body_union(
     w_resolution: int = 32,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> BodyReport:
-    """Inner union-of-disks approximation plus an independent outer grid.
+    """Inner union-of-disks approximation plus its membership grid.
 
     The parameter sweeps an equal-area grid of the (slightly shrunk)
     feasible parameter disk; each admissible value contributes one disk.
-    The outer grid tests candidate values ``w0`` directly against the
-    same parameter grid, independently of the disk formulas: ``w0`` is
-    flagged inside when the lambda-criterion matrix of the augmented
-    data is PSD at some grid value ``x`` (at ``lambda = x`` it is
-    congruent to the reduced Pick matrix).
+    The outer grid flags each candidate value ``w0`` of a
+    ``w_resolution`` grid of the unit disk that the inner union covers.
     """
     _check_body_args(z1, w1, z0)
     disk0 = one_point_disk(z1, w1)
@@ -215,11 +211,7 @@ def body_union(
         disk = body_disk_x(z1, w1, z0, complex(x), tol)
         if disk is not None:
             inner.append((complex(x), disk))
-
-    outer = []
-    for w0 in _disk_grid(w_resolution):
-        augmented = DataSet.scalar([z1, z0], [w1, w0])
-        lmin, scale = _batched_margins(lambda_criterion_matrix(augmented, xs))
-        inside = bool(np.any(lmin >= -tol.psd_tol * scale))
-        outer.append((complex(w0), inside))
-    return BodyReport(z0=complex(z0), inner_disks=tuple(inner), outer_grid=tuple(outer))
+    report = BodyReport(z0=complex(z0), inner_disks=tuple(inner))
+    grid = _disk_grid(w_resolution)
+    outer = tuple((complex(w0), bool(inside)) for w0, inside in zip(grid, report.covers(grid)))
+    return replace(report, outer_grid=outer)

@@ -78,6 +78,11 @@ def _emit(args, document: dict, text_lines):
             print(line)
 
 
+def _json_number(value: float) -> float | None:
+    # JSON has no infinities or NaN; a non-finite margin is written as null.
+    return value if np.isfinite(value) else None
+
+
 def _optional_disk(data: DataSet) -> dict | None:
     if data.n != 1 or data.k != 1:
         return None
@@ -96,7 +101,7 @@ def cmd_check(args) -> int:
         "schema": SCHEMA,
         "command": "check",
         "status": report.status,
-        "margin": report.margin,
+        "margin": _json_number(report.margin),
         "grid_stats": report.grid_stats,
         "detail": report.detail,
         "witness_x": matrix_to_json(report.witness_x) if report.witness_x is not None else None,
@@ -225,7 +230,7 @@ def cmd_solve(args) -> int:
             _emit(
                 args,
                 {"schema": SCHEMA, "command": "solve", "status": report.status,
-                 "margin": report.margin},
+                 "margin": _json_number(report.margin)},
                 [f"status: {report.status} (margin {report.margin:.3e}); no chain written"],
             )
             return _STATUS_EXIT[report.status]
@@ -362,25 +367,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ignored = "ignored; kept for old command lines"
-
-    def add_common(p, tol=True, seed="seed for all randomness"):
+    def add_common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        if tol:
-            p.add_argument("--tol", type=float, default=None, help="PSD tolerance override")
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help=seed)
+        p.add_argument("--tol", type=float, default=None, help="PSD tolerance override")
 
     p = sub.add_parser("check", help="decide solvability of a problem file")
     p.add_argument("input")
-    p.add_argument("--grid", type=int, default=200, help=ignored)
-    p.add_argument("--refine", type=int, default=2, help=ignored)
-    add_common(p, seed=ignored)
+    add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("witness", help="hunt for a necessity-criterion infeasibility witness")
     p.add_argument("input")
     p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     add_common(p)
     p.set_defaults(func=cmd_witness)
 
@@ -390,24 +389,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xres", type=int, default=10, help="parameter grid resolution")
     p.add_argument("--wres", type=int, default=32, help="value grid resolution")
     p.add_argument("--csv", default=".", help="output directory for CSV files")
-    add_common(p, seed=False)
+    add_common(p)
     p.set_defaults(func=cmd_body)
 
     p = sub.add_parser("solve", help="construct an interpolant chain (k=1)")
     p.add_argument("input")
     p.add_argument("--x", default="auto", help="'auto' or an explicit 're,im' parameter")
     p.add_argument("--out", default="chain.json", help="chain output path")
-    p.add_argument("--grid", type=int, default=200, help=ignored)
-    p.add_argument("--refine", type=int, default=2, help=ignored)
     p.add_argument("--check-tol", type=float, default=1e-7, help="verification residual tolerance")
-    add_common(p, seed=ignored)
+    add_common(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify a chain file against a problem file")
     p.add_argument("chain")
     p.add_argument("input")
     p.add_argument("--check-tol", type=float, default=1e-7, help="verification residual tolerance")
-    add_common(p, seed=False)
+    add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stein", help="jet matrices and Stein solutions for a Blaschke file")
@@ -415,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", required=True,
                    help="comma-separated complex nodes, e.g. '0.5,-0.5,0.1+0.2j'")
     p.add_argument("--k", type=int, default=1, help="matrix size of the data")
-    add_common(p, seed=False)
+    add_common(p)
     p.set_defaults(func=cmd_stein)
 
     return parser

@@ -1,5 +1,6 @@
 """Solvability analysis: matrix-ball description of the relaxed LMI,
-scalar closed forms, the certified solver and the grid searches.
+scalar closed forms, the certified solver and the lambda-criterion
+grid search.
 
 The constrained interpolation problem is solvable exactly when the
 linearized constrained Pick matrix is PSD for some value of the free
@@ -87,7 +88,7 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 UNDETERMINED = "Undetermined"
 
-# Pivot matrices with condition number beyond this route to grid search.
+# Pivot matrices with condition number beyond this give no matrix ball.
 M_COND_LIMIT = 1e12
 
 # Grid-based infeasibility is only declared at or beyond this resolution
@@ -254,9 +255,9 @@ def ball_unstructured(pencil: LmiPencil, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """Matrix-ball description of the unstructured LMI solution set.
 
     Requires the Pick matrix positive definite and a usable pivot;
-    otherwise the outcome is Undetermined and callers fall back to grid
-    search.  An indefinite Schur complement certifies infeasibility of
-    the unstructured LMI (hence of the structured problem as well).
+    otherwise the outcome is Undetermined and carries no ball.  An
+    indefinite Schur complement certifies infeasibility of the
+    unstructured LMI (hence of the structured problem as well).
     """
     if not pencil.p_is_pd:
         return BallOutcome(

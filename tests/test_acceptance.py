@@ -355,7 +355,7 @@ def test_criterion_9_body_subset_and_realizability():
     independent_failures = 0
     step = max(1, len(union.inner_disks) // 10)
     for x, disk in union.inner_disks[::step][:10]:
-        w0 = disk.boundary(8)[0]
+        w0 = disk.boundary(8)[1]  # 45 degrees, off the 30-degree steps above
         inside, _, _ = body_membership(z1, w1, z0, w0)
         if not inside:
             independent_failures += 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cnpick.body import (
+    INTERIOR_SHRINK,
     body_disk_x,
     body_membership,
     body_union,
@@ -11,10 +12,13 @@ from cnpick.errors import DomainError, NotPsdError
 from cnpick.feasibility import (
     FEASIBLE,
     INFEASIBLE,
+    _batched_margins,
+    _disk_grid,
     ball_membership,
     one_point_disk,
     search_x_grid,
 )
+from cnpick.kernels import lambda_criterion_matrix
 from cnpick.linalg import DEFAULT_TOL, is_psd
 from cnpick.pick import DataSet, constrained_pick_z2_quadratic, pick_matrix
 
@@ -136,7 +140,54 @@ class TestBodyMembership:
         assert not inside and margin < 0
 
 
+def lambda_criterion_flags(z1, w1, z0, values, x_resolution, tol=DEFAULT_TOL):
+    """Oracle for the outer grid: ``w0`` is inside iff the lambda-criterion
+    matrix of the augmented data is PSD at some swept origin value ``x``.
+
+    Returns the flags and the number of values whose best margin lies
+    within ``psd_tol`` of zero (where the two tests may round apart).
+    """
+    disk0 = one_point_disk(z1, w1)
+    xs = disk0.center + INTERIOR_SHRINK * disk0.radius * _disk_grid(x_resolution)
+    xs = xs[np.abs(xs) < 1.0]
+    flags, borderline = [], 0
+    for w0 in values:
+        augmented = DataSet.scalar([z1, z0], [w1, w0])
+        lmin, scale = _batched_margins(lambda_criterion_matrix(augmented, xs))
+        rel = np.max(lmin / scale)
+        flags.append(bool(rel >= -tol.psd_tol))
+        borderline += bool(abs(rel) <= tol.psd_tol)
+    return flags, borderline
+
+
+BODY_CASES = [
+    (0.5, 0.3, 0.3),
+    (0.4 - 0.3j, 0.2 + 0.5j, -0.6 + 0.1j),
+    (-0.7j, -0.6, 0.25 + 0.25j),
+]
+
+
 class TestBodyUnion:
+    @pytest.mark.parametrize("case", BODY_CASES)
+    def test_outer_grid_matches_lambda_criterion(self, case):
+        report = body_union(*case, x_resolution=8, w_resolution=16)
+        values = [w0 for w0, _ in report.outer_grid]
+        flags, borderline = lambda_criterion_flags(*case, values, x_resolution=8)
+        assert [inside for _, inside in report.outer_grid] == flags
+        assert 0 < sum(flags) < len(flags)
+        assert borderline == 0
+
+    @pytest.mark.parametrize("slack", [0.0, 1e-3, -1e-3])
+    def test_covers_array_matches_scalar(self, slack):
+        report = body_union(0.5, 0.3, 0.3, x_resolution=8, w_resolution=4)
+        values = report.inner_disks[3][1].boundary(6)[:, None] + 0.02 * _disk_grid(6)
+        flags = report.covers(values, slack)
+        assert flags.shape == values.shape and flags.dtype == bool
+        expected = [[report.covers(w0, slack) for w0 in row] for row in values]
+        assert all(type(f) is bool for row in expected for f in row)
+        assert flags.tolist() == expected
+        assert 0 < flags.sum() < flags.size
+
     def test_zero_data_contains_zero(self):
         report = body_union(0.5, 0.0, 0.3, x_resolution=8, w_resolution=16)
         assert report.covers(0.0, 1e-12)

@@ -43,7 +43,7 @@ def test_check_feasible_one_point(workdir, capsys):
 
 def test_check_matches_library_verdict(workdir, capsys):
     path = write_problem(workdir / "p.json", [0.5, -0.2], [0.3, 0.1])
-    code = main(["check", str(path), "--grid", "48", "--json"])
+    code = main(["check", str(path), "--json"])
     out = json.loads(capsys.readouterr().out)
     problem = parse_problem(path)
     report = search_x_grid(problem.data, problem.blaschke)
@@ -72,6 +72,13 @@ def test_check_overlap_conflict(workdir, capsys):
     assert code == 1
     assert "overlap values differ" in out
 
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    assert main(["check", str(path), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert doc["status"] == "Infeasible" and doc["margin"] is None
+
 
 def test_check_parse_error_exit_64(workdir, capsys):
     path = workdir / "p.json"
@@ -88,7 +95,7 @@ def test_check_matrix_data_feasible(workdir, capsys):
     }
     path = workdir / "p.json"
     path.write_text(json.dumps(doc))
-    code = main(["check", str(path), "--grid", "16", "--json"])
+    code = main(["check", str(path), "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["status"] == "Feasible"
     witness = np.array([[complex(*e) for e in row] for row in out["witness_x"]])
@@ -104,7 +111,7 @@ def test_check_matrix_data_undetermined_exit_2(workdir, capsys):
     }
     path = workdir / "p.json"
     path.write_text(json.dumps(doc))
-    code = main(["check", str(path), "--grid", "16", "--json"])
+    code = main(["check", str(path), "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and out["status"] == "Infeasible"
     assert out["grid_stats"]["uniform_infeasible"]
@@ -231,14 +238,14 @@ def test_tol_env_override(workdir, capsys, monkeypatch):
     monkeypatch.setenv("CNP_TOL", "not-a-number")
     assert main(["check", str(path)]) == 64
     monkeypatch.setenv("CNP_TOL", "1e-6")
-    assert main(["check", str(path), "--grid", "32"]) == 0
+    assert main(["check", str(path)]) == 0
 
 
 @pytest.mark.parametrize("route", ["flag", "env", "file"])
 def test_non_finite_tolerance_is_usage_error(workdir, capsys, monkeypatch, route):
     # The documented gap instance: an infinite tolerance would call it Feasible.
     path = write_problem(workdir / "p.json", [0.3, -0.3], [0.3, -0.3])
-    argv = ["check", str(path), "--grid", "16"]
+    argv = ["check", str(path)]
     if route == "flag":
         argv += ["--tol", "inf"]
     elif route == "env":
