@@ -16,11 +16,13 @@ PSD test on the (n+1)-point Pick matrix, which the tests check.)
 
 Constrained case (scalar, one node): the body is no longer a disk.  For
 each admissible origin value ``x`` the constrained problem reduces to
-an unconstrained one (:func:`schur_reduce_constrained`), so the
-attainable values form a disk ``D(c_x, R_x)``: the image under
-``t -> (t + x) / (1 + conj(x) t)`` of ``z0^2`` times the unconstrained
-body of the reduced data.  Sweeping ``x`` over its own feasible disk
-yields a union of disks that is contained in the body.  The outer grid
+an unconstrained one with a single node (:func:`schur_reduce_constrained`),
+so the attainable values form a disk ``D(c_x, R_x)``: the image under
+``t -> (t + x) / (1 + conj(x) t)`` of ``z0^2`` times the closed-form
+Schwarz-Pick disk of the reduced data.  All swept ``x`` are handled in
+one array pass (:func:`_inner_disks`); :func:`unconstrained_body` stays
+as the independent pencil route.  Sweeping ``x`` over its own feasible
+disk yields a union of disks that is contained in the body.  The outer grid
 is that union read off on a raster of candidate values: a 1 is attainable
 (it lies in some ``D(c_x, R_x)``), a 0 is only "not covered at this
 parameter resolution".  A single membership query is decided by the
@@ -45,7 +47,6 @@ from .feasibility import (
     pencil_from_parts,
     search_x_grid,
 )
-from .interpolant import schur_reduce_constrained
 from .linalg import DEFAULT_TOL, ToleranceConfig, psd_margin
 from .pick import DataSet, aux_matrices, pick_matrix
 
@@ -105,6 +106,38 @@ def _check_body_args(z1, w1, z0):
         raise DomainError("need |w1| < 1")
 
 
+def _inner_disks(z1: complex, w1: complex, z0: complex, xs, tol: ToleranceConfig = DEFAULT_TOL):
+    """Disks ``D_x`` for an array of origin values ``xs``, in one pass.
+
+    The reduced target ``g = (w1 - x) / ((1 - conj(x) w1) z1^2)`` (as in
+    :func:`schur_reduce_constrained`) is admissible when its 1x1 Pick
+    value ``p = (1 - |g|^2) / (1 - |z1|^2)`` passes the test of
+    :func:`unconstrained_body`.  The Schur functions through ``(z1, g)``
+    take at ``z0`` the Schwarz-Pick disk with ``b2 = |(z0 - z1) /
+    (1 - conj(z1) z0)|^2``,
+
+        c = g (1 - b2) / (1 - |g|^2 b2),   r = sqrt(b2) (1 - |g|^2) / (1 - |g|^2 b2),
+
+    which is scaled by ``z0^2`` and mapped by ``M_x``.  Returns
+    ``(centers, radii, admissible)``; entries off the mask are meaningless.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    if np.any(np.abs(xs) >= 1.0):
+        raise DomainError("need |x| < 1")
+    g = (w1 - xs) / ((1.0 - np.conj(xs) * w1) * z1**2)
+    g2 = np.abs(g) ** 2
+    p = (1.0 - g2) / (1.0 - abs(z1) ** 2)
+    admissible = p > tol.psd_tol * (1.0 + np.abs(p))
+    b2 = abs((z0 - z1) / (1.0 - np.conj(z1) * z0)) ** 2
+    c = z0**2 * g * (1.0 - b2) / (1.0 - g2 * b2)
+    r = abs(z0) ** 2 * np.sqrt(b2) * (1.0 - g2) / (1.0 - g2 * b2)
+    pole = np.conj(xs) * c + 1.0
+    den = np.abs(pole) ** 2 - np.abs(xs) ** 2 * r**2
+    centers = ((c + xs) * np.conj(pole) - xs * r**2) / den
+    radii = r * (1.0 - np.abs(xs) ** 2) / den
+    return centers, radii, admissible
+
+
 def body_disk_x(
     z1: complex, w1: complex, z0: complex, x: complex, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Optional[Disk]:
@@ -112,23 +145,17 @@ def body_disk_x(
 
     The interpolants with ``s(0) = x`` are ``s = M_x(z^2 g)``, with
     ``M_x(t) = (t + x) / (1 + conj(x) t)`` and ``g`` any Schur function
-    through the reduced data of :func:`schur_reduce_constrained`.  The
-    disk is therefore the image under ``M_x`` of ``z0^2`` times the
-    unconstrained disk ``D(c, r)`` of the reduced data.  Returns None
-    when the reduced Pick matrix is not positive definite (the
-    parameter contributes no interior disk).
+    through the one-node reduced data of :func:`schur_reduce_constrained`.
+    The disk is therefore the image under ``M_x`` of ``z0^2`` times the
+    closed-form Schwarz-Pick disk of the reduced data
+    (:func:`_inner_disks`).  Returns None when the reduced Pick value is
+    not positive (the parameter contributes no interior disk).
     """
     _check_body_args(z1, w1, z0)
-    reduced = schur_reduce_constrained(DataSet.scalar([z1], [w1]), x)
-    try:
-        disk = unconstrained_body(reduced, z0, tol).as_disk()
-    except NotPsdError:
+    centers, radii, admissible = _inner_disks(z1, w1, z0, [x], tol)
+    if not admissible[0]:
         return None
-    c, r = z0**2 * disk.center, abs(z0) ** 2 * disk.radius
-    pole = np.conj(x) * c + 1.0
-    den = abs(pole) ** 2 - abs(x) ** 2 * r**2
-    center = ((c + x) * np.conj(pole) - x * r**2) / den
-    return Disk(complex(center), float(r * (1.0 - abs(x) ** 2) / den))
+    return Disk(complex(centers[0]), float(radii[0]))
 
 
 def body_membership(
@@ -171,12 +198,11 @@ class BodyReport:
         """Exact diameter of the union of the inner disks."""
         if not self.inner_disks:
             return 0.0
-        best = max(2.0 * disk.radius for _, disk in self.inner_disks)
-        disks = [disk for _, disk in self.inner_disks]
-        for i, a in enumerate(disks):
-            for bdisk in disks[i + 1 :]:
-                best = max(best, abs(a.center - bdisk.center) + a.radius + bdisk.radius)
-        return float(best)
+        centers = np.array([disk.center for _, disk in self.inner_disks])
+        radii = np.array([disk.radius for _, disk in self.inner_disks])
+        i, j = np.triu_indices(len(radii), 1)
+        pairs = np.abs(centers[i] - centers[j]) + radii[i] + radii[j]
+        return float(max(2.0 * radii.max(), pairs.max(initial=0.0)))
 
     def covers(self, w0, slack: float = 0.0):
         """Whether ``w0`` lies in some inner disk; elementwise for arrays."""
@@ -206,12 +232,12 @@ def body_union(
     disk0 = one_point_disk(z1, w1)
     xs = disk0.center + INTERIOR_SHRINK * disk0.radius * _disk_grid(x_resolution)
     xs = xs[np.abs(xs) < 1.0]
-    inner = []
-    for x in xs:
-        disk = body_disk_x(z1, w1, z0, complex(x), tol)
-        if disk is not None:
-            inner.append((complex(x), disk))
-    report = BodyReport(z0=complex(z0), inner_disks=tuple(inner))
+    centers, radii, admissible = _inner_disks(z1, w1, z0, xs, tol)
+    inner = tuple(
+        (complex(x), Disk(complex(c), float(r)))
+        for x, c, r in zip(xs[admissible], centers[admissible], radii[admissible])
+    )
+    report = BodyReport(z0=complex(z0), inner_disks=inner)
     grid = _disk_grid(w_resolution)
     outer = tuple((complex(w0), bool(inside)) for w0, inside in zip(grid, report.covers(grid)))
     return replace(report, outer_grid=outer)

@@ -175,28 +175,29 @@ def cmd_body(args) -> int:
         raise DomainError("--z0 must differ from the interpolation node")
 
     report = body_union(z1, w1, z0, x_resolution=args.xres, w_resolution=args.wres, tol=tol)
+    diameter = report.diameter()
+    # Refuse before anything is written: the pencil can be unusable near the node.
+    disk = unconstrained_body(data, z0, tol).as_disk()
     os.makedirs(args.csv, exist_ok=True)
     disks_path = os.path.join(args.csv, "disks.csv")
     members_path = os.path.join(args.csv, "membership.csv")
     with open(disks_path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["x_re", "x_im", "c_re", "c_im", "R"])
-        for x, disk in report.inner_disks:
-            writer.writerow([x.real, x.imag, disk.center.real, disk.center.imag, disk.radius])
+        for x, inner in report.inner_disks:
+            writer.writerow([x.real, x.imag, inner.center.real, inner.center.imag, inner.radius])
     with open(members_path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["w_re", "w_im", "inside"])
         for w0, inside in report.outer_grid:
             writer.writerow([w0.real, w0.imag, int(inside)])
 
-    ball = unconstrained_body(data, z0, tol)
-    disk = ball.as_disk()
     document = {
         "schema": SCHEMA,
         "command": "body",
         "z0": complex_to_json(z0),
         "inner_disks": len(report.inner_disks),
-        "inner_diameter": report.diameter(),
+        "inner_diameter": diameter,
         "outer_grid_points": len(report.outer_grid),
         "outer_inside": sum(1 for _, inside in report.outer_grid if inside),
         "unconstrained_disk": {"center": complex_to_json(disk.center), "radius": disk.radius},
@@ -206,7 +207,7 @@ def cmd_body(args) -> int:
         args,
         document,
         [
-            f"inner union: {len(report.inner_disks)} disks, diameter {report.diameter():.6f}",
+            f"inner union: {len(report.inner_disks)} disks, diameter {diameter:.6f}",
             f"outer grid: {document['outer_inside']} of {len(report.outer_grid)} points inside",
             f"unconstrained disk: center {disk.center:.6f}, radius {disk.radius:.6f}",
             f"wrote {disks_path} and {members_path}",

@@ -3,6 +3,8 @@ import pytest
 
 from cnpick.body import (
     INTERIOR_SHRINK,
+    BodyReport,
+    _inner_disks,
     body_disk_x,
     body_membership,
     body_union,
@@ -12,12 +14,14 @@ from cnpick.errors import DomainError, NotPsdError
 from cnpick.feasibility import (
     FEASIBLE,
     INFEASIBLE,
+    Disk,
     _batched_margins,
     _disk_grid,
     ball_membership,
     one_point_disk,
     search_x_grid,
 )
+from cnpick.interpolant import schur_reduce_constrained
 from cnpick.kernels import lambda_criterion_matrix
 from cnpick.linalg import DEFAULT_TOL, is_psd
 from cnpick.pick import DataSet, constrained_pick_z2_quadratic, pick_matrix
@@ -125,6 +129,87 @@ class TestBodyDisk:
         assert abs(disk.radius - radius) <= 1e-12
 
 
+BODY_CASES = [
+    (0.5, 0.3, 0.3),
+    (0.4 - 0.3j, 0.2 + 0.5j, -0.6 + 0.1j),
+    (-0.7j, -0.6, 0.25 + 0.25j),
+]
+
+
+def pencil_disk_x(z1, w1, z0, x, tol=DEFAULT_TOL):
+    """Oracle for the closed form: the unconstrained LMI pencil of the
+    reduced data, scaled by ``z0^2`` and mapped by ``M_x``; None when the
+    pencil refuses."""
+    reduced = schur_reduce_constrained(DataSet.scalar([z1], [w1]), x)
+    try:
+        disk = unconstrained_body(reduced, z0, tol).as_disk()
+    except NotPsdError:
+        return None
+    c, r = z0**2 * disk.center, abs(z0) ** 2 * disk.radius
+    pole = np.conj(x) * c + 1.0
+    den = abs(pole) ** 2 - abs(x) ** 2 * r**2
+    center = ((c + x) * np.conj(pole) - x * r**2) / den
+    return Disk(complex(center), float(r * (1.0 - abs(x) ** 2) / den))
+
+
+def swept_xs(z1, w1, x_resolution=10):
+    disk0 = one_point_disk(z1, w1)
+    xs = disk0.center + INTERIOR_SHRINK * disk0.radius * _disk_grid(x_resolution)
+    return xs[np.abs(xs) < 1.0]
+
+
+def pseudo_distance(a, b):
+    return abs(a - b) / abs(1.0 - np.conj(b) * a)
+
+
+class TestInnerDisks:
+    @pytest.mark.parametrize("index, case", enumerate(BODY_CASES))
+    def test_closed_form_matches_pencil(self, index, case):
+        z1, w1, z0 = case
+        rng = rng_for(46_000 + index)
+        disk0 = one_point_disk(z1, w1)
+        rim = disk0.center + np.outer([1 - 1e-4, 1 + 1e-4], disk0.radius * np.exp([0.3j, 2j, 4j]))
+        xs = np.concatenate(
+            [swept_xs(z1, w1), [disk_point(rng, 0.95) for _ in range(20)], rim.ravel()]
+        )
+        centers, radii, admissible = _inner_disks(z1, w1, z0, xs)
+        oracle = [pencil_disk_x(z1, w1, z0, complex(x)) for x in xs]
+        assert admissible.tolist() == [disk is not None for disk in oracle]
+        assert 0 < admissible.sum() < xs.size
+        for c, r, disk in zip(centers[admissible], radii[admissible], filter(None, oracle)):
+            assert abs(c - disk.center) <= 1e-12
+            assert abs(r - disk.radius) <= 1e-12
+
+    @pytest.mark.parametrize("index, case", enumerate(BODY_CASES))
+    def test_scalar_equals_array_entry(self, index, case):
+        z1, w1, z0 = case
+        rng = rng_for(47_000 + index)
+        xs = np.append(swept_xs(z1, w1), [disk_point(rng, 0.95) for _ in range(20)])
+        centers, radii, admissible = _inner_disks(z1, w1, z0, xs)
+        for x, c, r, ok in zip(xs, centers, radii, admissible):
+            disk = body_disk_x(z1, w1, z0, complex(x))
+            if ok:
+                assert disk == Disk(complex(c), float(r))
+            else:
+                assert disk is None
+
+    def test_rejects_parameter_off_disk(self):
+        with pytest.raises(DomainError):
+            body_disk_x(0.5, 0.3, 0.3, 1.0)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-10])
+    def test_near_node_keeps_every_disk(self, eps):
+        # The closed form has no pivot to lose near the node: every swept x
+        # keeps its disk, and each lies in the Schwarz-Pick disk of (z1, w1).
+        z1, w1 = 0.5 + 0.1j, 0.3 - 0.2j
+        z0 = z1 + eps * np.exp(0.7j)
+        report = body_union(z1, w1, z0, w_resolution=4)
+        assert [x for x, _ in report.inner_disks] == [complex(x) for x in swept_xs(z1, w1)]
+        bound = pseudo_distance(z0, z1) + 1e-12
+        for _, disk in report.inner_disks:
+            assert all(pseudo_distance(w, w1) <= bound for w in disk.boundary(16))
+
+
 class TestBodyMembership:
     def test_constant_value(self):
         inside, witness, _ = body_membership(0.5, 0.3, 0.2, 0.3)
@@ -158,13 +243,6 @@ def lambda_criterion_flags(z1, w1, z0, values, x_resolution, tol=DEFAULT_TOL):
         flags.append(bool(rel >= -tol.psd_tol))
         borderline += bool(abs(rel) <= tol.psd_tol)
     return flags, borderline
-
-
-BODY_CASES = [
-    (0.5, 0.3, 0.3),
-    (0.4 - 0.3j, 0.2 + 0.5j, -0.6 + 0.1j),
-    (-0.7j, -0.6, 0.25 + 0.25j),
-]
 
 
 class TestBodyUnion:
@@ -213,6 +291,21 @@ class TestBodyUnion:
                 outside_infeasible += status == INFEASIBLE
         assert inside_feasible >= 1
         assert outside_infeasible >= 1
+
+    @pytest.mark.parametrize("case", BODY_CASES)
+    def test_diameter_matches_pair_loop(self, case):
+        report = body_union(*case, w_resolution=4)
+        disks = [disk for _, disk in report.inner_disks]
+        best = max(2.0 * disk.radius for disk in disks)
+        for i, a in enumerate(disks):
+            for b in disks[i + 1 :]:
+                best = max(best, abs(a.center - b.center) + a.radius + b.radius)
+        assert abs(report.diameter() - best) <= 1e-15 * best
+
+    def test_diameter_of_no_and_one_disk(self):
+        assert BodyReport(z0=0.3, inner_disks=()).diameter() == 0.0
+        single = BodyReport(z0=0.3, inner_disks=((0.1, Disk(0.2 + 0.1j, 0.05)),))
+        assert single.diameter() == 0.1
 
     def test_collapse_as_z0_approaches_node(self):
         report = body_union(0.5, 0.3, 0.5 + 1e-4, x_resolution=6, w_resolution=8)

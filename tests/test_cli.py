@@ -196,6 +196,9 @@ def test_body_writes_csv(workdir, capsys):
     # matrix and the 3x3 anchored one-node Pick matrix.
     assert doc["inner_disks"] == 34
     assert doc["outer_inside"] == 1
+    # Schwarz-Pick disk of s(0.5) = 0 at 0.3: centre 0, radius 0.2 / 0.85.
+    assert doc["unconstrained_disk"]["center"] == [0.0, 0.0]
+    assert doc["unconstrained_disk"]["radius"] == pytest.approx(0.2 / 0.85, abs=1e-12)
     with open("out/disks.csv") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["x_re", "x_im", "c_re", "c_im", "R"]
@@ -210,6 +213,15 @@ def test_body_writes_csv(workdir, capsys):
 def test_body_z0_equals_node_is_usage_error(workdir, capsys):
     path = write_problem(workdir / "p.json", [0.5], [0.0])
     assert main(["body", str(path), "--z0", "0.5,0"]) == 64
+
+
+def test_body_refusal_writes_no_files(workdir, capsys):
+    # Within about 1e-7 of the node the unconstrained pencil is numerically
+    # unusable; the refusal must come before the CSV directory is made.
+    path = write_problem(workdir / "p.json", [0.5], [0.0])
+    assert main(["body", str(path), "--z0", "0.50000001,0", "--csv", "out"]) == 64
+    assert "pencil unusable" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--xres", "0"), ("--xres", "-4"), ("--wres", "-2")])
