@@ -64,7 +64,12 @@ def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_T
     """Matrix ball of attainable values ``S(z0)`` for unconstrained interpolants.
 
     Requires the Pick matrix of the data positive definite and ``z0``
-    inside the disk, distinct from every node.
+    inside the disk, distinct from every node.  Within about 1e-6 of a
+    node the pivot passes ``M_COND_LIMIT`` and :class:`NotPsdError`
+    ("body pencil unusable") is raised on purpose: the radius comes from
+    ``Lam = I - Et* G^-1 Et``, which cancels there.  Without the gate the
+    one-node radius at 1e-9 to 1e-12 from the node is off by about 1e-8,
+    far more than the radius itself.
     """
     if abs(z0) >= 1.0:
         raise DomainError("z0 must lie in the open unit disk")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -33,6 +34,7 @@ from .linalg import ToleranceConfig, is_psd, psd_margin
 from .pick import assemble_bundle, constrained_pick, DataSet
 from .problemfile import (
     complex_to_json,
+    load_json_text,
     matrix_to_json,
     parse_blaschke,
     parse_problem,
@@ -284,10 +286,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.chain, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(exc.msg, location=f"line {exc.lineno} column {exc.colno}")
+        payload = load_json_text(handle.read())
     chain = chain_from_json(payload)
     problem = parse_problem(args.input)
     report = verify_interpolant(chain, problem.data, problem.blaschke, tol=args.check_tol)
@@ -317,10 +316,7 @@ def cmd_verify(args) -> int:
 
 def cmd_stein(args) -> int:
     with open(args.blaschke, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(exc.msg, location=f"line {exc.lineno} column {exc.colno}")
+        payload = load_json_text(handle.read())
     blaschke = parse_blaschke(payload, location="$")
     try:
         nodes = [complex(part) for part in args.nodes.replace(" ", "").split(",") if part]
@@ -360,6 +356,7 @@ def cmd_stein(args) -> int:
     return EXIT_FEASIBLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cnpick",

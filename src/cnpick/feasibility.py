@@ -23,14 +23,14 @@ strict positivity.  Note the factor order: the completed square reads
 
 ``search_x_grid`` decides solvability for every k and every Blaschke
 constraint with one log-barrier solver: ``A(X)`` is affine in the
-parameter (``_AffineBuilder`` recovers it from ``2 k^2 + 1`` builds), so
-``lambda_min(A(X))`` is concave over ``||X|| <= 1``.  The maximiser is
-the Feasible witness; the dual matrix is an Infeasible certificate
-that ``_dual_bound`` checks without the solver.  Body membership is
-not a separate search: it is ``search_x_grid`` on the augmented data.
-``search_lambda`` alone stays a grid search through ``_disk_search``
-(one batched eigenvalue call per stack of points, then local
-refinement): the lambda criterion is not affine in its parameter, and
+parameter (``constrained_pick_terms`` reads its coefficients off the
+Pick bundle), so ``lambda_min(A(X))`` is concave over ``||X|| <= 1``.
+The maximiser is the Feasible witness; the dual matrix is an Infeasible
+certificate that ``_dual_bound`` checks without the solver.  Body
+membership is not a separate search: it is ``search_x_grid`` on the
+augmented data.  ``search_lambda`` alone stays a grid search (one
+batched eigenvalue call per stack of points, then local refinement):
+the lambda criterion is not affine in its parameter, and
 ``search_lambda`` is the independent cross-check of ``search_x_grid``.
 """
 
@@ -59,7 +59,7 @@ from .pick import (
     assemble_bundle,
     aux_matrices,
     check_overlap,
-    constrained_pick,
+    constrained_pick_terms,
     pick_matrix,
 )
 
@@ -159,9 +159,11 @@ class FeasReport:
 
     ``status`` is Feasible, Infeasible or Undetermined.  Feasible
     reports carry a witness (parameter matrix or disk point).  ``margin``
-    is the best smallest-eigenvalue found; ``grid_stats`` records point
-    counts and the bounds behind the verdict.  Infeasible verdicts of
-    :func:`search_x_grid` carry their dual ``certificate``.
+    is the best smallest-eigenvalue found; ``grid_stats`` records the
+    work done and the bounds behind the verdict.  Its ``points`` counts
+    grid points for :func:`search_lambda` and Newton steps for
+    :func:`search_x_grid` (the key keeps its name).  Infeasible verdicts
+    of :func:`search_x_grid` carry their dual ``certificate``.
     """
 
     status: str
@@ -416,37 +418,7 @@ def _batched_margins(stack: np.ndarray):
     return lmin, scale
 
 
-class _AffineBuilder:
-    """Batch evaluator of an affine Hermitian-valued map of a k x k parameter,
-
-        x -> A0 + sum_ab (x_ab A_ab + conj(x_ab) A_ab*),
-
-    recovered from ``2 k^2 + 1`` calls of ``build``.  For k = 1 this is
-    ``A0 + x A1 + conj(x) A1*`` evaluated in that order.
-    """
-
-    def __init__(self, build, k: int):
-        self.k = k
-        self.a0 = build(np.zeros((k, k), dtype=complex))
-        self.terms = []
-        for index in range(k * k):
-            unit = np.zeros((k, k), dtype=complex)
-            unit.flat[index] = 1.0
-            b1 = build(unit) - self.a0
-            b2 = build(1j * unit) - self.a0
-            a1 = 0.5 * (b1 - 1j * b2)
-            self.terms.append((a1, a1.conj().T))
-
-    def stack(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=complex).reshape(-1, self.k * self.k)
-        out = self.a0[None, :, :]
-        for index, (a1, a1h) in enumerate(self.terms):
-            x = xs[:, index, None, None]
-            out = out + x * a1[None, :, :] + np.conj(x) * a1h[None, :, :]
-        return out
-
-
-def _dual_bound(builder: _AffineBuilder, y: np.ndarray) -> float:
+def _dual_bound(a0: np.ndarray, terms: np.ndarray, y: np.ndarray) -> float:
     """Upper bound on ``lambda_min(A(X))`` over all ``||X|| <= 1``, certified by ``y``.
 
     With ``y`` clipped to its PSD part and scaled to unit trace,
@@ -458,11 +430,11 @@ def _dual_bound(builder: _AffineBuilder, y: np.ndarray) -> float:
     w, v = np.linalg.eigh(hermitian_part(y))
     w = np.clip(w, 0.0, None)
     y = (v * (w / w.sum())) @ v.conj().T
-    g = np.array([np.trace(y @ a1) for a1, _ in builder.terms]).reshape(builder.k, builder.k)
-    return float(np.trace(y @ builder.a0).real + 2.0 * np.linalg.norm(g, "nuc"))
+    g = np.einsum("ij,abji->ab", y, terms)
+    return float(np.trace(y @ a0).real + 2.0 * np.linalg.norm(g, "nuc"))
 
 
-def _maximize_min_eig(builder: _AffineBuilder, tol: ToleranceConfig):
+def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     """Maximise ``lambda_min(A(X))`` over ``||X|| <= 1`` by a log-barrier method.
 
     Damped Newton on ``-s t - log det(A(X) - t I) - log det [[I, X], [X*, I]]``
@@ -474,14 +446,16 @@ def _maximize_min_eig(builder: _AffineBuilder, tol: ToleranceConfig):
     ``size / s`` is at most ``psd_tol * scale`` (beyond it lies rounding).
     Returns ``(best_x, best_lmin, best_scale, upper_bound, Y, newton_steps)``.
     """
-    k, m = builder.k, builder.a0.shape[0]
+    k, m = terms.shape[0], a0.shape[0]
     units = np.eye(k * k).reshape(k * k, k, k)
     coords = np.concatenate([units, 1j * units])  # X = sum_j y_j coords[j]
     # One block-diagonal pencil F(v) = F0 + sum_j v_j F_j, v = (y, t), for both barriers.
     f = np.zeros((len(coords) + 2, m + 2 * k, m + 2 * k), dtype=complex)
-    f[0, :m, :m] = builder.a0
+    f[0, :m, :m] = a0
     f[0, m:, m:] = np.eye(2 * k)
-    f[1:-1, :m, :m] = builder.stack(coords) - builder.a0
+    flat = terms.reshape(k * k, m, m)
+    flat_h = flat.conj().transpose(0, 2, 1)
+    f[1:-1, :m, :m] = np.concatenate([flat + flat_h, 1j * (flat - flat_h)])
     f[1:-1, m : m + k, m + k :] = coords
     f[1:-1, m + k :, m : m + k] = coords.conj().transpose(0, 2, 1)
     f[-1, :m, :m] = -np.eye(m)
@@ -498,7 +472,7 @@ def _maximize_min_eig(builder: _AffineBuilder, tol: ToleranceConfig):
         return -s * v[-1] - 2.0 * np.sum(np.log(chol.diagonal().real))
 
     v = np.zeros(len(f) - 1)
-    v[-1] = -1.0 - np.linalg.norm(builder.a0)  # A0 - t I >= I
+    v[-1] = -1.0 - np.linalg.norm(a0)  # A0 - t I >= I
     s = np.trace(np.linalg.inv(pencil(v)[:m, :m])).real
     best = (None, -np.inf, 1.0)
     upper, certificate, steps = np.inf, None, 0
@@ -525,7 +499,7 @@ def _maximize_min_eig(builder: _AffineBuilder, tol: ToleranceConfig):
             best = (np.tensordot(v[:-1], coords, 1), float(lmin[0]), float(scale[0]))
         y = np.linalg.inv(shifted)
         y /= np.trace(y).real
-        bound = _dual_bound(builder, y)
+        bound = _dual_bound(a0, terms, y)
         if bound < upper:
             upper, certificate = bound, y
         if upper < -tol.psd_tol * best[2] or upper - best[1] <= tol.psd_tol * best[2]:
@@ -534,34 +508,6 @@ def _maximize_min_eig(builder: _AffineBuilder, tol: ToleranceConfig):
             break
         s *= 8.0
     return best[0], best[1], best[2], upper, certificate, steps
-
-
-def _disk_search(stack_for, points, halfwidth: float, refine: int, tol: ToleranceConfig):
-    """Best of ``points`` by relative smallest eigenvalue, then ``refine`` local passes.
-
-    ``stack_for`` maps an array of points to the stack of Hermitian
-    matrices to test.  Each refinement pass evaluates a square grid of
-    ``halfwidth`` around the best point so far (the halfwidth shrinks
-    six-fold per pass) and keeps a strictly better point; ties go to the
-    earliest index.  Returns ``(best_point, margin, scale, points_evaluated,
-    uniformly_negative)``, the last flag covering every evaluated point.
-    """
-    best_x, best_lmin, best_scale = None, -np.inf, 1.0
-    total, uniform = 0, True
-    for step in range(max(0, refine) + 1):
-        if step:
-            points = _refine_grid(best_x, halfwidth)
-            halfwidth /= 6.0
-            if points.size == 0:
-                break
-        lmin, scale = _batched_margins(stack_for(points))
-        rel = lmin / scale
-        best = int(np.argmax(rel))
-        total += len(points)
-        uniform = uniform and bool(np.all(lmin < -INFEASIBLE_MARGIN_FACTOR * tol.psd_tol * scale))
-        if best_x is None or rel[best] > best_lmin / best_scale:
-            best_x, best_lmin, best_scale = points[best], lmin[best], scale[best]
-    return best_x, float(best_lmin), float(best_scale), total, uniform
 
 
 def _overlap_report(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasReport:
@@ -591,9 +537,8 @@ def search_x_grid(
     b = b if b is not None else BlaschkeSpec.z_squared()
     if any(np.any(b.zeros == z) for z in d.nodes):
         return _overlap_report(d, b, tol)
-    bundle = assemble_bundle(d, b, tol)
-    builder = _AffineBuilder(lambda x: constrained_pick(d, b, x, bundle=bundle), d.k)
-    best_x, best_lmin, best_scale, upper, certificate, steps = _maximize_min_eig(builder, tol)
+    a0, terms = constrained_pick_terms(assemble_bundle(d, b, tol))
+    best_x, best_lmin, best_scale, upper, certificate, steps = _maximize_min_eig(a0, terms, tol)
     certified = upper < -tol.psd_tol * best_scale
     stats = {"points": steps, "best_margin": best_lmin, "best_scale": best_scale,
              "upper_bound": upper, "uniform_infeasible": certified}
@@ -626,10 +571,26 @@ def search_lambda(
     if np.any(d.nodes == 0):
         raise DomainError("the one-parameter criterion requires nonzero nodes")
     candidates = [0.0 + 0.0j] + [complex(v) for v in d.scalar_values() if abs(v) < 1]
-    pts = np.concatenate([np.asarray(candidates), _disk_grid(resolution)])
-    best_l, best_lmin, best_scale, total, uniform = _disk_search(
-        lambda lams: lambda_criterion_matrix(d, lams), pts, 2.5 / max(resolution, 4), refine, tol
-    )
+    points = np.concatenate([np.asarray(candidates), _disk_grid(resolution)])
+    halfwidth = 2.5 / max(resolution, 4)
+    # Best point by relative margin, then ``refine`` passes over a square of
+    # ``halfwidth`` around it (shrinking six-fold); ties go to the earliest index.
+    best_l, best_lmin, best_scale = None, -np.inf, 1.0
+    total, uniform = 0, True
+    for step in range(max(0, refine) + 1):
+        if step:
+            points = _refine_grid(best_l, halfwidth)
+            halfwidth /= 6.0
+            if points.size == 0:
+                break
+        lmin, scale = _batched_margins(lambda_criterion_matrix(d, points))
+        rel = lmin / scale
+        best = int(np.argmax(rel))
+        total += len(points)
+        uniform = uniform and bool(np.all(lmin < -INFEASIBLE_MARGIN_FACTOR * tol.psd_tol * scale))
+        if best_l is None or rel[best] > best_lmin / best_scale:
+            best_l, best_lmin, best_scale = points[best], lmin[best], scale[best]
+    best_lmin, best_scale = float(best_lmin), float(best_scale)
     stats = {
         "resolution": int(resolution),
         "refine": int(refine),

@@ -23,7 +23,8 @@ Builders
 ``constrained_pick`` / ``constrained_pick_cf`` / ``constrained_pick_compressed``
     The general-Blaschke forms: linearized, Caratheodory-Fejer, and the
     Schur-complement compression onto the node block (the last one needs
-    ``||x|| < 1``).
+    ``||x|| < 1``).  ``constrained_pick_terms`` returns the linearized
+    form's coefficients as an affine map of ``x``.
 
 The general forms are expressed through a pair of Stein equations
 
@@ -73,6 +74,7 @@ __all__ = [
     "constrained_pick_z2_quadratic",
     "constrained_pick_z2",
     "constrained_pick",
+    "constrained_pick_terms",
     "constrained_pick_cf",
     "constrained_pick_compressed",
     "check_overlap",
@@ -553,6 +555,31 @@ def constrained_pick(
             [z_nd.conj().T, x_d.conj().T, bundle.q_inv],
         ]
     )
+
+
+def constrained_pick_terms(bundle: PickBundle):
+    """Coefficients of :func:`constrained_pick` as an affine map of ``x``.
+
+    Returns ``(a0, terms)`` with ``a0`` the matrix at ``x = 0`` and
+    ``terms[a, b]`` the coefficient ``A_ab`` of ``x_ab``, so that
+
+        constrained_pick(x) = a0 + sum_ab (x_ab A_ab + conj(x_ab) A_ab*).
+
+    ``A_ab`` holds ``-Qt (I_n (x) E_ab) Wdiag*`` in the (jets, nodes)
+    block and ``I_deg (x) E_ab`` in the (jets, mirrored) block, zero
+    elsewhere; ``terms`` has shape (k, k, size, size).
+    """
+    d, deg = bundle.data, bundle.blaschke.degree
+    k, nk, dk = d.k, d.n * d.k, deg * d.k
+    a0 = constrained_pick(d, bundle.blaschke, np.zeros((k, k)), bundle=bundle)
+    terms = np.zeros((k, k) + a0.shape, dtype=complex)
+    # Column (i, c) of Qt (I_n (x) E_ab) Wdiag* is Qt[:, (i, a)] conj(W_i[c, b]).
+    coupling = np.einsum("ria,icb->abric", bundle.q_tilde.reshape(dk, d.n, k), d.values.conj())
+    terms[:, :, nk : nk + dk, :nk] = -coupling.reshape(k, k, dk, nk)
+    jets = k * np.arange(deg)
+    for a, b in np.ndindex(k, k):
+        terms[a, b, nk + jets + a, nk + dk + jets + b] = 1.0
+    return a0, terms
 
 
 def constrained_pick_cf(

@@ -35,6 +35,7 @@ __all__ = [
     "ProblemFile",
     "parse_problem",
     "parse_problem_text",
+    "load_json_text",
     "parse_blaschke",
     "serialize_problem",
     "complex_to_json",
@@ -123,11 +124,16 @@ def parse_blaschke(obj, location="blaschke") -> BlaschkeSpec:
         raise ProblemFileError(str(exc), location=location) from exc
 
 
-def parse_problem_text(text: str) -> ProblemFile:
+def load_json_text(text: str):
+    """``json.loads``, with malformed JSON reported as a located :class:`ProblemFileError`."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(exc.msg, location=f"line {exc.lineno} column {exc.colno}") from exc
+
+
+def parse_problem_text(text: str) -> ProblemFile:
+    raw = load_json_text(text)
     _want(raw, dict, "a JSON object", "$")
 
     k = raw.get("k", 1)

@@ -7,7 +7,6 @@ exactly; no test draws from global random state.
 import numpy as np
 import pytest
 
-from cnpick.feasibility import _AffineBuilder
 from cnpick.pick import BlaschkeSpec, DataSet, assemble_bundle, constrained_pick
 
 
@@ -60,10 +59,26 @@ def random_blaschke(seed, max_degree=4):
 
 
 def fresh_builder(data, b=None):
-    """Batch evaluator of the constrained Pick matrix, built independently of any search."""
+    """Affine coefficients ``(a0, terms)`` of the constrained Pick matrix by finite differences.
+
+    Test-side oracle, independent of the library's closed form: ``2 k^2 + 1``
+    builds give ``a0 = A(0)`` and ``terms[a, b] = ((A(E_ab) - a0) - i (A(i E_ab) - a0)) / 2``.
+    """
     b = b if b is not None else BlaschkeSpec.z_squared()
     bundle = assemble_bundle(data, b)
-    return _AffineBuilder(lambda x: constrained_pick(data, b, x, bundle=bundle), data.k)
+    k = data.k
+
+    def build(x):
+        return constrained_pick(data, b, x, bundle=bundle)
+
+    a0 = build(np.zeros((k, k), dtype=complex))
+    terms = np.empty((k, k) + a0.shape, dtype=complex)
+    for a in range(k):
+        for c in range(k):
+            unit = np.zeros((k, k), dtype=complex)
+            unit[a, c] = 1.0
+            terms[a, c] = 0.5 * ((build(unit) - a0) - 1j * (build(1j * unit) - a0))
+    return a0, terms
 
 
 def random_contraction(rng, k, norm=None):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cnpick.cli import main
+from cnpick.cli import build_parser, main
 from cnpick.feasibility import _dual_bound, search_x_grid
 from cnpick.interpolant import chain_from_json, verify_interpolant
 from cnpick.problemfile import parse_problem
@@ -117,7 +117,7 @@ def test_check_matrix_data_undetermined_exit_2(workdir, capsys):
     assert out["grid_stats"]["uniform_infeasible"]
     problem = parse_problem(path)
     report = search_x_grid(problem.data, problem.blaschke)
-    bound = _dual_bound(fresh_builder(problem.data, problem.blaschke), report.certificate)
+    bound = _dual_bound(*fresh_builder(problem.data, problem.blaschke), report.certificate)
     assert bound < -1e-9 * report.grid_stats["best_scale"]
     assert bound <= out["grid_stats"]["upper_bound"] + 1e-12
 
@@ -183,6 +183,39 @@ def test_witness_deterministic(workdir, capsys):
     main(["witness", str(path), "--samples", "128", "--seed", "3", "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_consecutive_calls_share_no_options(workdir, capsys):
+    """The parser is built once per process; each call still starts from the defaults."""
+    path = write_problem(workdir / "p.json", [0.5], [0.2])
+    assert main(["check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "Feasible"
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("status: Feasible")
+
+    build_parser.cache_clear()
+    scanned = write_problem(workdir / "q.json", [0.5, -0.4j], [0.2, 0.1])
+    witness = ["witness", str(scanned), "--samples", "32", "--json"]
+    main(witness)
+    fresh = capsys.readouterr().out
+    main(witness + ["--seed", "3"])
+    seeded = capsys.readouterr().out
+    main(witness)
+    assert seeded != fresh
+    assert capsys.readouterr().out == fresh
+
+
+@pytest.mark.parametrize("command", ["verify", "stein"])
+def test_non_json_input_is_usage_error(workdir, capsys, command):
+    problem = write_problem(workdir / "p.json", [0.5], [0.5])
+    broken = workdir / "broken.json"
+    broken.write_text("{not json")
+    argv = {
+        "verify": ["verify", str(broken), str(problem)],
+        "stein": ["stein", str(broken), "--nodes", "0.5"],
+    }[command]
+    assert main(argv) == 64
+    assert "line 1 column" in capsys.readouterr().err
 
 
 def test_body_writes_csv(workdir, capsys):

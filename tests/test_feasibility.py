@@ -7,7 +7,6 @@ from cnpick.feasibility import (
     INFEASIBLE,
     UNDETERMINED,
     MatrixBall,
-    _AffineBuilder,
     _dual_bound,
     ball_membership,
     ball_sample,
@@ -37,6 +36,7 @@ from cnpick.pick import (
     constrained_pick,
     constrained_pick_cf,
     constrained_pick_compressed,
+    constrained_pick_terms,
     constrained_pick_z2_quadratic,
     pick_matrix,
 )
@@ -55,7 +55,7 @@ def assert_certified(report, data, b=None, below=None):
     assert report.status == INFEASIBLE
     if below is None:
         below = -DEFAULT_TOL.psd_tol * report.grid_stats["best_scale"]
-    assert _dual_bound(fresh_builder(data, b), report.certificate) < below
+    assert _dual_bound(*fresh_builder(data, b), report.certificate) < below
 
 
 def criterion_matrix(pencil, xt):
@@ -389,14 +389,34 @@ class TestBatchEvaluator:
     )
     def test_stack_matches_direct_builds(self, data, b):
         bundle = assemble_bundle(data, b)
-        builder = _AffineBuilder(lambda x: constrained_pick(data, b, x, bundle=bundle), data.k)
+        a0, terms = constrained_pick_terms(bundle)
         rng = rng_for(data.n + data.k)
         xs = rng.standard_normal((6, data.k, data.k)) + 1j * rng.standard_normal((6, data.k, data.k))
         xs *= 0.9 / np.linalg.norm(xs, 2, axis=(1, 2))[:, None, None]
-        stack = builder.stack(xs)
-        for x, mat in zip(xs, stack):
+        for x in xs:
+            mat = a0 + np.einsum("ab,abij->ij", x, terms)
+            mat = mat + np.einsum("ab,abji->ij", x.conj(), terms.conj())
             direct = constrained_pick(data, b, x, bundle=bundle)
             assert np.max(np.abs(mat - direct)) <= 1e-12 * (1.0 + np.max(np.abs(direct)))
+
+    @pytest.mark.parametrize(
+        "data, b",
+        [
+            (random_dataset(6, n=3, k=1), BlaschkeSpec.z_squared()),
+            (random_dataset(7, n=3, k=2), BlaschkeSpec.z_squared()),
+            (random_dataset(8, n=2, k=3), BlaschkeSpec.z_squared()),
+            (random_dataset(9, n=3, k=1), degree4_blaschke()),
+            (random_dataset(10, n=2, k=2), degree4_blaschke()),
+        ],
+        ids=["k1", "k2", "k3", "scalar_degree4", "k2_degree4"],
+    )
+    def test_closed_form_terms_match_finite_differences(self, data, b):
+        a0, terms = constrained_pick_terms(assemble_bundle(data, b))
+        ref_a0, ref_terms = fresh_builder(data, b)
+        assert terms.shape == (data.k, data.k) + a0.shape
+        bound = 1e-14 * (1.0 + np.max(np.abs(ref_a0)))
+        assert np.max(np.abs(a0 - ref_a0)) <= bound
+        assert np.max(np.abs(terms - ref_terms)) <= bound
 
     @pytest.mark.parametrize(
         "data, expected",
