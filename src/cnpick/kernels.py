@@ -33,8 +33,11 @@ origin value ``x = s(0)``: the matrix equals ``diag(z_i^2) P_x
 diag(conj(z_i)^2)``, with ``P_x`` the Pick matrix of the data reduced
 at ``x`` (``schur_reduce_constrained``), so the two are congruent.
 
-All functions here are pure; scan samples are independent and the
-reported witness is the one with the lowest sample index.
+All functions here are pure.  Scan samples are independent, so the scan
+evaluates them in blocks (the canonical scalar parameters, then runs of
+``_SCAN_BLOCK`` random draws): per block and shape one stacked draw, one
+stack of form matrices and one batched ``eigh``.  The reported witness
+is still the one with the lowest sample index.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ import numpy as np
 from .errors import DomainError
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .pick import DataSet
+
+# Least singular value of ``alpha`` at or below which a drawn parameter
+# counts as non-injective and is redrawn from its own generator.
+_INJECTIVITY_FLOOR = 1e-6
+# Random samples per block of the necessity scan: enough to amortize the
+# per-call overhead, few enough to keep the stacked forms small.
+_SCAN_BLOCK = 64
 
 __all__ = [
     "GrassmannParam",
@@ -116,6 +126,34 @@ class XTuple:
         return self.entries.shape[0]
 
 
+def _draw_params(seeds: Sequence[int], ell: int, ell_prime: int):
+    """Stacked normalized pairs ``(alpha, beta)`` of shape ``(len(seeds), ell', ell)``.
+
+    Row ``r`` equals ``grassmann_sample(seeds[r], ell, ell')`` bit for bit:
+    each seed owns its generator and a rejected draw is redrawn from it,
+    while the QR and the injectivity test run on the whole stack.
+    """
+    if not 1 <= ell <= ell_prime:
+        raise DomainError(f"need 1 <= ell <= ell', got ell={ell}, ell'={ell_prime}")
+    if ell_prime > 2 * ell:
+        raise DomainError("ell' > 2 ell admits no normalized pair")
+    if min(seeds) < 0:
+        raise DomainError(f"seed must be nonnegative, got {min(seeds)}")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    rows = np.empty((len(rngs), ell_prime, 2 * ell), dtype=complex)
+    pending = np.arange(len(rngs))
+    for _ in range(128):
+        raw = np.stack([rngs[i].standard_normal((2, ell_prime, 2 * ell)) for i in pending])
+        g = raw[:, 0] + 1j * raw[:, 1]
+        qmat, _ = np.linalg.qr(g.conj().swapaxes(-1, -2), mode="reduced")
+        rows[pending] = qmat.conj().swapaxes(-1, -2)  # orthonormal rows
+        smin = np.linalg.svd(rows[pending, :, :ell], compute_uv=False)[:, -1]
+        pending = pending[~(smin > _INJECTIVITY_FLOOR)]
+        if not pending.size:
+            return rows[..., :ell], rows[..., ell:]
+    raise DomainError("failed to draw an injective alpha in 128 attempts")
+
+
 def grassmann_sample(seed: int, ell: int, ell_prime: int) -> GrassmannParam:
     """Deterministic sample of a normalized kernel parameter.
 
@@ -123,28 +161,30 @@ def grassmann_sample(seed: int, ell: int, ell_prime: int) -> GrassmannParam:
     rows and splits it into ``(alpha, beta)``.  Samples with nearly
     non-injective ``alpha`` (least singular value <= 1e-6) are rejected
     and redrawn; the rejected set has measure zero, so this does not
-    bias coverage.  Bitwise deterministic for a fixed seed.
+    bias coverage.  Bitwise deterministic for a fixed nonnegative seed,
+    and equal to the matching sample of the necessity scan.
     """
-    if not 1 <= ell <= ell_prime:
-        raise DomainError(f"need 1 <= ell <= ell', got ell={ell}, ell'={ell_prime}")
-    if ell_prime > 2 * ell:
-        raise DomainError("ell' > 2 ell admits no normalized pair")
-    rng = np.random.default_rng(seed)
-    for _ in range(128):
-        g = rng.standard_normal((ell_prime, 2 * ell)) + 1j * rng.standard_normal(
-            (ell_prime, 2 * ell)
-        )
-        qmat, _ = np.linalg.qr(g.conj().T, mode="reduced")
-        rows = qmat.conj().T  # ell' x 2 ell, orthonormal rows
-        alpha, beta = rows[:, :ell], rows[:, ell:]
-        if np.linalg.svd(alpha, compute_uv=False)[-1] > 1e-6:
-            return GrassmannParam(alpha, beta)
-    raise DomainError("failed to draw an injective alpha in 128 attempts")
+    alpha, beta = _draw_params([seed], ell, ell_prime)
+    return GrassmannParam(alpha[0], beta[0])
 
 
 def _check_disk(z, name):
     if np.any(np.abs(np.asarray(z)) >= 1.0):
         raise DomainError(f"{name} must lie in the open unit disk")
+
+
+def _kernel(alpha, beta, z, w) -> np.ndarray:
+    """The kernel formula for parameter arrays of shape ``(..., ell', ell)``.
+
+    The leading axes of ``alpha`` and ``beta`` broadcast against those of
+    ``z`` and ``w``; the result has shape ``leading + (ell, ell)``.
+    """
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    wc = np.conj(np.asarray(w, dtype=complex))[..., None, None]
+    adjoint = alpha.conj().swapaxes(-1, -2) + wc * beta.conj().swapaxes(-1, -2)
+    rank_part = adjoint @ (alpha + z * beta)
+    tail = wc**2 * z**2 / (1.0 - wc * z)
+    return rank_part + tail * np.eye(alpha.shape[-1])
 
 
 def kernel_eval(p: GrassmannParam, z, w) -> np.ndarray:
@@ -157,11 +197,7 @@ def kernel_eval(p: GrassmannParam, z, w) -> np.ndarray:
     """
     _check_disk(z, "z")
     _check_disk(w, "w")
-    z = np.asarray(z, dtype=complex)[..., None, None]
-    wc = np.conj(np.asarray(w, dtype=complex))[..., None, None]
-    rank_part = (p.alpha.conj().T + wc * p.beta.conj().T) @ (p.alpha + z * p.beta)
-    tail = wc**2 * z**2 / (1.0 - wc * z)
-    return rank_part + tail * np.eye(p.ell)
+    return _kernel(p.alpha, p.beta, z, w)
 
 
 def kernel_gram(p: GrassmannParam, points) -> np.ndarray:
@@ -205,15 +241,9 @@ def lambda_criterion_matrix(d: DataSet, lam) -> np.ndarray:
     )
 
 
-def _validate_form_inputs(d: DataSet, p: GrassmannParam, xs: Optional[XTuple]):
+def _check_nodes(d: DataSet):
     if np.any(d.nodes == 0):
         raise DomainError("necessity criteria require nonzero nodes")
-    if xs is not None:
-        if xs.entries.shape != (d.n, d.k, p.ell):
-            raise DomainError(
-                f"coefficient tuple must have shape ({d.n}, {d.k}, {p.ell}), "
-                f"got {xs.entries.shape}"
-            )
 
 
 def necessity_form(d: DataSet, p: GrassmannParam, xs: XTuple, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -224,7 +254,12 @@ def necessity_form(d: DataSet, p: GrassmannParam, xs: XTuple, tol: ToleranceConf
     The result is real up to rounding; the imaginary part is checked
     against ``residual_tol`` and discarded.
     """
-    _validate_form_inputs(d, p, xs)
+    _check_nodes(d)
+    if xs.entries.shape != (d.n, d.k, p.ell):
+        raise DomainError(
+            f"coefficient tuple must have shape ({d.n}, {d.k}, {p.ell}), "
+            f"got {xs.entries.shape}"
+        )
     x, w = xs.entries, d.values
     kmat = kernel_eval(p, d.nodes[:, None], d.nodes[None, :])
     core = x[None, :] @ kmat @ x[:, None].conj().swapaxes(-1, -2)
@@ -233,6 +268,16 @@ def necessity_form(d: DataSet, p: GrassmannParam, xs: XTuple, tol: ToleranceConf
     if abs(total.imag) > tol.residual_tol * (1.0 + abs(total.real)):
         raise DomainError(f"necessity form has non-real value {total}")
     return float(total.real)
+
+
+def _form_stack(d: DataSet, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Necessity form matrices for stacked parameters ``(S, ell', ell)``: shape ``(S, N, N)``."""
+    _check_nodes(d)
+    n, k, l = d.n, d.k, alpha.shape[-1]
+    kmat = _kernel(alpha[:, None, None], beta[:, None, None], d.nodes[:, None], d.nodes[None, :])
+    gap = np.eye(k) - d.values[:, None] @ d.values[None, :].conj().swapaxes(-1, -2)
+    forms = np.einsum("pijtr,ijsu->pirsjtu", kmat, gap)
+    return forms.reshape(len(alpha), n * l * k, n * l * k)
 
 
 def necessity_form_matrix(d: DataSet, p: GrassmannParam) -> np.ndarray:
@@ -244,11 +289,7 @@ def necessity_form_matrix(d: DataSet, p: GrassmannParam) -> np.ndarray:
     the sharpest witness value available for the given parameter, with
     the eigenvector giving the witness tuple.
     """
-    _validate_form_inputs(d, p, None)
-    n, k, l = d.n, d.k, p.ell
-    kmat = kernel_eval(p, d.nodes[:, None], d.nodes[None, :])
-    gap = np.eye(k) - d.values[:, None] @ d.values[None, :].conj().swapaxes(-1, -2)
-    return np.einsum("ijtr,ijsu->irsjtu", kmat, gap).reshape(n * l * k, n * l * k)
+    return _form_stack(d, p.alpha[None], p.beta[None])[0]
 
 
 @dataclass(frozen=True)
@@ -277,16 +318,38 @@ class ScanReport:
 
 
 def _canonical_scalar_params(count: int = 16):
-    params = [GrassmannParam.scalar(1.0, 0.0)]
-    for jj in range(count):
-        theta = -np.pi / 2.0 + np.pi * (jj + 0.5) / count
-        params.append(GrassmannParam.scalar(np.cos(theta), np.sin(theta)))
-    return params
+    """The pair ``(1, 0)`` and a ``count``-point sweep of ``(cos t, sin t)``, stacked."""
+    thetas = [-np.pi / 2.0 + np.pi * (jj + 0.5) / count for jj in range(count)]
+    alpha = np.array([1.0] + [np.cos(t) for t in thetas], dtype=complex)
+    beta = np.array([0.0] + [np.sin(t) for t in thetas], dtype=complex)
+    return alpha.reshape(-1, 1, 1), beta.reshape(-1, 1, 1)
 
 
 def default_shapes(k: int) -> Tuple[Tuple[int, int], ...]:
     """All admissible (ell, ell') shape pairs for k x k data."""
     return tuple((l, lp) for lp in range(1, k + 1) for l in range(1, lp + 1))
+
+
+def _scan_blocks(samples: int, shapes, seed: int):
+    """Yield the scan's blocks as lists of ``(indices, alpha, beta)``, one entry per shape.
+
+    The canonical scalar parameters form the first block.  Random sample
+    ``i`` has seed ``seed * 1_000_003 + i`` and cycles through ``shapes``.
+    """
+    alpha, beta = _canonical_scalar_params()
+    canonical = len(alpha)
+    stop = min(canonical, samples)
+    yield [(np.arange(stop), alpha[:stop], beta[:stop])]
+    for start in range(canonical, samples, _SCAN_BLOCK):
+        stop = min(start + _SCAN_BLOCK, samples)
+        block = []
+        for j, (l, lp) in enumerate(shapes):
+            first = start + (j - (start - canonical)) % len(shapes)
+            indices = np.arange(first, stop, len(shapes))
+            if indices.size:
+                seeds = [seed * 1_000_003 + int(i) for i in indices]
+                block.append((indices, *_draw_params(seeds, l, lp)))
+        yield block
 
 
 def necessity_scan(
@@ -307,12 +370,21 @@ def necessity_scan(
     taken from the eigendecomposition of the induced quadratic form,
     which dominates any random tuple for that parameter.
 
+    Samples are evaluated in blocks: the canonical parameters first, so
+    infeasible data usually exit after one small batch, then runs of
+    ``_SCAN_BLOCK`` random samples.  Per block and shape the parameters
+    are drawn, their form matrices stacked and decomposed by one batched
+    ``eigh``; a block containing a witness ends the scan.
+
     A sample is a witness when the relative margin of the form matrix
-    drops below ``-psd_tol``.  Deterministic for a fixed seed; the first
-    (lowest-index) witness is returned.
+    drops below ``-psd_tol``.  Deterministic for a fixed nonnegative
+    seed; the first (lowest-index) witness is returned, with
+    ``samples_evaluated`` counting the samples up to and including it.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if shapes is None:
         shapes = default_shapes(d.k)
     shapes = [
@@ -323,23 +395,23 @@ def necessity_scan(
     if not shapes:
         shapes = [(1, 1)]
 
-    canonical = _canonical_scalar_params()
     min_rel = np.inf
-    index = 0
-    while index < samples:
-        if index < len(canonical):
-            param = canonical[index]
-        else:
-            l, lp = shapes[(index - len(canonical)) % len(shapes)]
-            param = grassmann_sample(seed * 1_000_003 + index, l, lp)
-        f = necessity_form_matrix(d, param)
-        w, v = np.linalg.eigh(0.5 * (f + f.conj().T))
-        scale = 1.0 + max(abs(w[0]), abs(w[-1]))
-        rel = w[0] / scale
-        min_rel = min(min_rel, rel)
-        if w[0] < -tol.psd_tol * scale:
-            xs = XTuple(v[:, 0].reshape(d.n, param.ell, d.k).transpose(0, 2, 1))
-            value = necessity_form(d, param, xs, tol)
+    for block in _scan_blocks(samples, shapes, seed):
+        hit = None
+        for indices, alpha, beta in block:
+            f = _form_stack(d, alpha, beta)
+            w, v = np.linalg.eigh(0.5 * (f + f.conj().swapaxes(-1, -2)))
+            scale = 1.0 + np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+            rel = w[:, 0] / scale
+            min_rel = min(min_rel, np.min(rel))
+            bad = np.flatnonzero(w[:, 0] < -tol.psd_tol * scale)
+            if bad.size and (hit is None or indices[bad[0]] < hit[0]):
+                j = bad[0]
+                hit = (int(indices[j]), rel[j], alpha[j], beta[j], v[j, :, 0])
+        if hit is not None:
+            index, rel, alpha, beta, vec = hit
+            param = GrassmannParam(alpha, beta)
+            xs = XTuple(vec.reshape(d.n, param.ell, d.k).transpose(0, 2, 1))
             return ScanReport(
                 status="WITNESS",
                 samples_requested=samples,
@@ -347,10 +419,9 @@ def necessity_scan(
                 min_value=float(rel),
                 witness_param=param,
                 witness_tuple=xs,
-                witness_value=value,
+                witness_value=necessity_form(d, param, xs, tol),
                 witness_index=index,
             )
-        index += 1
     return ScanReport(
         status="PASS",
         samples_requested=samples,

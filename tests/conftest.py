@@ -7,6 +7,16 @@ exactly; no test draws from global random state.
 import numpy as np
 import pytest
 
+from cnpick.kernels import (
+    GrassmannParam,
+    ScanReport,
+    XTuple,
+    default_shapes,
+    grassmann_sample,
+    necessity_form,
+    necessity_form_matrix,
+)
+from cnpick.linalg import DEFAULT_TOL
 from cnpick.pick import BlaschkeSpec, DataSet, assemble_bundle, constrained_pick
 
 
@@ -41,6 +51,16 @@ def random_dataset(seed, n=None, k=1, wmax=0.85):
             norm = np.linalg.norm(values[i], 2)
             values[i] *= rng.uniform(0.0, wmax) / max(norm, 1e-12)
     return DataSet(nodes, values)
+
+
+def matrix_feasible(seed, k, n):
+    """``W_i = C + z_i^2 D`` with ``||C|| + ||D|| < 1``: feasible by construction."""
+    rng = rng_for(seed)
+    nodes = random_dataset(seed, n=n).nodes
+    c, dd = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+    c *= 0.3 / np.linalg.norm(c, 2)
+    dd *= 0.5 / np.linalg.norm(dd, 2)
+    return DataSet(nodes, np.array([c + z**2 * dd for z in nodes]))
 
 
 def random_blaschke(seed, max_degree=4):
@@ -79,6 +99,52 @@ def fresh_builder(data, b=None):
             unit[a, c] = 1.0
             terms[a, c] = 0.5 * ((build(unit) - a0) - 1j * (build(1j * unit) - a0))
     return a0, terms
+
+
+def scan_oracle(d, samples=500, shapes=None, seed=0, tol=DEFAULT_TOL):
+    """The necessity scan evaluated one sample at a time.
+
+    Test-side oracle for the library's blocked scan: the same samples in
+    the same order (the pair (1, 0), a 16-point sweep of (cos t, sin t),
+    then ``grassmann_sample(seed * 1_000_003 + index, ...)`` cycling
+    through the admissible shapes), each with its own form matrix and
+    ``eigh``; the first sample whose relative margin drops below
+    ``-psd_tol`` is the witness.
+    """
+    if shapes is None:
+        shapes = default_shapes(d.k)
+    shapes = [(l, lp) for (l, lp) in shapes if 1 <= l <= lp <= d.k and lp <= 2 * l] or [(1, 1)]
+    canonical = [GrassmannParam.scalar(1.0, 0.0)]
+    for jj in range(16):
+        theta = -np.pi / 2.0 + np.pi * (jj + 0.5) / 16
+        canonical.append(GrassmannParam.scalar(np.cos(theta), np.sin(theta)))
+    min_rel = np.inf
+    for index in range(samples):
+        if index < len(canonical):
+            param = canonical[index]
+        else:
+            l, lp = shapes[(index - len(canonical)) % len(shapes)]
+            param = grassmann_sample(seed * 1_000_003 + index, l, lp)
+        f = necessity_form_matrix(d, param)
+        w, v = np.linalg.eigh(0.5 * (f + f.conj().T))
+        scale = 1.0 + max(abs(w[0]), abs(w[-1]))
+        rel = w[0] / scale
+        min_rel = min(min_rel, rel)
+        if w[0] < -tol.psd_tol * scale:
+            xs = XTuple(v[:, 0].reshape(d.n, param.ell, d.k).transpose(0, 2, 1))
+            return ScanReport(
+                status="WITNESS",
+                samples_requested=samples,
+                samples_evaluated=index + 1,
+                min_value=float(rel),
+                witness_param=param,
+                witness_tuple=xs,
+                witness_value=necessity_form(d, param, xs, tol),
+                witness_index=index,
+            )
+    return ScanReport(
+        status="PASS", samples_requested=samples, samples_evaluated=samples, min_value=float(min_rel)
+    )
 
 
 def random_contraction(rng, k, norm=None):

@@ -185,6 +185,14 @@ def test_witness_deterministic(workdir, capsys):
     assert first == second
 
 
+def test_witness_negative_seed_is_usage_error(workdir, capsys):
+    path = write_problem(workdir / "p.json", [0.5, -0.4j], [0.2, 0.1])
+    assert main(["witness", str(path), "--seed", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert "seed must be nonnegative" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_consecutive_calls_share_no_options(workdir, capsys):
     """The parser is built once per process; each call still starts from the defaults."""
     path = write_problem(workdir / "p.json", [0.5], [0.2])

@@ -42,7 +42,7 @@ from cnpick.pick import (
 )
 from cnpick.interpolant import generate_feasible
 
-from conftest import fresh_builder, random_dataset, rng_for
+from conftest import fresh_builder, matrix_feasible, random_dataset, rng_for
 
 INFEASIBLE_DATA = DataSet.scalar([0.3, -0.3], [0.3, -0.3])
 
@@ -365,16 +365,6 @@ class TestSearch:
 
 def degree4_blaschke():
     return BlaschkeSpec(np.array([0.4 + 0.2j, -0.3 + 0.3j]), np.array([2, 2]))
-
-
-def matrix_feasible(seed, k, n):
-    """``W_i = C + z_i^2 D`` with ``||C|| + ||D|| < 1``: feasible by construction."""
-    rng = rng_for(seed)
-    nodes = random_dataset(seed, n=n).nodes
-    c, dd = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
-    c *= 0.3 / np.linalg.norm(c, 2)
-    dd *= 0.5 / np.linalg.norm(dd, 2)
-    return DataSet(nodes, np.array([c + z**2 * dd for z in nodes]))
 
 
 class TestBatchEvaluator:

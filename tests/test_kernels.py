@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnpick import kernels
 from cnpick.errors import DomainError
+from cnpick.feasibility import INFEASIBLE, search_x_grid
+from cnpick.interpolant import generate_feasible
 from cnpick.kernels import (
     GrassmannParam,
     XTuple,
@@ -19,7 +22,21 @@ from cnpick.kernels import (
 from cnpick.linalg import DEFAULT_TOL, is_psd
 from cnpick.pick import DataSet
 
-from conftest import distinct_nodes, random_dataset, rng_for
+from conftest import distinct_nodes, matrix_feasible, random_dataset, rng_for, scan_oracle
+
+
+def past_threshold(seed, n, k, threshold):
+    """Random data with values scaled 1e-2 past ``threshold``, where bisection
+    on ``search_x_grid`` found the switch from Feasible to Infeasible."""
+    d = random_dataset(seed, n=n, k=k)
+    return DataSet(d.nodes, d.values * threshold * (1 + 1e-2))
+
+
+# The first witness of a seed-0 scan lies in the second random block (index 110).
+NEAR_THRESHOLD = past_threshold(3, 3, 2, 0.0743615205137915)
+# The first random block holds witnesses of several shapes; the lowest index
+# (26) is not in the block's first shape group.
+CROWDED = past_threshold(6, 2, 3, 0.17419994378157413)
 
 
 class TestGrassmannSample:
@@ -44,6 +61,42 @@ class TestGrassmannSample:
             grassmann_sample(0, 2, 1)
         with pytest.raises(DomainError):
             grassmann_sample(0, 1, 3)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed"):
+            grassmann_sample(-1, 1, 1)
+        with pytest.raises(DomainError, match="seed"):
+            necessity_scan(DataSet.scalar([0.5], [0.2]), seed=-1)
+
+    @pytest.mark.parametrize("shape", default_shapes(3))
+    def test_matches_batched_draw(self, shape):
+        l, lp = shape
+        seeds = [0, 1, 17, 81, 3 * 1_000_003 + 40, 2**70]
+        if lp > 2 * l:
+            with pytest.raises(DomainError):
+                kernels._draw_params(seeds, l, lp)
+            with pytest.raises(DomainError):
+                grassmann_sample(seeds[0], l, lp)
+            return
+        alpha, beta = kernels._draw_params(seeds, l, lp)
+        assert alpha.shape == beta.shape == (len(seeds), lp, l)
+        for row, seed in enumerate(seeds):
+            p = grassmann_sample(seed, l, lp)
+            assert np.array_equal(alpha[row], p.alpha) and np.array_equal(beta[row], p.beta)
+
+    @pytest.mark.parametrize("shape, floor", [((1, 1), 0.6), ((2, 2), 0.3), ((2, 3), 0.65), ((3, 3), 0.2)])
+    def test_redraw_matches_per_seed(self, monkeypatch, shape, floor):
+        l, lp = shape
+        seeds = list(range(100, 164))
+        first, _ = kernels._draw_params(seeds, l, lp)
+        monkeypatch.setattr(kernels, "_INJECTIVITY_FLOOR", floor)
+        alpha, beta = kernels._draw_params(seeds, l, lp)
+        redrawn = [row for row in range(len(seeds)) if not np.array_equal(alpha[row], first[row])]
+        assert 0 < len(redrawn) < len(seeds)
+        assert np.all(np.linalg.svd(alpha, compute_uv=False)[:, -1] > floor)
+        for row, seed in enumerate(seeds):
+            p = grassmann_sample(seed, l, lp)
+            assert np.array_equal(alpha[row], p.alpha) and np.array_equal(beta[row], p.beta)
 
     def test_param_validation(self):
         with pytest.raises(DomainError):
@@ -248,9 +301,71 @@ class TestNecessityScan:
         assert a.witness_index == b.witness_index
         assert a.min_value == b.min_value
 
+    @pytest.mark.parametrize("data", [NEAR_THRESHOLD, CROWDED], ids=["near", "crowded"])
+    def test_pinned_instances_are_infeasible(self, data):
+        assert search_x_grid(data).status == INFEASIBLE
+
     def test_default_shapes(self):
         assert default_shapes(1) == ((1, 1),)
         assert default_shapes(2) == ((1, 1), (1, 2), (2, 2))
+
+
+def assert_matches_oracle(report, oracle):
+    assert report.status == oracle.status
+    assert report.witness_index == oracle.witness_index
+    assert report.samples_evaluated == oracle.samples_evaluated
+    assert report.samples_requested == oracle.samples_requested
+    assert abs(report.min_value - oracle.min_value) <= 1e-15
+    if oracle.status == "WITNESS":
+        got, want = report.witness_param, oracle.witness_param
+        assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-15
+        assert np.max(np.abs(got.beta - want.beta)) <= 1e-15
+        entries = report.witness_tuple.entries - oracle.witness_tuple.entries
+        assert np.max(np.abs(entries)) <= 1e-15
+        assert abs(report.witness_value - oracle.witness_value) <= 1e-15 * (
+            1.0 + abs(oracle.witness_value)
+        )
+
+
+class TestScanMatchesOracle:
+    """The blocked scan returns what the one-sample-at-a-time loop returns."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            generate_feasible(21, 3)[0],
+            matrix_feasible(22, 2, 3),
+            matrix_feasible(23, 3, 2),
+        ],
+        ids=["k1", "k2", "k3"],
+    )
+    def test_feasible_data(self, data):
+        report = necessity_scan(data, samples=500, seed=4)
+        assert report.passed
+        assert_matches_oracle(report, scan_oracle(data, samples=500, seed=4))
+
+    def test_documented_infeasible_instance(self):
+        d = DataSet.scalar([0.3, -0.3], [0.3, -0.3])
+        report = necessity_scan(d, samples=2000, seed=0)
+        assert report.status == "WITNESS"
+        assert_matches_oracle(report, scan_oracle(d, samples=2000, seed=0))
+
+    @pytest.mark.parametrize("samples", [1, 17, 18, 81, 82, 500])
+    @pytest.mark.parametrize("data", [NEAR_THRESHOLD, matrix_feasible(24, 2, 2)], ids=["near", "feasible"])
+    def test_block_edges(self, data, samples):
+        report = necessity_scan(data, samples=samples, seed=0)
+        assert_matches_oracle(report, scan_oracle(data, samples=samples, seed=0))
+
+    def test_witness_in_later_block(self):
+        report = necessity_scan(NEAR_THRESHOLD, samples=500, seed=0)
+        assert report.status == "WITNESS"
+        assert report.witness_index > 81
+        assert_matches_oracle(report, scan_oracle(NEAR_THRESHOLD, samples=500, seed=0))
+
+    def test_lowest_index_wins_across_shapes(self):
+        report = necessity_scan(CROWDED, samples=500, seed=0)
+        assert report.witness_index == 26
+        assert_matches_oracle(report, scan_oracle(CROWDED, samples=500, seed=0))
 
 
 @settings(max_examples=30, deadline=None)
