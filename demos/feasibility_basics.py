@@ -31,9 +31,10 @@ report = search_x_grid(data)
 print(f"search: {report.status}, witness x = {complex(report.witness_x[0, 0]):.6f}")
 
 # The complementary one-parameter criterion certifies feasibility by
-# exhibiting a single disk point whose criterion matrix is PSD.
+# exhibiting a single disk point lambda whose criterion matrix is PSD.
+# Lambda is itself an origin value, so it comes back as witness_x.
 report = search_lambda(data, resolution=64)
-print(f"one-parameter route: {report.status} at lambda = {report.witness_lambda:.6f}")
+print(f"one-parameter route: {report.status} at lambda = {complex(report.witness_x[0, 0]):.6f}")
 
 # Now the instance that shows the constraint is not free: targets
 # w = (0.3, -0.3) at nodes z = (0.3, -0.3).  The identity function
@@ -49,5 +50,5 @@ report = search_x_grid(data)
 print(f"constrained search: {report.status}, best margin {report.margin:.4f}")
 print(f"grid stats: {report.grid_stats}")
 
-report = search_lambda(data, resolution=200, refine=2)
+report = search_lambda(data, resolution=200)
 print(f"one-parameter route agrees: {report.status}")

@@ -47,8 +47,7 @@ in_body = in_union = 0
 for re in grid:
     for im in np.linspace(-0.14, 0.14, 12):
         w0 = complex(re, im)
-        flag, _, _ = body_membership(z1, w1, z0, w0)
-        in_body += flag
+        in_body += body_membership(z1, w1, z0, w0).feasible
         in_union += union.covers(w0)
 print(f"gap measurement on a {12}x{12} local grid: {in_body} points in the body, "
       f"{in_union} covered by the disk union")
@@ -59,8 +58,12 @@ print(f"\nvalue disk at the central x: center {slice_disk.center:.6f}, "
       f"radius {slice_disk.radius:.6f}")
 
 # Membership queries: the constant function makes w0 = w1 attainable;
-# values outside the unconstrained disk are certainly not.
+# values outside the unconstrained disk are certainly not.  Each answer
+# is the solver's report on the augmented data.
 for w0 in (w1, disk.center + 1.5 * disk.radius):
-    flag, witness, margin = body_membership(z1, w1, z0, w0)
-    tail = f"witness x = {witness:.6f}" if flag else f"best margin {margin:.2e}"
-    print(f"w0 = {w0:.4f}: attainable = {flag}  ({tail})")
+    report = body_membership(z1, w1, z0, w0)
+    if report.feasible:
+        tail = f"witness x = {complex(report.witness_x[0, 0]):.6f}"
+    else:
+        tail = f"best margin {report.margin:.2e}"
+    print(f"w0 = {w0:.4f}: attainable = {report.feasible}  ({tail})")

@@ -32,11 +32,9 @@ from .pick import (
     AuxMatrices,
     BlaschkeSpec,
     DataSet,
-    OverlapVerdict,
     PickBundle,
     assemble_bundle,
     aux_matrices,
-    check_overlap,
     constrained_pick,
     constrained_pick_cf,
     constrained_pick_compressed,
@@ -50,7 +48,6 @@ from .pick import (
 from .kernels import (
     GrassmannParam,
     ScanReport,
-    XTuple,
     grassmann_sample,
     kernel_eval,
     kernel_gram,

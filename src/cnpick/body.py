@@ -39,8 +39,10 @@ import numpy as np
 from .errors import DomainError, NotPsdError
 from .feasibility import (
     Disk,
+    FeasReport,
     MatrixBall,
     FEASIBLE,
+    INFEASIBLE,
     _disk_grid,
     ball_unstructured,
     one_point_disk,
@@ -76,7 +78,7 @@ def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_T
     if np.any(d.nodes == z0):
         raise DomainError("z0 must differ from every interpolation node")
     p = pick_matrix(d)
-    min_eig, scale = psd_margin(p, tol)
+    min_eig, scale = psd_margin(p)
     if min_eig <= tol.psd_tol * scale:
         raise NotPsdError(
             f"Pick matrix must be positive definite (min eig {min_eig:.3e})"
@@ -165,23 +167,28 @@ def body_disk_x(
 
 def body_membership(
     z1: complex, w1: complex, z0: complex, w0: complex, tol: ToleranceConfig = DEFAULT_TOL
-):
+) -> FeasReport:
     """Decide whether ``w0`` is an attainable value at ``z0``.
 
     ``w0`` is attainable exactly when the augmented data
-    ``{(z1, w1), (z0, w0)}`` is solvable, which :func:`search_x_grid`
-    decides: a Feasible verdict carries the maximising origin value as
-    witness, an Infeasible one a dual certificate.
-
-    Returns ``(inside, witness_x, margin)``; ``witness_x`` is None unless
-    ``w0`` is inside.
+    ``{(z1, w1), (z0, w0)}`` is solvable, so the verdict is the
+    :class:`FeasReport` of :func:`search_x_grid` on it: ``feasible``
+    says whether ``w0`` is inside, a Feasible report carries the
+    maximising origin value as ``witness_x`` and an Infeasible one a
+    dual ``certificate``.  Certified Infeasible and Undetermined stay
+    apart.  A value with ``|w0| > 1`` is Infeasible without the solver.
     """
     _check_body_args(z1, w1, z0)
     if abs(w0) > 1.0:
-        return False, None, -np.inf
-    report = search_x_grid(DataSet.scalar([z1, z0], [w1, w0]), tol=tol)
-    inside = report.status == FEASIBLE
-    return inside, (complex(report.witness_x[0, 0]) if inside else None), report.margin
+        # Its Pick entry (1 - |w0|^2) / (1 - |z0|^2) < 0 does not depend on
+        # x, so the unit matrix at that row is a dual certificate of the
+        # 6 x 6 LMI (two nodes, two jets and their mirrors).
+        certificate = np.zeros((6, 6))
+        certificate[1, 1] = 1.0
+        return FeasReport(
+            INFEASIBLE, detail="|w0| > 1 exceeds the sup-norm bound", certificate=certificate
+        )
+    return search_x_grid(DataSet.scalar([z1, z0], [w1, w0]), tol=tol)
 
 
 @dataclass(frozen=True)

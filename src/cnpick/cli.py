@@ -147,7 +147,7 @@ def cmd_witness(args) -> int:
         "value": report.witness_value,
         "alpha": matrix_to_json(report.witness_param.alpha),
         "beta": matrix_to_json(report.witness_param.beta),
-        "tuple": [matrix_to_json(x) for x in report.witness_tuple.entries],
+        "tuple": [matrix_to_json(x) for x in report.witness_tuple],
     }
     _emit(
         args,
@@ -253,10 +253,11 @@ def cmd_solve(args) -> int:
             )
             return EXIT_INFEASIBLE
 
-    chain = construct_interpolant(data, x, tol)
+    chain = construct_interpolant(data, x)
+    # Verify first: a refused --check-tol must not leave a chain file behind.
+    report = verify_interpolant(chain, data, problem.blaschke, tol=args.check_tol)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(chain_to_json(chain), handle, indent=2)
-    report = verify_interpolant(chain, data, problem.blaschke, tol=args.check_tol)
     document = {
         "schema": SCHEMA,
         "command": "solve",

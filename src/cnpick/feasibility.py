@@ -58,7 +58,7 @@ from .pick import (
     DataSet,
     assemble_bundle,
     aux_matrices,
-    check_overlap,
+    constrained_pick,
     constrained_pick_terms,
     pick_matrix,
 )
@@ -95,6 +95,8 @@ M_COND_LIMIT = 1e12
 # and with margins uniformly below 10 * psd_tol (relative).
 INFEASIBLE_MIN_RESOLUTION = 200
 INFEASIBLE_MARGIN_FACTOR = 10.0
+# Local refinement passes of ``search_lambda`` after the disk grid.
+REFINE_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -155,20 +157,24 @@ def ball_membership(ball: MatrixBall, xt, tol: ToleranceConfig = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class FeasReport:
-    """Verdict of a feasibility search.
+    """Verdict of a solvability question, the one record every route returns.
 
-    ``status`` is Feasible, Infeasible or Undetermined.  Feasible
-    reports carry a witness (parameter matrix or disk point).  ``margin``
-    is the best smallest-eigenvalue found; ``grid_stats`` records the
-    work done and the bounds behind the verdict.  Its ``points`` counts
-    grid points for :func:`search_lambda` and Newton steps for
-    :func:`search_x_grid` (the key keeps its name).  Infeasible verdicts
-    of :func:`search_x_grid` carry their dual ``certificate``.
+    ``status`` is Feasible, Infeasible or Undetermined.  A Feasible
+    report carries ``witness_x``, a k x k origin value at which the
+    constrained Pick matrix is PSD, so :func:`constrained_pick_cf`
+    re-checks it.  The solver of :func:`search_x_grid` reports its
+    maximiser, its overlap route the value shared by the nodes that meet
+    the constraint zeros, and :func:`search_lambda` its ``[[lambda]]``
+    (lambda is the origin value).  ``margin`` is the best smallest
+    eigenvalue found; ``grid_stats`` records the work done and the
+    bounds behind the verdict.  Its ``points`` counts grid points for
+    :func:`search_lambda` and Newton steps for :func:`search_x_grid`
+    (the key keeps its name).  Infeasible verdicts of the solver carry
+    their dual ``certificate``.
     """
 
     status: str
     witness_x: Optional[np.ndarray] = None
-    witness_lambda: Optional[complex] = None
     margin: float = -np.inf
     grid_stats: dict = field(default_factory=dict)
     detail: str = ""
@@ -209,7 +215,7 @@ def pencil_from_parts(p, e_tilde, w_tilde, tol: ToleranceConfig = DEFAULT_TOL) -
     p = np.asarray(p, dtype=complex)
     e_tilde = np.asarray(e_tilde, dtype=complex)
     w_tilde = np.asarray(w_tilde, dtype=complex)
-    min_eig, scale = psd_margin(p, tol)
+    min_eig, scale = psd_margin(p)
     pd = min_eig > tol.psd_tol * scale
     if not pd:
         return LmiPencil(p, e_tilde, w_tilde, p_is_pd=False, p_min_eig=min_eig)
@@ -289,7 +295,7 @@ def ball_unstructured(pencil: LmiPencil, tol: ToleranceConfig = DEFAULT_TOL) -> 
 # scalar closed forms
 
 
-def scalar_delta(d: DataSet, tol: ToleranceConfig = DEFAULT_TOL):
+def scalar_delta(d: DataSet):
     """Scalar-route matrices ``(Delta, Delta_tilde)`` for k = 1 data.
 
     ``Delta = P + W W* + Z W W* Z*`` (the trailing factor is the adjoint
@@ -339,9 +345,9 @@ def scalar_feasible_x(
     if abs(x) >= 1.0:
         raise DomainError("the scalar route assumes |x| < 1")
     if deltas is None:
-        deltas = scalar_delta(d, tol)
+        deltas = scalar_delta(d)
     delta, delta_tilde = deltas
-    min_eig, scale = psd_margin(delta, tol)
+    min_eig, scale = psd_margin(delta)
     if min_eig <= tol.psd_tol * scale:
         raise NotPsdError("Delta must be positive definite for the scalar route")
     aux = aux_matrices(d)
@@ -510,17 +516,33 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     return best[0], best[1], best[2], upper, certificate, steps
 
 
-def _overlap_report(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasReport:
-    verdict = check_overlap(d, b, tol)
-    if verdict.conflict:
-        return FeasReport(INFEASIBLE, detail="overlap values differ", margin=-np.inf)
-    status = FEASIBLE if verdict.feasible else INFEASIBLE
-    return FeasReport(
-        status,
-        witness_x=verdict.anchor if verdict.feasible else None,
-        margin=float(verdict.margin if verdict.margin is not None else -np.inf),
-        detail=verdict.detail,
-    )
+def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasReport:
+    """Decide instances whose nodes meet the constraint zeros.
+
+    If some nodes coincide with zeros of the Blaschke product, a
+    solution exists exactly when all the overlapped target values agree
+    (they all equal the shared value at the zeros) and the constrained
+    Pick matrix at that value, built on the de-duplicated node set, is
+    PSD.  With no remaining nodes this collapses to contractivity of the
+    shared value.  A Feasible verdict carries the shared value as
+    ``witness_x``.
+    """
+    overlap = [i for i, z in enumerate(d.nodes) if np.any(b.zeros == z)]
+    anchor = d.values[overlap[0]]
+    wscale = 1.0 + max(operator_norm(d.values[i]) for i in overlap)
+    if any(operator_norm(d.values[i] - anchor) > tol.residual_tol * wscale for i in overlap[1:]):
+        return FeasReport(INFEASIBLE, detail="overlap values differ")
+    keep = [i for i in range(d.n) if i not in overlap]
+    if keep:
+        reduced = DataSet(d.nodes[keep], d.values[keep])
+        ok, margin = is_psd(constrained_pick(reduced, b, anchor), tol)
+        detail = "reduced to a PSD test at the shared overlap value"
+    else:
+        margin = 1.0 - operator_norm(anchor)
+        ok = margin >= -tol.psd_tol
+        detail = "all nodes overlap; feasibility = contractivity of the shared value"
+    status = FEASIBLE if ok else INFEASIBLE
+    return FeasReport(status, witness_x=anchor if ok else None, margin=float(margin), detail=detail)
 
 
 def search_x_grid(
@@ -532,11 +554,11 @@ def search_x_grid(
     ``-psd_tol * scale`` (the maximiser is the witness), Infeasible when
     the dual ``certificate`` bounds it below ``-psd_tol * scale``, else
     Undetermined.  Overlapping nodes and constraint zeros short-circuit
-    to the exact overlap analysis.
+    to the exact overlap analysis (:func:`_overlap_search`).
     """
     b = b if b is not None else BlaschkeSpec.z_squared()
     if any(np.any(b.zeros == z) for z in d.nodes):
-        return _overlap_report(d, b, tol)
+        return _overlap_search(d, b, tol)
     a0, terms = constrained_pick_terms(assemble_bundle(d, b, tol))
     best_x, best_lmin, best_scale, upper, certificate, steps = _maximize_min_eig(a0, terms, tol)
     certified = upper < -tol.psd_tol * best_scale
@@ -557,14 +579,15 @@ def search_x_grid(
 def search_lambda(
     d: DataSet,
     resolution: int = 64,
-    refine: int = 2,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> FeasReport:
     """One-parameter grid search of the disk-automorphism criterion (k = 1).
 
-    A single parameter value whose criterion matrix is PSD certifies
-    feasibility.  Infeasible needs resolution >= 200, refine >= 2 and
-    uniformly negative margins.
+    A single parameter value ``lambda`` whose criterion matrix is PSD
+    certifies feasibility and is reported as ``witness_x = [[lambda]]``:
+    the criterion matrix at ``lambda`` is congruent to the reduced Pick
+    matrix at the origin value ``x = lambda``.  Infeasible needs
+    resolution >= 200 and uniformly negative margins.
     """
     if d.k != 1:
         raise DomainError("the one-parameter criterion applies to scalar data only")
@@ -573,11 +596,11 @@ def search_lambda(
     candidates = [0.0 + 0.0j] + [complex(v) for v in d.scalar_values() if abs(v) < 1]
     points = np.concatenate([np.asarray(candidates), _disk_grid(resolution)])
     halfwidth = 2.5 / max(resolution, 4)
-    # Best point by relative margin, then ``refine`` passes over a square of
-    # ``halfwidth`` around it (shrinking six-fold); ties go to the earliest index.
+    # Best point by relative margin, then ``REFINE_PASSES`` passes over a square
+    # of ``halfwidth`` around it (shrinking six-fold); ties go to the earliest index.
     best_l, best_lmin, best_scale = None, -np.inf, 1.0
     total, uniform = 0, True
-    for step in range(max(0, refine) + 1):
+    for step in range(REFINE_PASSES + 1):
         if step:
             points = _refine_grid(best_l, halfwidth)
             halfwidth /= 6.0
@@ -593,7 +616,6 @@ def search_lambda(
     best_lmin, best_scale = float(best_lmin), float(best_scale)
     stats = {
         "resolution": int(resolution),
-        "refine": int(refine),
         "points": total,
         "best_margin": best_lmin,
         "uniform_infeasible": uniform,
@@ -601,12 +623,12 @@ def search_lambda(
     if best_lmin >= -tol.psd_tol * best_scale:
         return FeasReport(
             FEASIBLE,
-            witness_lambda=complex(best_l),
+            witness_x=np.array([[complex(best_l)]]),
             margin=best_lmin,
             grid_stats=stats,
             detail="criterion matrix PSD at the reported parameter",
         )
-    if resolution >= INFEASIBLE_MIN_RESOLUTION and refine >= 2 and uniform:
+    if resolution >= INFEASIBLE_MIN_RESOLUTION and uniform:
         return FeasReport(
             INFEASIBLE, margin=best_lmin, grid_stats=stats,
             detail="margin uniformly negative over the refined grid",

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, ProblemFileError
-from .linalg import DEFAULT_TOL, ToleranceConfig, operator_norm
+from .linalg import operator_norm
 from .pick import BlaschkeSpec, DataSet
 from .problemfile import _complex_from
 
@@ -123,7 +123,7 @@ def schur_reduce_constrained(d: DataSet, x: complex) -> DataSet:
     return DataSet.scalar(d.nodes, (w - x) / denom)
 
 
-def np_central_solve(d: DataSet, tol: ToleranceConfig = DEFAULT_TOL) -> SchurChain:
+def np_central_solve(d: DataSet) -> SchurChain:
     """Classical Schur algorithm for scalar data with positive definite Pick matrix.
 
     Performs one reduction step per node in the given order and closes
@@ -167,9 +167,9 @@ def assemble_constrained(chain: SchurChain, x: complex) -> SchurChain:
     )
 
 
-def construct_interpolant(d: DataSet, x: complex, tol: ToleranceConfig = DEFAULT_TOL) -> SchurChain:
+def construct_interpolant(d: DataSet, x: complex) -> SchurChain:
     """Reduce, solve centrally, reassemble.  Scalar data, origin constraint."""
-    return assemble_constrained(np_central_solve(schur_reduce_constrained(d, x), tol), x)
+    return assemble_constrained(np_central_solve(schur_reduce_constrained(d, x)), x)
 
 
 def derivative_at(fn, point: complex, order: int = 1, nodes: int = 256):
@@ -240,8 +240,12 @@ def verify_interpolant(
     path for matrix-valued candidates supplied from outside).  Class
     membership in ``C + B H^inf`` is tested through its jet
     characterization: vanishing derivatives at each constraint zero up
-    to the multiplicity, equal values across distinct zeros.
+    to the multiplicity, equal values across distinct zeros.  ``tol``
+    must be finite and nonnegative (:class:`DomainError` otherwise): an
+    infinite one would pass every residual, a NaN one none.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise DomainError(f"residual tolerance must be finite and nonnegative, got {tol}")
     b = b if b is not None else BlaschkeSpec.z_squared()
     evaluate = (lambda z: chain_eval(fn, z)) if isinstance(fn, SchurChain) else fn
 

@@ -60,7 +60,6 @@ _SCAN_BLOCK = 64
 
 __all__ = [
     "GrassmannParam",
-    "XTuple",
     "ScanReport",
     "grassmann_sample",
     "kernel_eval",
@@ -107,23 +106,6 @@ class GrassmannParam:
     @property
     def ell_prime(self) -> int:
         return self.alpha.shape[0]
-
-
-@dataclass(frozen=True)
-class XTuple:
-    """Coefficient tuple for the necessity form: array of shape (n, k, ell)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 3:
-            raise DomainError(f"entries must have shape (n, k, ell), got {entries.shape}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def _draw_params(seeds: Sequence[int], ell: int, ell_prime: int):
@@ -246,21 +228,21 @@ def _check_nodes(d: DataSet):
         raise DomainError("necessity criteria require nonzero nodes")
 
 
-def necessity_form(d: DataSet, p: GrassmannParam, xs: XTuple, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def necessity_form(d: DataSet, p: GrassmannParam, xs, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Evaluate the necessity form for one parameter and coefficient tuple.
 
+    ``xs`` stacks the coefficient matrices ``X_i``: shape ``(n, k, ell)``.
     Nonnegative for every admissible input whenever the constrained
     problem is solvable; a negative value is an infeasibility witness.
     The result is real up to rounding; the imaginary part is checked
     against ``residual_tol`` and discarded.
     """
     _check_nodes(d)
-    if xs.entries.shape != (d.n, d.k, p.ell):
+    x, w = np.asarray(xs, dtype=complex), d.values
+    if x.shape != (d.n, d.k, p.ell):
         raise DomainError(
-            f"coefficient tuple must have shape ({d.n}, {d.k}, {p.ell}), "
-            f"got {xs.entries.shape}"
+            f"coefficient tuple must have shape ({d.n}, {d.k}, {p.ell}), got {x.shape}"
         )
-    x, w = xs.entries, d.values
     kmat = kernel_eval(p, d.nodes[:, None], d.nodes[None, :])
     core = x[None, :] @ kmat @ x[:, None].conj().swapaxes(-1, -2)
     outer = w[None, :].conj().swapaxes(-1, -2) @ core @ w[:, None]
@@ -298,9 +280,10 @@ class ScanReport:
 
     ``status`` is ``"PASS"`` (no witness found among the evaluated
     samples; explicitly not a proof of feasibility) or ``"WITNESS"``.
-    For a witness, the offending parameter, coefficient tuple, form
-    value and sample index are recorded.  ``min_value`` tracks the most
-    negative relative margin seen across all evaluated samples.
+    For a witness, the offending parameter, coefficient tuple (shape
+    ``(n, k, ell)``), form value and sample index are recorded.
+    ``min_value`` tracks the most negative relative margin seen across
+    all evaluated samples.
     """
 
     status: str
@@ -308,7 +291,7 @@ class ScanReport:
     samples_evaluated: int
     min_value: float
     witness_param: Optional[GrassmannParam] = None
-    witness_tuple: Optional[XTuple] = None
+    witness_tuple: Optional[np.ndarray] = None
     witness_value: Optional[float] = None
     witness_index: Optional[int] = None
 
@@ -326,8 +309,8 @@ def _canonical_scalar_params(count: int = 16):
 
 
 def default_shapes(k: int) -> Tuple[Tuple[int, int], ...]:
-    """All admissible (ell, ell') shape pairs for k x k data."""
-    return tuple((l, lp) for lp in range(1, k + 1) for l in range(1, lp + 1))
+    """All admissible (ell, ell') shape pairs for k x k data: ell <= ell' <= min(k, 2 ell)."""
+    return tuple((l, lp) for lp in range(1, k + 1) for l in range(1, lp + 1) if lp <= 2 * l)
 
 
 def _scan_blocks(samples: int, shapes, seed: int):
@@ -355,7 +338,6 @@ def _scan_blocks(samples: int, shapes, seed: int):
 def necessity_scan(
     d: DataSet,
     samples: int = 500,
-    shapes: Optional[Sequence[Tuple[int, int]]] = None,
     seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> ScanReport:
@@ -365,7 +347,7 @@ def necessity_scan(
     pair ``(1, 0)`` followed by a 16-point sweep of ``(cos t, sin t)``),
     since for scalar data the scalar family already decides feasibility
     and these are the cheapest witnesses.  Remaining samples draw random
-    parameters cycling through the requested ``(ell, ell')`` shapes.
+    parameters cycling through the shapes of :func:`default_shapes`.
     Each sampled parameter is probed with the extremal coefficient tuple
     taken from the eigendecomposition of the induced quadratic form,
     which dominates any random tuple for that parameter.
@@ -385,18 +367,8 @@ def necessity_scan(
         raise DomainError("samples must be >= 1")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    if shapes is None:
-        shapes = default_shapes(d.k)
-    shapes = [
-        (int(l), int(lp))
-        for (l, lp) in shapes
-        if 1 <= l <= lp <= d.k and lp <= 2 * l
-    ]
-    if not shapes:
-        shapes = [(1, 1)]
-
     min_rel = np.inf
-    for block in _scan_blocks(samples, shapes, seed):
+    for block in _scan_blocks(samples, default_shapes(d.k), seed):
         hit = None
         for indices, alpha, beta in block:
             f = _form_stack(d, alpha, beta)
@@ -411,7 +383,7 @@ def necessity_scan(
         if hit is not None:
             index, rel, alpha, beta, vec = hit
             param = GrassmannParam(alpha, beta)
-            xs = XTuple(vec.reshape(d.n, param.ell, d.k).transpose(0, 2, 1))
+            xs = vec.reshape(d.n, param.ell, d.k).transpose(0, 2, 1)
             return ScanReport(
                 status="WITNESS",
                 samples_requested=samples,

@@ -117,7 +117,7 @@ def eig_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL):
     return w, v
 
 
-def psd_margin(a, tol: ToleranceConfig = DEFAULT_TOL):
+def psd_margin(a):
     """Smallest eigenvalue and the relative scale used by :func:`is_psd`.
 
     Returns ``(min_eig, scale)`` where ``scale = 1 + max |eigenvalue|``.
@@ -138,11 +138,11 @@ def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL):
     ``min_eig >= -psd_tol * (1 + ||a||)``; the raw smallest eigenvalue is
     returned for margin reporting.
     """
-    min_eig, scale = psd_margin(a, tol)
+    min_eig, scale = psd_margin(a)
     return bool(min_eig >= -tol.psd_tol * scale), min_eig
 
 
-def schur_complement(a, head: int, tol: ToleranceConfig = DEFAULT_TOL):
+def schur_complement(a, head: int):
     """Schur complement ``A11 - A12 A22^{-1} A21`` onto the leading block.
 
     ``head`` is the size of the retained upper-left block; the trailing

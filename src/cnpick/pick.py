@@ -53,7 +53,6 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     hermitian_part,
-    is_psd,
     operator_norm,
     psd_margin,
     schur_complement,
@@ -64,7 +63,6 @@ __all__ = [
     "BlaschkeSpec",
     "AuxMatrices",
     "PickBundle",
-    "OverlapVerdict",
     "pick_matrix",
     "aux_matrices",
     "jet_matrices",
@@ -77,7 +75,6 @@ __all__ = [
     "constrained_pick_terms",
     "constrained_pick_cf",
     "constrained_pick_compressed",
-    "check_overlap",
 ]
 
 
@@ -298,7 +295,11 @@ def jet_matrices(b: BlaschkeSpec, k: int):
     return j, e_tilde
 
 
-def stein_solve(j, e_tilde, z, e, cond_limit: float = 1e13):
+# Stein operator amplification beyond which the solve is refused.
+STEIN_COND_LIMIT = 1e13
+
+
+def stein_solve(j, e_tilde, z, e):
     """Solve the two Stein equations exactly as finite linear systems.
 
     Solves ``Q - J Q J* = Et Et*`` via the vectorized operator
@@ -322,9 +323,9 @@ def stein_solve(j, e_tilde, z, e, cond_limit: float = 1e13):
     col_ops = np.eye(kd)[None, :, :] - np.conj(zdiag)[:, None, None] * j[None, :, :]
     smin = min(smin, np.min(np.linalg.svd(col_ops, compute_uv=False)[:, -1]))
     cond = np.inf if smin == 0 else 1.0 / smin
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > STEIN_COND_LIMIT:
         raise IllConditionedError(
-            f"Stein operator amplification ~ {cond:.3e} exceeds {cond_limit:.1e}",
+            f"Stein operator amplification ~ {cond:.3e} exceeds {STEIN_COND_LIMIT:.1e}",
             cond=cond,
         )
     rhs = (e_tilde @ e_tilde.conj().T).reshape(-1, order="F")
@@ -375,11 +376,11 @@ def _check_constrained_domain(d: DataSet, b: BlaschkeSpec):
                         "node 0 coincides with a constraint zero at the origin; "
                         "the instance is a Caratheodory-Fejer problem in disguise "
                         "(value and jet data at 0) and must be posed that way, or "
-                        "routed through check_overlap"
+                        "decided by search_x_grid"
                     )
                 raise DomainError(
                     f"node {i} ({zi}) coincides with a constraint zero; "
-                    "route the instance through check_overlap"
+                    "decide the instance with search_x_grid"
                 )
 
 
@@ -409,7 +410,7 @@ def assemble_bundle(
     # the identity exactly when all constraint zeros sit at the origin,
     # but in general its smallest eigenvalue can drop below 1 and, for
     # high multiplicities, very close to 0.
-    min_eig, scale = psd_margin(q, tol)
+    min_eig, scale = psd_margin(q)
     if min_eig < -tol.psd_tol * scale:
         raise IllConditionedError(f"Stein solution not PSD: min eig = {min_eig:.3e}")
 
@@ -623,77 +624,3 @@ def constrained_pick_compressed(
             cond=exc.cond,
         ) from exc
     return hermitian_part(compressed)
-
-
-# ---------------------------------------------------------------------------
-# overlapping nodes and constraint zeros
-
-
-@dataclass(frozen=True)
-class OverlapVerdict:
-    """Outcome of the overlap analysis between nodes and constraint zeros.
-
-    ``has_overlap`` is False for disjoint sets (nothing else is filled
-    in).  With overlap, either the overlapped target values disagree
-    (``conflict``, instantly infeasible) or the problem reduces to a
-    single PSD test at the shared value, reported in ``feasible`` and
-    ``margin``.
-    """
-
-    has_overlap: bool
-    node_indices: tuple = ()
-    conflict: bool = False
-    anchor: Optional[np.ndarray] = None
-    feasible: Optional[bool] = None
-    margin: Optional[float] = None
-    detail: str = ""
-
-
-def check_overlap(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig = DEFAULT_TOL) -> OverlapVerdict:
-    """Decide instances whose nodes meet the constraint zeros.
-
-    If some nodes coincide with zeros of the Blaschke product, a
-    solution exists exactly when all the overlapped target values agree
-    (they all equal the shared value at the zeros) and the constrained
-    Pick matrix at that value, built on the de-duplicated node set, is
-    PSD.  With no remaining nodes this collapses to contractivity of the
-    shared value.
-    """
-    overlap = [i for i, z in enumerate(d.nodes) if np.any(b.zeros == z)]
-    if not overlap:
-        return OverlapVerdict(has_overlap=False, detail="nodes and constraint zeros disjoint")
-
-    anchor = d.values[overlap[0]]
-    wscale = 1.0 + max(operator_norm(d.values[i]) for i in overlap)
-    for i in overlap[1:]:
-        if operator_norm(d.values[i] - anchor) > tol.residual_tol * wscale:
-            return OverlapVerdict(
-                has_overlap=True,
-                node_indices=tuple(overlap),
-                conflict=True,
-                feasible=False,
-                detail="overlap values differ",
-            )
-
-    keep = [i for i in range(d.n) if i not in overlap]
-    if not keep:
-        margin = 1.0 - operator_norm(anchor)
-        return OverlapVerdict(
-            has_overlap=True,
-            node_indices=tuple(overlap),
-            anchor=anchor,
-            feasible=bool(margin >= -tol.psd_tol),
-            margin=float(margin),
-            detail="all nodes overlap; feasibility = contractivity of the shared value",
-        )
-
-    reduced = DataSet(d.nodes[keep], d.values[keep])
-    verdict, margin = is_psd(constrained_pick(reduced, b, anchor), tol)
-    return OverlapVerdict(
-        has_overlap=True,
-        node_indices=tuple(overlap),
-        anchor=anchor,
-        feasible=verdict,
-        margin=margin,
-        detail="reduced to a PSD test at the shared overlap value",
-    )

@@ -10,12 +10,12 @@ import pytest
 from cnpick.kernels import (
     GrassmannParam,
     ScanReport,
-    XTuple,
     default_shapes,
     grassmann_sample,
     necessity_form,
     necessity_form_matrix,
 )
+from cnpick.interpolant import generate_feasible
 from cnpick.linalg import DEFAULT_TOL
 from cnpick.pick import BlaschkeSpec, DataSet, assemble_bundle, constrained_pick
 
@@ -51,6 +51,12 @@ def random_dataset(seed, n=None, k=1, wmax=0.85):
             norm = np.linalg.norm(values[i], 2)
             values[i] *= rng.uniform(0.0, wmax) / max(norm, 1e-12)
     return DataSet(nodes, values)
+
+
+def accept5_instances():
+    """The 200 scalar instances of ACCEPT-5: 100 feasible by construction, 100 random."""
+    feasible = [generate_feasible(s, int(rng_for(s).integers(1, 4)))[0] for s in range(100)]
+    return feasible + [random_dataset(5_000_000 + s, k=1, wmax=0.9) for s in range(100)]
 
 
 def matrix_feasible(seed, k, n):
@@ -101,19 +107,17 @@ def fresh_builder(data, b=None):
     return a0, terms
 
 
-def scan_oracle(d, samples=500, shapes=None, seed=0, tol=DEFAULT_TOL):
+def scan_oracle(d, samples=500, seed=0, tol=DEFAULT_TOL):
     """The necessity scan evaluated one sample at a time.
 
     Test-side oracle for the library's blocked scan: the same samples in
     the same order (the pair (1, 0), a 16-point sweep of (cos t, sin t),
     then ``grassmann_sample(seed * 1_000_003 + index, ...)`` cycling
-    through the admissible shapes), each with its own form matrix and
+    through ``default_shapes(d.k)``), each with its own form matrix and
     ``eigh``; the first sample whose relative margin drops below
     ``-psd_tol`` is the witness.
     """
-    if shapes is None:
-        shapes = default_shapes(d.k)
-    shapes = [(l, lp) for (l, lp) in shapes if 1 <= l <= lp <= d.k and lp <= 2 * l] or [(1, 1)]
+    shapes = default_shapes(d.k)
     canonical = [GrassmannParam.scalar(1.0, 0.0)]
     for jj in range(16):
         theta = -np.pi / 2.0 + np.pi * (jj + 0.5) / 16
@@ -131,7 +135,7 @@ def scan_oracle(d, samples=500, shapes=None, seed=0, tol=DEFAULT_TOL):
         rel = w[0] / scale
         min_rel = min(min_rel, rel)
         if w[0] < -tol.psd_tol * scale:
-            xs = XTuple(v[:, 0].reshape(d.n, param.ell, d.k).transpose(0, 2, 1))
+            xs = v[:, 0].reshape(d.n, param.ell, d.k).transpose(0, 2, 1)
             return ScanReport(
                 status="WITNESS",
                 samples_requested=samples,

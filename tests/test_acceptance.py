@@ -41,6 +41,7 @@ from cnpick.pick import (
 )
 
 from conftest import (
+    accept5_instances,
     distinct_nodes,
     disk_point,
     random_blaschke,
@@ -232,12 +233,7 @@ def test_criterion_5_criterion_agreement():
     disagreements = 0
     both = 0
     indeterminate_pairs = []
-    instances = []
-    for seed in range(100):
-        rng = rng_for(seed)
-        instances.append(generate_feasible(seed, int(rng.integers(1, 4)))[0])
-    for seed in range(100):
-        instances.append(random_dataset(5_000_000 + seed, k=1, wmax=0.9))
+    instances = accept5_instances()
 
     for idx, d in enumerate(instances):
         rx = search_x_grid(d)
@@ -252,7 +248,7 @@ def test_criterion_5_criterion_agreement():
     # escalate a few indeterminate pairs to the certifying resolution
     for idx in indeterminate_pairs[:8]:
         rx = search_x_grid(instances[idx])
-        rl = search_lambda(instances[idx], resolution=200, refine=2)
+        rl = search_lambda(instances[idx], resolution=200)
         if rx.status != "Undetermined" and rl.status != "Undetermined":
             both += 1
             if rx.status != rl.status:
@@ -347,17 +343,15 @@ def test_criterion_9_body_subset_and_realizability():
     boundary_checked = 0
     for x, disk in union.inner_disks:
         for w0 in disk.boundary(12):
-            inside, _, _ = body_membership(z1, w1, z0, w0)
             boundary_checked += 1
-            if not inside:
+            if not body_membership(z1, w1, z0, w0).feasible:
                 boundary_failures += 1
     # spot-check a few points of a coarser boundary sampling as well
     independent_failures = 0
     step = max(1, len(union.inner_disks) // 10)
     for x, disk in union.inner_disks[::step][:10]:
         w0 = disk.boundary(8)[1]  # 45 degrees, off the 30-degree steps above
-        inside, _, _ = body_membership(z1, w1, z0, w0)
-        if not inside:
+        if not body_membership(z1, w1, z0, w0).feasible:
             independent_failures += 1
 
     rng = rng_for(99)

@@ -17,6 +17,7 @@ from cnpick.feasibility import (
     Disk,
     _batched_margins,
     _disk_grid,
+    _dual_bound,
     ball_membership,
     one_point_disk,
     search_x_grid,
@@ -24,7 +25,14 @@ from cnpick.feasibility import (
 from cnpick.interpolant import schur_reduce_constrained
 from cnpick.kernels import lambda_criterion_matrix
 from cnpick.linalg import DEFAULT_TOL, is_psd
-from cnpick.pick import DataSet, constrained_pick_z2_quadratic, pick_matrix
+from cnpick.pick import (
+    BlaschkeSpec,
+    DataSet,
+    assemble_bundle,
+    constrained_pick_terms,
+    constrained_pick_z2_quadratic,
+    pick_matrix,
+)
 
 from conftest import disk_point, random_dataset, rng_for
 
@@ -105,8 +113,7 @@ class TestBodyDisk:
         if disk is None:
             return
         for w0 in disk.boundary(12):
-            inside, witness, _ = body_membership(z1, w1, z0, w0)
-            assert inside
+            assert body_membership(z1, w1, z0, w0).feasible
             pair = DataSet.scalar([z1, z0], [w1, w0])
             assert is_psd(constrained_pick_z2_quadratic(pair, x))[0]
 
@@ -212,17 +219,23 @@ class TestInnerDisks:
 
 class TestBodyMembership:
     def test_constant_value(self):
-        inside, witness, _ = body_membership(0.5, 0.3, 0.2, 0.3)
-        assert inside
-        assert abs(witness - 0.3) < 0.2
+        report = body_membership(0.5, 0.3, 0.2, 0.3)
+        assert report.feasible
+        assert abs(report.witness_x[0, 0] - 0.3) < 0.2
 
     def test_outside_unit_disk(self):
-        inside, witness, _ = body_membership(0.5, 0.3, 0.2, 1.5)
-        assert not inside and witness is None
+        report = body_membership(0.5, 0.3, 0.2, 1.5)
+        assert report.status == INFEASIBLE and report.witness_x is None
+        assert report.margin == -np.inf
+        # The certificate bounds the augmented LMI below zero for every x.
+        data = DataSet.scalar([0.5, 0.2], [0.3, 1.5])
+        a0, terms = constrained_pick_terms(assemble_bundle(data, BlaschkeSpec.z_squared()))
+        assert _dual_bound(a0, terms, report.certificate) < 0
 
     def test_far_value_out(self):
-        inside, _, margin = body_membership(0.5, 0.3, 0.3, -0.95)
-        assert not inside and margin < 0
+        report = body_membership(0.5, 0.3, 0.3, -0.95)
+        assert report.status == INFEASIBLE and report.margin < 0
+        assert report.certificate is not None
 
 
 def lambda_criterion_flags(z1, w1, z0, values, x_resolution, tol=DEFAULT_TOL):

@@ -312,6 +312,21 @@ def test_non_finite_tolerance_is_usage_error(workdir, capsys, monkeypatch, route
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1e-7"])
+def test_bad_check_tol_is_usage_error(workdir, capsys, value):
+    # The constant 0.9 misses both targets; an infinite tolerance would pass it.
+    path = write_problem(workdir / "p.json", [0.5, -0.5], [0.4, 0.1 - 0.2j])
+    chain = workdir / "bad.json"
+    chain.write_text(json.dumps({"steps": [[0, 0, 0.9, 0]], "tail": [0, 0]}))
+    assert main(["verify", str(chain), str(path), f"--check-tol={value}", "--json"]) == 64
+    assert "finite and nonnegative" in capsys.readouterr().err
+    feasible = write_problem(workdir / "q.json", [0.5], [0.5])
+    out = workdir / "chain.json"
+    assert main(["solve", str(feasible), "--out", str(out), f"--check-tol={value}"]) == 64
+    assert "finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stein_malformed_node_is_usage_error(workdir, capsys):
     blaschke = workdir / "b.json"
     blaschke.write_text(json.dumps({"zeros": [[0.0, 0.0]], "multiplicities": [2]}))

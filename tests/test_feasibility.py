@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cnpick.body import body_membership
 from cnpick.errors import DegenerateDataError, DomainError, NotPsdError
 from cnpick.feasibility import (
     FEASIBLE,
@@ -42,7 +43,14 @@ from cnpick.pick import (
 )
 from cnpick.interpolant import generate_feasible
 
-from conftest import fresh_builder, matrix_feasible, random_dataset, rng_for
+from conftest import (
+    accept5_instances,
+    disk_point,
+    fresh_builder,
+    matrix_feasible,
+    random_dataset,
+    rng_for,
+)
 
 INFEASIBLE_DATA = DataSet.scalar([0.3, -0.3], [0.3, -0.3])
 
@@ -326,7 +334,7 @@ class TestSearch:
         assert report.status == FEASIBLE
 
     def test_lambda_documented_gap(self):
-        report = search_lambda(INFEASIBLE_DATA, resolution=200, refine=2)
+        report = search_lambda(INFEASIBLE_DATA, resolution=200)
         assert report.status == INFEASIBLE
 
     def test_overlap_routes(self):
@@ -361,6 +369,40 @@ class TestSearch:
         data, _ = generate_feasible(400 + seed, 2)
         assert search_x_grid(data).status == FEASIBLE
         assert necessity_scan(data, samples=500, seed=seed).passed
+
+
+class TestWitnessRecheck:
+    """Every Feasible ``witness_x`` passes the CF form's PSD test at 1e-7 relative."""
+
+    CF_TOL = ToleranceConfig(psd_tol=1e-7)
+
+    def passes_cf(self, data, report):
+        cf = constrained_pick_cf(data, BlaschkeSpec.z_squared(), report.witness_x)
+        return is_psd(cf, self.CF_TOL)[0]
+
+    def test_solver_and_lambda_witnesses(self):
+        checked = 0
+        for d in accept5_instances():
+            for report in (search_x_grid(d), search_lambda(d, resolution=48)):
+                if report.feasible:
+                    checked += 1
+                    assert self.passes_cf(d, report)
+        assert checked >= 250
+
+    def test_body_membership_witnesses(self):
+        rng = rng_for(60_000)
+        feasible = infeasible = 0
+        for _ in range(60):
+            z1, z0 = disk_point(rng, 0.85, rmin=0.1), disk_point(rng, 0.85, rmin=0.1)
+            w1, w0 = disk_point(rng, 0.8), disk_point(rng, 1.0)
+            report = body_membership(z1, w1, z0, w0)
+            if report.feasible:
+                feasible += 1
+                assert self.passes_cf(DataSet.scalar([z1, z0], [w1, w0]), report)
+            elif report.status == INFEASIBLE:
+                infeasible += 1
+                assert report.certificate is not None
+        assert feasible >= 10 and infeasible >= 40
 
 
 def degree4_blaschke():

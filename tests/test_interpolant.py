@@ -212,6 +212,13 @@ class TestVerify:
         report = verify_interpolant(s, d, b)
         assert not report.passed  # jet at 0.4 does not vanish
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-7])
+    def test_rejects_bad_tolerance(self, tol):
+        # An infinite tolerance would pass the constant 0.9 on data it misses.
+        d = DataSet.scalar([0.5, -0.5], [0.4, 0.1 - 0.2j])
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            verify_interpolant(SchurChain(steps=((0.0, 0.9),), tail=0.0), d, tol=tol)
+
     def test_matrix_callable_path(self):
         d = DataSet(np.array([0.4]), (0.2 * np.eye(2)).reshape(1, 2, 2))
         report = verify_interpolant(lambda z: 0.2 * np.eye(2) * np.ones_like(np.asarray(z))[..., None, None], d)

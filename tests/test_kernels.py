@@ -9,7 +9,6 @@ from cnpick.feasibility import INFEASIBLE, search_x_grid
 from cnpick.interpolant import generate_feasible
 from cnpick.kernels import (
     GrassmannParam,
-    XTuple,
     default_shapes,
     grassmann_sample,
     kernel_eval,
@@ -68,7 +67,8 @@ class TestGrassmannSample:
         with pytest.raises(DomainError, match="seed"):
             necessity_scan(DataSet.scalar([0.5], [0.2]), seed=-1)
 
-    @pytest.mark.parametrize("shape", default_shapes(3))
+    # Every ell <= ell' <= 3, with the inadmissible (1, 3) refused.
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
     def test_matches_batched_draw(self, shape):
         l, lp = shape
         seeds = [0, 1, 17, 81, 3 * 1_000_003 + 40, 2**70]
@@ -231,13 +231,13 @@ class TestNecessityForm:
     def test_zero_targets_nonnegative(self):
         d = DataSet.scalar([0.3, -0.5], [0.0, 0.0])
         p = grassmann_sample(1, 1, 1)
-        xs = XTuple(np.array([[[1.0]], [[0.5 - 0.2j]]], dtype=complex))
+        xs = np.array([[[1.0]], [[0.5 - 0.2j]]])
         assert necessity_form(d, p, xs) >= 0
 
     def test_large_target_witness(self):
         d = DataSet.scalar([0.5], [1.5])
         p = GrassmannParam.scalar(1.0, 0.0)
-        xs = XTuple(np.array([[[1.0]]], dtype=complex))
+        xs = np.array([[[1.0]]])
         expected = (1 - 1.5**2) * (1 + 0.5**4 / (1 - 0.25))
         assert necessity_form(d, p, xs) == pytest.approx(expected)
         assert expected < 0
@@ -250,7 +250,7 @@ class TestNecessityForm:
         alpha, beta = np.cos(theta), np.sin(theta)
         xs = rng.standard_normal((d.n, 1, 1)) + 1j * rng.standard_normal((d.n, 1, 1))
         p = GrassmannParam.scalar(alpha, beta)
-        form = necessity_form(d, p, XTuple(xs))
+        form = necessity_form(d, p, xs)
         m = necessity_form_matrix(d, p)
         vec = xs[:, 0, 0]
         assert form == pytest.approx(float((vec.conj() @ m @ vec).real), rel=1e-9, abs=1e-9)
@@ -264,14 +264,16 @@ class TestNecessityForm:
         f = necessity_form_matrix(d, p)
         xs = rng.standard_normal((d.n, k, 1)) + 1j * rng.standard_normal((d.n, k, 1))
         vec = np.concatenate([xs[i].reshape(-1, order="F") for i in range(d.n)])
-        direct = necessity_form(d, p, XTuple(xs))
+        direct = necessity_form(d, p, xs)
         assert direct == pytest.approx(float((vec.conj() @ f @ vec).real), rel=1e-9, abs=1e-9)
 
     def test_shape_mismatch(self):
         d = DataSet.scalar([0.5], [0.0])
         p = grassmann_sample(0, 1, 1)
         with pytest.raises(DomainError):
-            necessity_form(d, p, XTuple(np.zeros((1, 2, 1), dtype=complex)))
+            necessity_form(d, p, np.zeros((1, 2, 1)))
+        with pytest.raises(DomainError):
+            necessity_form(d, p, np.zeros((1, 1)))
 
 
 class TestNecessityScan:
@@ -308,6 +310,8 @@ class TestNecessityScan:
     def test_default_shapes(self):
         assert default_shapes(1) == ((1, 1),)
         assert default_shapes(2) == ((1, 1), (1, 2), (2, 2))
+        # (1, 3) is inadmissible (ell' > 2 ell) and left out.
+        assert default_shapes(3) == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
 
 
 def assert_matches_oracle(report, oracle):
@@ -320,8 +324,7 @@ def assert_matches_oracle(report, oracle):
         got, want = report.witness_param, oracle.witness_param
         assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-15
         assert np.max(np.abs(got.beta - want.beta)) <= 1e-15
-        entries = report.witness_tuple.entries - oracle.witness_tuple.entries
-        assert np.max(np.abs(entries)) <= 1e-15
+        assert np.max(np.abs(report.witness_tuple - oracle.witness_tuple)) <= 1e-15
         assert abs(report.witness_value - oracle.witness_value) <= 1e-15 * (
             1.0 + abs(oracle.witness_value)
         )

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from cnpick.errors import DomainError, SingularBlockError
+from cnpick.feasibility import FEASIBLE, INFEASIBLE, search_x_grid
 from cnpick.linalg import DEFAULT_TOL, is_psd, operator_norm
 from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
     assemble_bundle,
     aux_matrices,
-    check_overlap,
     constrained_pick,
     constrained_pick_cf,
     constrained_pick_compressed,
@@ -317,48 +317,73 @@ class TestGeneralBuilders:
     def test_rejects_overlapping_node(self):
         d = DataSet.scalar([0.3, 0.5], [0.1, 0.1])
         b = BlaschkeSpec(np.array([0.3]), np.array([2]))
-        with pytest.raises(DomainError, match="check_overlap"):
+        with pytest.raises(DomainError, match="search_x_grid"):
             constrained_pick(d, b, 0.0)
 
 
 class TestOverlap:
-    def test_disjoint(self):
-        verdict = check_overlap(random_dataset(1, k=1), BlaschkeSpec.z_squared())
-        assert not verdict.has_overlap
+    """Nodes on constraint zeros: ``search_x_grid`` decides them exactly."""
+
+    REDUCED = "reduced to a PSD test at the shared overlap value"
+    TOTAL = "all nodes overlap; feasibility = contractivity of the shared value"
 
     def test_conflicting_values_infeasible(self):
         d = DataSet.scalar([0.3, 0.5], [0.1, 0.4])
         b = BlaschkeSpec(np.array([0.3, 0.5]), np.array([1, 1]))
-        verdict = check_overlap(d, b)
-        assert verdict.has_overlap and verdict.conflict and verdict.feasible is False
+        report = search_x_grid(d, b)
+        assert report.status == INFEASIBLE and report.margin == -np.inf
+        assert report.detail == "overlap values differ" and report.witness_x is None
 
     def test_matching_values_reduce(self):
         # Shared value at the overlapped node; remaining node must fit.
         d = DataSet.scalar([0.3, 0.6], [0.2, 0.2])
         b = BlaschkeSpec(np.array([0.3]), np.array([1]))
-        verdict = check_overlap(d, b)
-        assert verdict.has_overlap and not verdict.conflict
-        assert verdict.feasible  # the constant 0.2 solves the whole instance
+        report = search_x_grid(d, b)
+        assert report.status == FEASIBLE  # the constant 0.2 solves the whole instance
+        assert report.margin == pytest.approx(0.08315492751794226, rel=1e-12)
+        assert report.detail == self.REDUCED
+        assert np.array_equal(report.witness_x, [[0.2]])
 
     def test_total_overlap_contractivity(self):
         d = DataSet.scalar([0.3], [0.4])
         b = BlaschkeSpec(np.array([0.3, -0.5]), np.array([1, 1]))
-        verdict = check_overlap(d, b)
-        assert verdict.has_overlap and verdict.feasible
-        assert verdict.margin == pytest.approx(0.6)
+        report = search_x_grid(d, b)
+        assert report.status == FEASIBLE and report.detail == self.TOTAL
+        assert report.margin == pytest.approx(0.6, rel=1e-12)
+        assert np.array_equal(report.witness_x, [[0.4]])
 
     def test_matrix_data_overlap_reduction(self):
         w = 0.25 * np.eye(2)
         values = np.stack([w, 0.3 * np.eye(2)])
         d = DataSet(np.array([0.3, 0.6]), values)
         b = BlaschkeSpec(np.array([0.3]), np.array([2]))
-        verdict = check_overlap(d, b)
-        assert verdict.has_overlap and not verdict.conflict
-        assert np.allclose(verdict.anchor, w)
-        assert verdict.feasible is not None
+        report = search_x_grid(d, b)
+        assert report.status == FEASIBLE and report.detail == self.REDUCED
+        assert report.margin == pytest.approx(0.009566054857440099, rel=1e-12)
+        assert np.array_equal(report.witness_x, w)
 
     def test_total_overlap_expansive_value_infeasible(self):
         d = DataSet(np.array([0.3]), np.array([[[0.0, 2.0], [0.0, 0.0]]]))
         b = BlaschkeSpec(np.array([0.3]), np.array([1]))
-        verdict = check_overlap(d, b)
-        assert verdict.has_overlap and verdict.feasible is False
+        report = search_x_grid(d, b)
+        assert report.status == INFEASIBLE and report.detail == self.TOTAL
+        assert report.margin == pytest.approx(-1.0, rel=1e-12)
+        assert report.witness_x is None
+
+    def test_remaining_nodes_infeasible(self):
+        d = DataSet.scalar([0.3, 0.5, -0.4j], [0.1, 0.1, 0.5])
+        b = BlaschkeSpec(np.array([0.3, 0.5]), np.array([2, 1]))
+        report = search_x_grid(d, b)
+        assert report.status == INFEASIBLE and report.detail == self.REDUCED
+        assert report.margin == pytest.approx(-0.0765750743443135, rel=1e-12)
+        assert report.witness_x is None and report.certificate is None
+
+    def test_witness_passes_the_cf_form(self):
+        d = DataSet.scalar([0.3, 0.5, -0.4j], [0.1, 0.1, 0.05j])
+        b = BlaschkeSpec(np.array([0.3, 0.5]), np.array([2, 1]))
+        report = search_x_grid(d, b)
+        assert report.status == FEASIBLE and report.detail == self.REDUCED
+        assert report.margin == pytest.approx(0.0004482680449298271, rel=1e-12)
+        assert np.array_equal(report.witness_x, [[0.1]])
+        rest = DataSet.scalar([-0.4j], [0.05j])
+        assert is_psd(constrained_pick_cf(rest, b, report.witness_x))[0]
