@@ -26,6 +26,7 @@ from .feasibility import FEASIBLE, INFEASIBLE, UNDETERMINED, one_point_disk, sea
 from .interpolant import (
     chain_from_json,
     chain_to_json,
+    check_residual_tol,
     construct_interpolant,
     verify_interpolant,
 )
@@ -219,6 +220,7 @@ def cmd_body(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    check_residual_tol(args.check_tol)  # before any verdict, so every path refuses it alike
     problem = parse_problem(args.input)
     tol = _tolerances(args, problem.tol)
     data = problem.data
@@ -254,7 +256,6 @@ def cmd_solve(args) -> int:
             return EXIT_INFEASIBLE
 
     chain = construct_interpolant(data, x)
-    # Verify first: a refused --check-tol must not leave a chain file behind.
     report = verify_interpolant(chain, data, problem.blaschke, tol=args.check_tol)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(chain_to_json(chain), handle, indent=2)

@@ -22,11 +22,17 @@ strict positivity.  Note the factor order: the completed square reads
 ``(Xt - C) L^-1 (Xt - C)* <= Lam``, so ``Lam`` is the left semi-radius.
 
 ``search_x_grid`` decides solvability for every k and every Blaschke
-constraint with one log-barrier solver: ``A(X)`` is affine in the
-parameter (``constrained_pick_terms`` reads its coefficients off the
-Pick bundle), so ``lambda_min(A(X))`` is concave over ``||X|| <= 1``.
-The maximiser is the Feasible witness; the dual matrix is an Infeasible
-certificate that ``_dual_bound`` checks without the solver.  Body
+constraint with one primal-dual interior-point solver: ``A(X)`` is
+affine in the parameter (``constrained_pick_terms`` reads its
+coefficients off the Pick bundle), so maximising ``lambda_min(A(X))``
+over ``||X|| <= 1`` is a small semidefinite program.  Each iteration
+(an HKM direction with a Mehrotra predictor-corrector) gives a primal
+``X``, whose ``lambda_min(A(X))`` is a lower bound, and a dual ``Y``,
+whose ``_dual_bound`` is an upper bound; the solver stops when they
+decide the verdict or meet within the tolerance, and the stop rule is
+reported.  The best primal iterate is the Feasible witness; the dual
+matrix is an Infeasible certificate that ``_dual_bound`` checks without
+the solver.  Body
 membership is not a separate search: it is ``search_x_grid`` on the
 augmented data.  ``search_lambda`` alone stays a grid search (one
 batched eigenvalue call per stack of points, then local refinement):
@@ -97,6 +103,10 @@ INFEASIBLE_MIN_RESOLUTION = 200
 INFEASIBLE_MARGIN_FACTOR = 10.0
 # Local refinement passes of ``search_lambda`` after the disk grid.
 REFINE_PASSES = 2
+# Iteration cap of the primal-dual solver, and the fraction of the largest
+# PSD-keeping step its corrector takes.
+MAX_ITERATIONS = 50
+STEP_FRACTION = 0.95
 
 
 @dataclass(frozen=True)
@@ -168,9 +178,14 @@ class FeasReport:
     (lambda is the origin value).  ``margin`` is the best smallest
     eigenvalue found; ``grid_stats`` records the work done and the
     bounds behind the verdict.  Its ``points`` counts grid points for
-    :func:`search_lambda` and Newton steps for :func:`search_x_grid`
-    (the key keeps its name).  Infeasible verdicts of the solver carry
-    their dual ``certificate``.
+    :func:`search_lambda` and primal-dual iterations for
+    :func:`search_x_grid` (the key keeps its name), whose ``stop`` names
+    the rule that ended the solver: ``certified``, ``gap``,
+    ``duality_gap``, ``stall`` or ``cap``.  Infeasible verdicts of the
+    solver carry their dual ``certificate`` (checked by
+    :func:`_dual_bound` over every admissible parameter); those of the
+    overlap route's PSD test carry ``v v*``, with ``tr(v v* A) < 0`` at
+    the shared value.
     """
 
     status: str
@@ -441,21 +456,41 @@ def _dual_bound(a0: np.ndarray, terms: np.ndarray, y: np.ndarray) -> float:
 
 
 def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
-    """Maximise ``lambda_min(A(X))`` over ``||X|| <= 1`` by a log-barrier method.
+    """Maximise ``lambda_min(A(X))`` over ``||X|| <= 1`` by a primal-dual method.
 
-    Damped Newton on ``-s t - log det(A(X) - t I) - log det [[I, X], [X*, I]]``
-    in the real coordinates of ``(X, t)``, with ``s`` growing eight-fold
-    per pass.  Each pass yields a lower bound ``lambda_min(A(X))`` at the
-    current ``X`` and an upper bound :func:`_dual_bound` of
-    ``Y = (A(X) - t I)^-1``.  Stops once the upper bound is below
-    ``-psd_tol * scale``, or the gap or the central path's gap bound
-    ``size / s`` is at most ``psd_tol * scale`` (beyond it lies rounding).
-    Returns ``(best_x, best_lmin, best_scale, upper_bound, Y, newton_steps)``.
+    The problem is the SDP ``max t`` subject to
+    ``S = F(v) = (A(X) - t I) (+) [[I, X], [X*, I]] >= 0``, with ``v`` the
+    real coordinates of ``(X, t)``; its dual variable ``Z >= 0`` has
+    ``tr(F_j Z) = 0`` for the coordinates of ``X`` and a unit-trace
+    ``m x m`` block.  Each iteration takes the HKM direction with a
+    Mehrotra predictor-corrector from the Schur system
+    ``M_ij = Re tr(F_i Z F_j S^-1)`` and keeps ``S`` and ``Z`` positive
+    definite by step lengths read off one batched ``eigvalsh`` per
+    direction.  ``S`` stays equal to ``F(v)``; ``Z`` may start off its
+    equality constraints and reaches them at its first full step.
+
+    Every iterate yields a lower bound ``lambda_min(A(X))``; the witness
+    is the iterate with the largest one.  Every iterate also yields an
+    upper bound, :func:`_dual_bound` of ``Z``'s ``m x m`` block, which
+    holds whether or not ``Z`` meets its constraints.  Stop rules, by
+    name: ``certified`` once the upper bound is below ``-psd_tol *
+    scale``; ``gap`` once the two bounds are within ``psd_tol * scale``;
+    ``duality_gap`` once ``Z`` meets its constraints and ``tr(S Z)`` is at
+    most ``psd_tol * scale`` (beyond it lies rounding); ``stall`` when a
+    Cholesky factorisation of ``S``, ``Z`` or ``M`` fails, or a direction
+    is not finite; ``cap`` after ``MAX_ITERATIONS``.  While the two
+    bounds straddle zero or ``-psd_tol * scale``, the gap rules wait:
+    the iterations go on until the verdict is decided and the margin has
+    reached zero (the Schur construction needs a witness with a
+    nonnegative margin), or progress stalls.
+
+    Returns ``(best_x, best_lmin, best_scale, upper_bound, Y, iterations,
+    stop)``.
     """
     k, m = terms.shape[0], a0.shape[0]
     units = np.eye(k * k).reshape(k * k, k, k)
     coords = np.concatenate([units, 1j * units])  # X = sum_j y_j coords[j]
-    # One block-diagonal pencil F(v) = F0 + sum_j v_j F_j, v = (y, t), for both barriers.
+    # One block-diagonal pencil F(v) = F0 + sum_j v_j F_j, v = (y, t).
     f = np.zeros((len(coords) + 2, m + 2 * k, m + 2 * k), dtype=complex)
     f[0, :m, :m] = a0
     f[0, m:, m:] = np.eye(2 * k)
@@ -465,55 +500,83 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     f[1:-1, m : m + k, m + k :] = coords
     f[1:-1, m + k :, m : m + k] = coords.conj().transpose(0, 2, 1)
     f[-1, :m, :m] = -np.eye(m)
-    f = 0.5 * (f + f.conj().transpose(0, 2, 1))
+    f = hermitian_part(f)
+    fj = f[1:]
+    fj_rows = fj.reshape(len(fj), -1)  # tr(F_j W) = fj_rows @ W.T.ravel()
+    size = len(f[0])
+    target = np.zeros(len(fj))
+    target[-1] = 1.0  # maximise t
 
     def pencil(v):
-        return f[0] + np.tensordot(v, f[1:], 1)
+        return f[0] + np.tensordot(v, fj, 1)
 
-    def barrier(v, s):
-        try:
-            chol = np.linalg.cholesky(pencil(v))
-        except np.linalg.LinAlgError:
-            return np.inf
-        return -s * v[-1] - 2.0 * np.sum(np.log(chol.diagonal().real))
+    def traces(w):
+        return (fj_rows @ w.T.ravel()).real
 
-    v = np.zeros(len(f) - 1)
+    def step_lengths(inv_chol, ds, dz, gamma):
+        # Largest steps keeping S + a dS and Z + a dZ PSD, shortened by gamma, capped at 1.
+        scaled = inv_chol @ np.stack([ds, dz]) @ inv_chol.conj().swapaxes(-1, -2)
+        lowest = np.linalg.eigvalsh(scaled)[:, 0]
+        return np.minimum(1.0, gamma / np.maximum(-lowest, gamma))
+
+    v = np.zeros(len(fj))
     v[-1] = -1.0 - np.linalg.norm(a0)  # A0 - t I >= I
-    s = np.trace(np.linalg.inv(pencil(v)[:m, :m])).real
+    s = pencil(v)
+    z = np.linalg.inv(s)
+    z /= np.trace(z[:m, :m]).real  # the central point of S, with a unit-trace Y block
     best = (None, -np.inf, 1.0)
-    upper, certificate, steps = np.inf, None, 0
-    for _ in range(40):
-        for _ in range(50):
-            g_mats = np.linalg.inv(pencil(v)) @ f[1:]
-            grad = -np.einsum("jaa->j", g_mats).real
-            grad[-1] -= s
-            flat = g_mats.reshape(len(g_mats), -1)  # hess_ij = Re tr(G_i G_j)
-            hess = (flat @ g_mats.transpose(0, 2, 1).reshape(len(g_mats), -1).T).real
-            step = -np.linalg.solve(hess, grad)
-            slope = grad @ step
-            if -slope < 1e-6:
-                break
-            value, alpha = barrier(v, s), 1.0
-            while alpha > 1e-6 and barrier(v + alpha * step, s) > value + 0.25 * alpha * slope:
-                alpha *= 0.5
-            if alpha <= 1e-6:  # the barrier's decrease is below its rounding
-                break
-            v, steps = v + alpha * step, steps + 1
-        shifted = pencil(v)[:m, :m]
-        lmin, scale = _batched_margins(shifted[None] + v[-1] * np.eye(m))
-        if lmin[0] / scale[0] > best[1] / best[2]:
+    upper, certificate, stop = np.inf, None, "cap"
+    for iterations in range(MAX_ITERATIONS + 1):
+        lmin, scale = _batched_margins(s[None, :m, :m] + v[-1] * np.eye(m))
+        if lmin[0] > best[1]:
             best = (np.tensordot(v[:-1], coords, 1), float(lmin[0]), float(scale[0]))
-        y = np.linalg.inv(shifted)
-        y /= np.trace(y).real
+        y = z[:m, :m] / np.trace(z[:m, :m]).real
         bound = _dual_bound(a0, terms, y)
         if bound < upper:
             upper, certificate = bound, y
-        if upper < -tol.psd_tol * best[2] or upper - best[1] <= tol.psd_tol * best[2]:
+        slack = tol.psd_tol * best[2]
+        if upper < -slack:
+            stop = "certified"
             break
-        if len(f[0]) <= s * tol.psd_tol * best[2]:
+        gap = np.vdot(z, s).real
+        if not (upper >= 0 > best[1] or upper >= -slack > best[1]):
+            if upper - best[1] <= slack:
+                stop = "gap"
+                break
+            if gap <= slack and np.max(np.abs(target + traces(z))) <= tol.psd_tol:
+                stop = "duality_gap"
+                break
+        if iterations == MAX_ITERATIONS:
             break
-        s *= 8.0
-    return best[0], best[1], best[2], upper, certificate, steps
+        try:
+            inv_chol = np.linalg.inv(np.linalg.cholesky(np.stack([s, z])))
+            s_inv = inv_chol[0].conj().T @ inv_chol[0]
+            fz, fs = fj @ z, fj @ s_inv
+            schur = (fz.reshape(len(fj), -1) @ fs.transpose(0, 2, 1).reshape(len(fj), -1).T).real
+            schur_inv = np.linalg.inv(np.linalg.cholesky(schur))
+            # Predictor: the affine-scaling direction (centring weight 0).
+            dv = schur_inv.T @ (schur_inv @ target)
+            ds = np.tensordot(dv, fj, 1)
+            dz = -z - hermitian_part(z @ ds @ s_inv)
+            alpha = step_lengths(inv_chol, ds, dz, 1.0)
+            mu = gap / size
+            mu_aff = np.vdot(z + alpha[1] * dz, s + alpha[0] * ds).real / size
+            # Corrector: centring weight sigma and Mehrotra's second-order term.
+            sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3 if mu > 0 else 1.0
+            second = dz @ ds @ s_inv
+            dv = schur_inv.T @ (schur_inv @ (target + sigma * mu * traces(s_inv) - traces(second)))
+            ds = np.tensordot(dv, fj, 1)
+            dz = sigma * mu * s_inv - z - hermitian_part(z @ ds @ s_inv + second)
+            if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(dz))):
+                raise np.linalg.LinAlgError("direction is not finite")
+            alpha = step_lengths(inv_chol, ds, dz, STEP_FRACTION)
+        except np.linalg.LinAlgError:
+            stop = "stall"
+            break
+        v = v + alpha[0] * dv
+        s = pencil(v)
+        z = hermitian_part(z + alpha[1] * dz)
+    return best[0], best[1], best[2], upper, certificate, iterations, stop
 
 
 def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasReport:
@@ -525,7 +588,9 @@ def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasRe
     Pick matrix at that value, built on the de-duplicated node set, is
     PSD.  With no remaining nodes this collapses to contractivity of the
     shared value.  A Feasible verdict carries the shared value as
-    ``witness_x``.
+    ``witness_x``.  An Infeasible verdict of the PSD test carries
+    ``v v*`` as its ``certificate``, ``v`` the bottom eigenvector of that
+    matrix, so ``tr(v v* A) < 0`` re-checks it.
     """
     overlap = [i for i, z in enumerate(d.nodes) if np.any(b.zeros == z)]
     anchor = d.values[overlap[0]]
@@ -533,16 +598,24 @@ def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasRe
     if any(operator_norm(d.values[i] - anchor) > tol.residual_tol * wscale for i in overlap[1:]):
         return FeasReport(INFEASIBLE, detail="overlap values differ")
     keep = [i for i in range(d.n) if i not in overlap]
+    certificate = None
     if keep:
         reduced = DataSet(d.nodes[keep], d.values[keep])
-        ok, margin = is_psd(constrained_pick(reduced, b, anchor), tol)
+        pick = constrained_pick(reduced, b, anchor)
+        ok, margin = is_psd(pick, tol)
+        if not ok:
+            bottom = np.linalg.eigh(hermitian_part(pick))[1][:, :1]
+            certificate = bottom @ bottom.conj().T
         detail = "reduced to a PSD test at the shared overlap value"
     else:
         margin = 1.0 - operator_norm(anchor)
         ok = margin >= -tol.psd_tol
         detail = "all nodes overlap; feasibility = contractivity of the shared value"
     status = FEASIBLE if ok else INFEASIBLE
-    return FeasReport(status, witness_x=anchor if ok else None, margin=float(margin), detail=detail)
+    return FeasReport(
+        status, witness_x=anchor if ok else None, margin=float(margin), detail=detail,
+        certificate=certificate,
+    )
 
 
 def search_x_grid(
@@ -560,10 +633,10 @@ def search_x_grid(
     if any(np.any(b.zeros == z) for z in d.nodes):
         return _overlap_search(d, b, tol)
     a0, terms = constrained_pick_terms(assemble_bundle(d, b, tol))
-    best_x, best_lmin, best_scale, upper, certificate, steps = _maximize_min_eig(a0, terms, tol)
+    best_x, best_lmin, best_scale, upper, certificate, steps, stop = _maximize_min_eig(a0, terms, tol)
     certified = upper < -tol.psd_tol * best_scale
     stats = {"points": steps, "best_margin": best_lmin, "best_scale": best_scale,
-             "upper_bound": upper, "uniform_infeasible": certified}
+             "upper_bound": upper, "uniform_infeasible": certified, "stop": stop}
     if best_lmin >= -tol.psd_tol * best_scale:
         status, detail = FEASIBLE, "witness maximises the smallest eigenvalue"
     elif certified:

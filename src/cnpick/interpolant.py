@@ -47,6 +47,7 @@ __all__ = [
     "assemble_constrained",
     "construct_interpolant",
     "derivative_at",
+    "check_residual_tol",
     "verify_interpolant",
     "generate_feasible",
     "chain_to_json",
@@ -228,6 +229,16 @@ SUP_NORM_RADIUS = 0.999
 SUP_NORM_SAMPLES = 4096
 
 
+def check_residual_tol(tol: float) -> None:
+    """Refuse a residual tolerance that is not finite and nonnegative.
+
+    Raises :class:`DomainError`: an infinite tolerance would pass every
+    residual, a NaN one none.
+    """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise DomainError(f"residual tolerance must be finite and nonnegative, got {tol}")
+
+
 def verify_interpolant(
     fn: Union[SchurChain, Callable],
     d: DataSet,
@@ -241,11 +252,9 @@ def verify_interpolant(
     membership in ``C + B H^inf`` is tested through its jet
     characterization: vanishing derivatives at each constraint zero up
     to the multiplicity, equal values across distinct zeros.  ``tol``
-    must be finite and nonnegative (:class:`DomainError` otherwise): an
-    infinite one would pass every residual, a NaN one none.
+    must be finite and nonnegative (see :func:`check_residual_tol`).
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise DomainError(f"residual tolerance must be finite and nonnegative, got {tol}")
+    check_residual_tol(tol)
     b = b if b is not None else BlaschkeSpec.z_squared()
     evaluate = (lambda z: chain_eval(fn, z)) if isinstance(fn, SchurChain) else fn
 

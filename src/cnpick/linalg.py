@@ -77,9 +77,9 @@ def _as_square(a, name="matrix"):
 
 
 def hermitian_part(a):
-    """Return ``(A + A*) / 2``.  The result is Hermitian to the bit."""
+    """Return ``(A + A*) / 2`` of a matrix or a stack of matrices.  Hermitian to the bit."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def eig_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL):

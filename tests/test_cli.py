@@ -327,6 +327,19 @@ def test_bad_check_tol_is_usage_error(workdir, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("x", ["auto", "0,0"])
+def test_bad_check_tol_refused_before_the_verdict(workdir, capsys, value, x):
+    # The gap instance is infeasible, so neither path ever reaches verification.
+    path = write_problem(workdir / "gap.json", [0.3, -0.3], [0.3, -0.3])
+    out = workdir / "chain.json"
+    argv = ["solve", str(path), f"--x={x}", "--out", str(out), f"--check-tol={value}"]
+    assert main(argv) == 64
+    assert "finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv[:-1]) == 1
+
+
 def test_stein_malformed_node_is_usage_error(workdir, capsys):
     blaschke = workdir / "b.json"
     blaschke.write_text(json.dumps({"zeros": [[0.0, 0.0]], "multiplicities": [2]}))

@@ -312,7 +312,13 @@ class TestSearch:
         report = search_x_grid(INFEASIBLE_DATA)
         assert report.status == INFEASIBLE
         assert report.grid_stats["uniform_infeasible"]
+        assert report.grid_stats["stop"] == "certified"
         assert report.margin < -1e-3
+
+    def test_feasible_stops_on_a_gap_rule(self):
+        report = search_x_grid(generate_feasible(3, 3)[0])
+        assert report.status == FEASIBLE
+        assert report.grid_stats["stop"] in ("gap", "duality_gap")
 
     def test_undetermined_below_resolution_gate(self):
         """The gap instance's certificate bounds every parameter below -1e-3 on its own."""
@@ -369,6 +375,57 @@ class TestSearch:
         data, _ = generate_feasible(400 + seed, 2)
         assert search_x_grid(data).status == FEASIBLE
         assert necessity_scan(data, samples=500, seed=seed).passed
+
+
+class TestSolverEdgeCases:
+    """Near-boundary data end with a verdict, never a raw ``LinAlgError``."""
+
+    @pytest.mark.parametrize(
+        "nodes, values, status, margin",
+        [
+            ([0.999999, -0.3], [0.3, 0.2], FEASIBLE, 0.003996794414821276),
+            ([0.5, 0.5 + 1e-9], [0.3, 0.3 + 1e-9], FEASIBLE, 6.632078647054042e-16),
+            ([0.5, 0.5 + 1e-9], [0.3, -0.3], INFEASIBLE, None),
+            ([1e-9, 0.5], [0.3, 0.2], FEASIBLE, 4.46463858824097e-16),
+            ([0.5, -0.3], [1 - 1e-12, 0.2], INFEASIBLE, None),
+        ],
+        ids=["node_near_circle", "near_duplicate_feasible", "near_duplicate_infeasible",
+             "node_near_origin", "value_near_one"],
+    )
+    def test_pinned_verdicts(self, nodes, values, status, margin):
+        data = DataSet.scalar(nodes, values)
+        report = search_x_grid(data)
+        assert report.status == status
+        if status == FEASIBLE:
+            assert abs(report.margin - margin) <= DEFAULT_TOL.psd_tol * report.grid_stats["best_scale"]
+        else:
+            assert_certified(report, data)
+
+    @pytest.mark.parametrize(
+        "fail_at, status",
+        [(1, UNDETERMINED), (2, UNDETERMINED), (5, FEASIBLE)],
+        ids=["s_and_z", "schur", "third_iteration"],
+    )
+    def test_failed_cholesky_ends_with_the_best_iterate(self, fail_at, status, monkeypatch):
+        """Each iteration factors the stack (S, Z), then the Schur matrix."""
+        data = DataSet.scalar([0.5, -0.3], [0.3, 0.2])
+        cholesky, calls = np.linalg.cholesky, []
+
+        def failing(a):
+            calls.append(a)
+            if len(calls) == fail_at:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        report = search_x_grid(data)
+        monkeypatch.undo()
+        assert report.status == status
+        assert report.grid_stats["stop"] == "stall"
+        assert report.grid_stats["points"] == (fail_at - 1) // 2
+        x = report.witness_x if report.feasible else np.zeros((1, 1))  # the start is X = 0
+        margin, _ = psd_margin(constrained_pick(data, BlaschkeSpec.z_squared(), x))
+        assert report.margin == pytest.approx(margin, abs=1e-12)
 
 
 class TestWitnessRecheck:

@@ -3,7 +3,7 @@ import pytest
 
 from cnpick.errors import DomainError, SingularBlockError
 from cnpick.feasibility import FEASIBLE, INFEASIBLE, search_x_grid
-from cnpick.linalg import DEFAULT_TOL, is_psd, operator_norm
+from cnpick.linalg import DEFAULT_TOL, is_psd, operator_norm, psd_margin
 from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
@@ -333,6 +333,7 @@ class TestOverlap:
         report = search_x_grid(d, b)
         assert report.status == INFEASIBLE and report.margin == -np.inf
         assert report.detail == "overlap values differ" and report.witness_x is None
+        assert report.certificate is None
 
     def test_matching_values_reduce(self):
         # Shared value at the overlapped node; remaining node must fit.
@@ -376,7 +377,11 @@ class TestOverlap:
         report = search_x_grid(d, b)
         assert report.status == INFEASIBLE and report.detail == self.REDUCED
         assert report.margin == pytest.approx(-0.0765750743443135, rel=1e-12)
-        assert report.witness_x is None and report.certificate is None
+        assert report.witness_x is None
+        # The certificate v v* re-checks on a freshly built matrix at the shared value.
+        pick = constrained_pick(DataSet.scalar([-0.4j], [0.5]), b, np.array([[0.1]]))
+        _, scale = psd_margin(pick)
+        assert np.trace(report.certificate @ pick).real < -DEFAULT_TOL.psd_tol * scale
 
     def test_witness_passes_the_cf_form(self):
         d = DataSet.scalar([0.3, 0.5, -0.4j], [0.1, 0.1, 0.05j])
