@@ -5,9 +5,11 @@ Matrix-ball description of the relaxed feasibility LMI
 Dropping the repetition structure of the free parameter turns the
 constrained feasibility question into a linear matrix inequality whose
 full solution set is a matrix ball: center plus contraction sandwiched
-between two semi-radius factors.  This script builds the ball for a
-two-node matrix problem and demonstrates both directions of the
-correspondence between contractions and PSD criterion matrices.
+between two semi-radius factors.  ``matrix_ball`` returns None when
+that set is empty and refuses unusable data with a typed error.  This
+script builds the ball for a two-node matrix problem and demonstrates
+both directions of the correspondence between contractions and PSD
+criterion matrices.
 """
 
 import numpy as np
@@ -16,9 +18,9 @@ from cnpick import (
     DataSet,
     ball_membership,
     ball_sample,
-    ball_unstructured,
     hermitian_part,
     is_psd,
+    matrix_ball,
     operator_norm,
     pencil_build,
 )
@@ -27,20 +29,20 @@ rng = np.random.default_rng(42)
 
 
 def criterion(pencil, xt):
-    top = pencil.e_tilde + pencil.w_tilde @ xt.conj().T
+    p, e_tilde, w_tilde = pencil
+    top = e_tilde + w_tilde @ xt.conj().T
     gap = hermitian_part(np.eye(xt.shape[0]) - xt @ xt.conj().T)
-    return np.block([[pencil.p, top], [top.conj().T, gap]])
+    return np.block([[p, top], [top.conj().T, gap]])
 
 
 values = np.stack([0.3 * np.eye(2), np.array([[0.1, 0.2], [0.0, -0.2]])])
 data = DataSet(np.array([0.4, -0.3 + 0.2j]), values)
 pencil = pencil_build(data)
-print(f"Pick matrix positive definite: {pencil.p_is_pd} (min eig {pencil.p_min_eig:.4f})")
-print(f"pivot condition number: {pencil.m_cond:.2e}")
+print(f"Pick matrix min eig: {np.linalg.eigvalsh(pencil[0])[0]:.4f}")
 
-outcome = ball_unstructured(pencil)
-print(f"ball outcome: {outcome.status}")
-ball = outcome.ball
+# Raises NotPsdError or SingularBlockError on unusable data, None when empty.
+ball = matrix_ball(*pencil)
+print(f"relaxed LMI solvable: {ball is not None}")
 print(f"center norm {operator_norm(ball.center):.4f}, semi-radius norms "
       f"{operator_norm(ball.left):.4f} / {operator_norm(ball.right):.4f}")
 

@@ -42,7 +42,6 @@ from .pick import (
     constrained_pick_z2_quadratic,
     jet_matrices,
     pick_matrix,
-    stein_series,
     stein_solve,
 )
 from .kernels import (
@@ -60,19 +59,14 @@ from .feasibility import (
     FEASIBLE,
     INFEASIBLE,
     UNDETERMINED,
-    BallOutcome,
     Disk,
     FeasReport,
-    LmiPencil,
     MatrixBall,
     ball_membership,
     ball_sample,
-    ball_unstructured,
+    matrix_ball,
     one_point_disk,
     pencil_build,
-    pencil_from_parts,
-    scalar_delta,
-    scalar_feasible_x,
     search_lambda,
     search_x_grid,
 )

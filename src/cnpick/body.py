@@ -36,20 +36,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NotPsdError
+from .errors import DomainError, NotPsdError, SingularBlockError
 from .feasibility import (
     Disk,
     FeasReport,
     MatrixBall,
-    FEASIBLE,
     INFEASIBLE,
     _disk_grid,
-    ball_unstructured,
+    matrix_ball,
     one_point_disk,
-    pencil_from_parts,
     search_x_grid,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, psd_margin
+from .linalg import DEFAULT_TOL, ToleranceConfig
 from .pick import DataSet, aux_matrices, pick_matrix
 
 __all__ = [
@@ -65,10 +63,11 @@ __all__ = [
 def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixBall:
     """Matrix ball of attainable values ``S(z0)`` for unconstrained interpolants.
 
-    Requires the Pick matrix of the data positive definite and ``z0``
-    inside the disk, distinct from every node.  Within about 1e-6 of a
-    node the pivot passes ``M_COND_LIMIT`` and :class:`NotPsdError`
-    ("body pencil unusable") is raised on purpose: the radius comes from
+    Requires the Pick matrix of the data positive definite (else
+    :class:`NotPsdError` from :func:`matrix_ball`) and ``z0`` inside the
+    disk, distinct from every node.  Within about 1e-6 of a node the
+    pivot passes ``M_COND_LIMIT`` and :class:`NotPsdError` ("body pencil
+    unusable") is raised on purpose: the radius comes from
     ``Lam = I - Et* G^-1 Et``, which cancels there.  Without the gate the
     one-node radius at 1e-9 to 1e-12 from the node is off by about 1e-8,
     far more than the radius itself.
@@ -77,23 +76,19 @@ def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_T
         raise DomainError("z0 must lie in the open unit disk")
     if np.any(d.nodes == z0):
         raise DomainError("z0 must differ from every interpolation node")
-    p = pick_matrix(d)
-    min_eig, scale = psd_margin(p)
-    if min_eig <= tol.psd_tol * scale:
-        raise NotPsdError(
-            f"Pick matrix must be positive definite (min eig {min_eig:.3e})"
-        )
     aux = aux_matrices(d)
     delta0 = 1.0 - abs(z0) ** 2
     cauchy = np.kron(np.diag(1.0 / (1.0 - d.nodes * np.conj(z0))), np.eye(d.k))
     e_t = cauchy @ aux.e * np.sqrt(delta0)
     w_t = -cauchy @ aux.w_col * np.sqrt(delta0)
-    outcome = ball_unstructured(pencil_from_parts(p, e_t, w_t, tol), tol)
-    if outcome.status != FEASIBLE:
-        # With P > 0 the unconstrained problem is solvable, so only a
-        # numerically unusable pivot lands here.
-        raise NotPsdError(f"body pencil unusable: {outcome.detail}")
-    return outcome.ball
+    try:
+        ball = matrix_ball(pick_matrix(d), e_t, w_t, tol)
+    except SingularBlockError as err:
+        raise NotPsdError(f"body pencil unusable: {err}") from err
+    if ball is None:
+        # With P > 0 the unconstrained problem is solvable, so only rounding lands here.
+        raise NotPsdError("body pencil unusable: solvability complement indefinite")
+    return ball
 
 
 # ---------------------------------------------------------------------------

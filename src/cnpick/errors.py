@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CnpError",
+    "DomainError",
+    "NotHermitianError",
+    "NotPsdError",
+    "SingularBlockError",
+    "IllConditionedError",
+    "DegenerateDataError",
+    "ProblemFileError",
+]
+
 
 class CnpError(Exception):
     """Base class for every error raised by this package."""

@@ -1,6 +1,6 @@
 """Solvability analysis: matrix-ball description of the relaxed LMI,
-scalar closed forms, the certified solver and the lambda-criterion
-grid search.
+the one-point closed form, the certified solver and the
+lambda-criterion grid search.
 
 The constrained interpolation problem is solvable exactly when the
 linearized constrained Pick matrix is PSD for some value of the free
@@ -20,6 +20,10 @@ with ``C = -Et* G^-1 Wt``, ``Lam = I - Et* G^-1 Et``,
 ``Lam`` is PSD, and strict contractions ``K`` correspond exactly to
 strict positivity.  Note the factor order: the completed square reads
 ``(Xt - C) L^-1 (Xt - C)* <= Lam``, so ``Lam`` is the left semi-radius.
+:func:`matrix_ball` returns that ball, None when ``Lam`` is indefinite
+(the relaxed LMI has no solution), and refuses with a typed error when
+``P`` or ``M`` is unusable; it describes a set and decides nothing.
+Every solvability verdict is a :class:`FeasReport`.
 
 ``search_x_grid`` decides solvability for every k and every Blaschke
 constraint with one primal-dual interior-point solver: ``A(X)`` is
@@ -76,15 +80,10 @@ __all__ = [
     "Disk",
     "MatrixBall",
     "FeasReport",
-    "LmiPencil",
-    "BallOutcome",
     "pencil_build",
-    "pencil_from_parts",
-    "ball_unstructured",
+    "matrix_ball",
     "ball_membership",
     "ball_sample",
-    "scalar_delta",
-    "scalar_feasible_x",
     "one_point_disk",
     "search_x_grid",
     "search_lambda",
@@ -144,11 +143,17 @@ class MatrixBall:
         return Disk(complex(self.center[0, 0]), float(radius))
 
 
+def _ball_shaped(ball: MatrixBall, a, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.shape != ball.center.shape:
+        raise DomainError(f"{name} has shape {a.shape}; the ball's points have {ball.center.shape}")
+    return a
+
+
 def ball_sample(ball: MatrixBall, k_param, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Point of the ball at the free contraction parameter ``k_param``."""
-    return ball.center + sqrt_psd(ball.left, tol) @ np.asarray(k_param, dtype=complex) @ sqrt_psd(
-        ball.right, tol
-    )
+    """Point of the ball at the free contraction parameter ``k_param`` (shaped like a point)."""
+    k = _ball_shaped(ball, k_param, "k_param")
+    return ball.center + sqrt_psd(ball.left, tol) @ k @ sqrt_psd(ball.right, tol)
 
 
 def ball_membership(ball: MatrixBall, xt, tol: ToleranceConfig = DEFAULT_TOL):
@@ -157,9 +162,11 @@ def ball_membership(ball: MatrixBall, xt, tol: ToleranceConfig = DEFAULT_TOL):
     Returns ``(inside, K, norm)`` with
     ``K = left^(-1/2) (xt - C) right^(-1/2)`` and
     ``inside = (||K|| <= 1 + psd_tol)``.  Requires both semi-radii to be
-    positive definite; otherwise :class:`NotPsdError` propagates.
+    positive definite; otherwise :class:`NotPsdError` propagates.  An
+    argument of another shape than the ball's points raises
+    :class:`DomainError`.
     """
-    xt = np.asarray(xt, dtype=complex)
+    xt = _ball_shaped(ball, xt, "xt")
     k = inv_sqrt_psd(ball.left, tol) @ (xt - ball.center) @ inv_sqrt_psd(ball.right, tol)
     norm = operator_norm(k)
     return bool(norm <= 1.0 + tol.psd_tol), k, norm
@@ -200,177 +207,45 @@ class FeasReport:
         return self.status == FEASIBLE
 
 
-@dataclass(frozen=True)
-class LmiPencil:
-    """Data of the relaxed LMI: Pick matrix, stacked side matrices, pivot.
-
-    ``e_tilde`` stacks (E, ZE), ``w_tilde`` stacks (W, ZW).  ``m`` is the
-    4k x 4k pivot matrix of the positive-subspace argument, ``lam`` the
-    Schur complement deciding solvability; both are None when the Pick
-    matrix is not positive definite (the ball route then refuses).
-    """
-
-    p: np.ndarray
-    e_tilde: np.ndarray
-    w_tilde: np.ndarray
-    p_is_pd: bool
-    p_min_eig: float
-    m: Optional[np.ndarray] = None
-    lam: Optional[np.ndarray] = None
-    m_cond: float = np.inf
-
-
-def pencil_from_parts(p, e_tilde, w_tilde, tol: ToleranceConfig = DEFAULT_TOL) -> LmiPencil:
-    """Build a pencil from an arbitrary (P, Et, Wt) triple.
-
-    Used both for the structured feasibility pencil and for the
-    interpolation-body pencils, which share the algebra but not the
-    stacking.
-    """
-    p = np.asarray(p, dtype=complex)
-    e_tilde = np.asarray(e_tilde, dtype=complex)
-    w_tilde = np.asarray(w_tilde, dtype=complex)
-    min_eig, scale = psd_margin(p)
-    pd = min_eig > tol.psd_tol * scale
-    if not pd:
-        return LmiPencil(p, e_tilde, w_tilde, p_is_pd=False, p_min_eig=min_eig)
-    pinv_e = np.linalg.solve(p, e_tilde)
-    pinv_w = np.linalg.solve(p, w_tilde)
-    a = e_tilde.shape[1]
-    b = w_tilde.shape[1]
-    m = np.block(
-        [
-            [np.eye(a) - e_tilde.conj().T @ pinv_e, -e_tilde.conj().T @ pinv_w],
-            [-w_tilde.conj().T @ pinv_e, -(np.eye(b) + w_tilde.conj().T @ pinv_w)],
-        ]
-    )
-    gram = p + w_tilde @ w_tilde.conj().T
-    lam = hermitian_part(np.eye(a) - e_tilde.conj().T @ np.linalg.solve(gram, e_tilde))
-    return LmiPencil(
-        p,
-        e_tilde,
-        w_tilde,
-        p_is_pd=True,
-        p_min_eig=min_eig,
-        m=hermitian_part(m),
-        lam=lam,
-        m_cond=float(np.linalg.cond(m)),
-    )
-
-
-def pencil_build(d: DataSet, tol: ToleranceConfig = DEFAULT_TOL) -> LmiPencil:
-    """Structured pencil of a data set: Et = [E  ZE], Wt = [W  ZW]."""
-    p = pick_matrix(d)
+def pencil_build(d: DataSet):
+    """Relaxed-LMI data ``(P, Et, Wt)`` of a data set: Et = [E  ZE], Wt = [W  ZW]."""
     aux = aux_matrices(d)
     e_tilde = np.hstack([aux.e, aux.z @ aux.e])
     w_tilde = np.hstack([aux.w_col, aux.z @ aux.w_col])
-    return pencil_from_parts(p, e_tilde, w_tilde, tol)
+    return pick_matrix(d), e_tilde, w_tilde
 
 
-@dataclass(frozen=True)
-class BallOutcome:
-    status: str
-    ball: Optional[MatrixBall] = None
-    detail: str = ""
+def _pivot(p, e_tilde, w_tilde) -> np.ndarray:
+    """Pivot matrix of the positive-subspace argument, ``diag(I, -I) - [Et Wt]* P^-1 [Et Wt]``."""
+    sides = np.hstack([e_tilde, w_tilde])
+    signs = np.r_[np.ones(e_tilde.shape[1]), -np.ones(w_tilde.shape[1])]
+    return np.diag(signs) - sides.conj().T @ np.linalg.solve(p, sides)
 
 
-def ball_unstructured(pencil: LmiPencil, tol: ToleranceConfig = DEFAULT_TOL) -> BallOutcome:
-    """Matrix-ball description of the unstructured LMI solution set.
+def matrix_ball(p, e_tilde, w_tilde, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[MatrixBall]:
+    """Solution set of the relaxed LMI as a matrix ball, or None when it is empty.
 
-    Requires the Pick matrix positive definite and a usable pivot;
-    otherwise the outcome is Undetermined and carries no ball.  An
-    indefinite Schur complement certifies infeasibility of the
-    unstructured LMI (hence of the structured problem as well).
+    Raises :class:`NotPsdError` unless the Pick matrix ``P`` is positive
+    definite and :class:`SingularBlockError` when the pivot matrix is
+    nearly singular (condition number beyond ``M_COND_LIMIT``).  An
+    indefinite ``Lam`` certifies that the relaxed LMI, hence the
+    structured problem as well, has no solution: the result is None.
     """
-    if not pencil.p_is_pd:
-        return BallOutcome(
-            UNDETERMINED,
-            detail=f"Pick matrix not positive definite (min eig {pencil.p_min_eig:.3e})",
-        )
-    if not np.isfinite(pencil.m_cond) or pencil.m_cond > M_COND_LIMIT:
-        return BallOutcome(
-            UNDETERMINED,
-            detail=f"pivot matrix nearly singular (cond ~ {pencil.m_cond:.3e})",
-        )
-    ok, min_eig = is_psd(pencil.lam, tol)
-    if not ok:
-        return BallOutcome(
-            INFEASIBLE, detail=f"solvability complement indefinite (min eig {min_eig:.3e})"
-        )
-    gram = pencil.p + pencil.w_tilde @ pencil.w_tilde.conj().T
-    center = -pencil.e_tilde.conj().T @ np.linalg.solve(gram, pencil.w_tilde)
-    b = pencil.w_tilde.shape[1]
-    right = hermitian_part(
-        np.eye(b) - pencil.w_tilde.conj().T @ np.linalg.solve(gram, pencil.w_tilde)
-    )
-    return BallOutcome(FEASIBLE, ball=MatrixBall(center=center, left=pencil.lam, right=right))
-
-
-# ---------------------------------------------------------------------------
-# scalar closed forms
-
-
-def scalar_delta(d: DataSet):
-    """Scalar-route matrices ``(Delta, Delta_tilde)`` for k = 1 data.
-
-    ``Delta = P + W W* + Z W W* Z*`` (the trailing factor is the adjoint
-    of ``Z``; ``Delta`` must be Hermitian for its square root to exist)
-    and
-
-    ``Delta_tilde = P - E E* - Z E E* Z*
-                    + (W E* + Z W E* Z*) Delta^-1 (E W* + Z E W* Z*)``.
-
-    ``Delta_tilde`` PSD is necessary for solvability; membership of a
-    parameter in the feasible set reduces to a single PSD test, see
-    :func:`scalar_feasible_x`.
-    """
-    if d.k != 1:
-        raise DomainError("scalar route requires k = 1")
-    if np.any(np.abs(d.scalar_values()) >= 1.0):
-        raise DomainError("scalar route requires all |w_i| < 1")
-    aux = aux_matrices(d)
-    p = pick_matrix(d)
-    z, e, w = aux.z, aux.e, aux.w_col
-    delta = hermitian_part(p + w @ w.conj().T + z @ w @ w.conj().T @ z.conj().T)
-    cond = np.linalg.cond(delta)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularBlockError("Delta is numerically singular", cond=cond)
-    cross = e @ w.conj().T + z @ e @ w.conj().T @ z.conj().T  # E W* + Z E W* Z*
-    delta_tilde = hermitian_part(
-        p
-        - e @ e.conj().T
-        - z @ e @ e.conj().T @ z.conj().T
-        + cross.conj().T @ np.linalg.solve(delta, cross)
-    )
-    return delta, delta_tilde
-
-
-def scalar_feasible_x(
-    d: DataSet, x: complex, deltas=None, tol: ToleranceConfig = DEFAULT_TOL
-):
-    """Scalar-route PSD test of one parameter value (k = 1, ``|x| < 1``).
-
-    Forms ``K = conj(x) Delta^(1/2) - Delta^(-1/2) (E W* + Z E W* Z*)``
-    and tests ``Delta_tilde - K* K`` for positive semidefiniteness; the
-    verdict coincides with PSD of the quadratic constrained Pick matrix
-    at ``x``.
-
-    Returns ``(psd, margin)``.
-    """
-    if abs(x) >= 1.0:
-        raise DomainError("the scalar route assumes |x| < 1")
-    if deltas is None:
-        deltas = scalar_delta(d)
-    delta, delta_tilde = deltas
-    min_eig, scale = psd_margin(delta)
+    p, e_tilde, w_tilde = (np.asarray(a, dtype=complex) for a in (p, e_tilde, w_tilde))
+    min_eig, scale = psd_margin(p)
     if min_eig <= tol.psd_tol * scale:
-        raise NotPsdError("Delta must be positive definite for the scalar route")
-    aux = aux_matrices(d)
-    z, e, w = aux.z, aux.e, aux.w_col
-    cross = e @ w.conj().T + z @ e @ w.conj().T @ z.conj().T
-    k_mat = np.conj(x) * sqrt_psd(delta, tol) - inv_sqrt_psd(delta, tol) @ cross
-    verdict, margin = is_psd(delta_tilde - k_mat.conj().T @ k_mat, tol)
-    return verdict, margin
+        raise NotPsdError(f"Pick matrix must be positive definite (min eig {min_eig:.3e})")
+    cond = float(np.linalg.cond(_pivot(p, e_tilde, w_tilde)))
+    if not cond <= M_COND_LIMIT:
+        raise SingularBlockError(f"pivot matrix nearly singular (cond ~ {cond:.3e})", cond=cond)
+    a = e_tilde.shape[1]
+    solved = np.linalg.solve(p + w_tilde @ w_tilde.conj().T, np.hstack([e_tilde, w_tilde]))
+    lam = hermitian_part(np.eye(a) - e_tilde.conj().T @ solved[:, :a])
+    if not is_psd(lam, tol)[0]:
+        return None
+    center = -e_tilde.conj().T @ solved[:, a:]
+    right = hermitian_part(np.eye(w_tilde.shape[1]) - w_tilde.conj().T @ solved[:, a:])
+    return MatrixBall(center=center, left=lam, right=right)
 
 
 def one_point_disk(z1: complex, w1: complex) -> Disk:

@@ -32,8 +32,8 @@ The general forms are expressed through a pair of Stein equations
 
 where ``J`` collects Jordan-type jet blocks at the constraint zeros and
 ``Z, E`` encode the nodes.  Both equations are solved exactly as finite
-linear systems; the convergent-series form is kept only as a test
-oracle (:func:`stein_series`).
+linear systems (the convergent-series form is a test oracle, outside
+the library).
 
 All builders are Hermitian-exact: Hermitian blocks are filled once and
 mirrored, never recomputed, so ``||M - M*|| = 0`` holds to the bit.
@@ -67,7 +67,6 @@ __all__ = [
     "aux_matrices",
     "jet_matrices",
     "stein_solve",
-    "stein_series",
     "assemble_bundle",
     "constrained_pick_z2_quadratic",
     "constrained_pick_z2",
@@ -339,31 +338,6 @@ def stein_solve(j, e_tilde, z, e):
     for col in range(nk):
         a = np.eye(kd, dtype=complex) - np.conj(zdiag[col]) * j
         q_tilde[:, col] = np.linalg.solve(a, rhs_t[:, col])
-    return q, q_tilde
-
-
-def stein_series(j, e_tilde, z, e, terms: int = 200):
-    """Truncated-series solutions of the Stein equations (test oracle).
-
-    ``Q = sum_i J^i Et Et* J*^i`` and ``Qt = sum_i J^i Et E* Z*^i``,
-    truncated after ``terms`` terms.  Kept independent of
-    :func:`stein_solve` so the two can check each other.
-    """
-    j = np.asarray(j, dtype=complex)
-    e_tilde = np.asarray(e_tilde, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    e = np.asarray(e, dtype=complex)
-    q = np.zeros((j.shape[0], j.shape[0]), dtype=complex)
-    q_tilde = np.zeros((j.shape[0], z.shape[0]), dtype=complex)
-    jp = np.eye(j.shape[0], dtype=complex)
-    zp = np.eye(z.shape[0], dtype=complex)
-    core_q = e_tilde @ e_tilde.conj().T
-    core_t = e_tilde @ e.conj().T
-    for _ in range(terms):
-        q += jp @ core_q @ jp.conj().T
-        q_tilde += jp @ core_t @ zp.conj().T
-        jp = jp @ j
-        zp = zp @ z
     return q, q_tilde
 
 

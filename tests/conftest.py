@@ -15,9 +15,17 @@ from cnpick.kernels import (
     necessity_form,
     necessity_form_matrix,
 )
+from cnpick.errors import DomainError, NotPsdError, SingularBlockError
 from cnpick.interpolant import generate_feasible
-from cnpick.linalg import DEFAULT_TOL
-from cnpick.pick import BlaschkeSpec, DataSet, assemble_bundle, constrained_pick
+from cnpick.linalg import DEFAULT_TOL, hermitian_part, inv_sqrt_psd, is_psd, psd_margin, sqrt_psd
+from cnpick.pick import (
+    BlaschkeSpec,
+    DataSet,
+    assemble_bundle,
+    aux_matrices,
+    constrained_pick,
+    pick_matrix,
+)
 
 
 def rng_for(seed):
@@ -105,6 +113,82 @@ def fresh_builder(data, b=None):
             unit[a, c] = 1.0
             terms[a, c] = 0.5 * ((build(unit) - a0) - 1j * (build(1j * unit) - a0))
     return a0, terms
+
+
+def stein_series(j, e_tilde, z, e, terms=200):
+    """Truncated-series solutions of the Stein equations.
+
+    Test-side oracle for the library's exact ``stein_solve``:
+    ``Q = sum_i J^i Et Et* J*^i`` and ``Qt = sum_i J^i Et E* Z*^i``,
+    truncated after ``terms`` terms.
+    """
+    j, e_tilde, z, e = (np.asarray(a, dtype=complex) for a in (j, e_tilde, z, e))
+    q = np.zeros((j.shape[0], j.shape[0]), dtype=complex)
+    q_tilde = np.zeros((j.shape[0], z.shape[0]), dtype=complex)
+    jp = np.eye(j.shape[0], dtype=complex)
+    zp = np.eye(z.shape[0], dtype=complex)
+    core_q = e_tilde @ e_tilde.conj().T
+    core_t = e_tilde @ e.conj().T
+    for _ in range(terms):
+        q += jp @ core_q @ jp.conj().T
+        q_tilde += jp @ core_t @ zp.conj().T
+        jp = jp @ j
+        zp = zp @ z
+    return q, q_tilde
+
+
+def scalar_delta(d):
+    """Scalar-route matrices ``(Delta, Delta_tilde)`` for k = 1 data.
+
+    Test-side oracle for the quadratic constrained Pick matrix:
+    ``Delta = P + W W* + Z W W* Z*`` and
+    ``Delta_tilde = P - E E* - Z E E* Z* + (W E* + Z W E* Z*) Delta^-1 (E W* + Z E W* Z*)``.
+    ``Delta_tilde`` PSD is necessary for solvability; membership of a
+    parameter in the feasible set reduces to one PSD test
+    (:func:`scalar_feasible_x`).
+    """
+    if d.k != 1:
+        raise DomainError("scalar route requires k = 1")
+    if np.any(np.abs(d.scalar_values()) >= 1.0):
+        raise DomainError("scalar route requires all |w_i| < 1")
+    aux = aux_matrices(d)
+    p = pick_matrix(d)
+    z, e, w = aux.z, aux.e, aux.w_col
+    delta = hermitian_part(p + w @ w.conj().T + z @ w @ w.conj().T @ z.conj().T)
+    cond = np.linalg.cond(delta)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise SingularBlockError("Delta is numerically singular", cond=cond)
+    cross = e @ w.conj().T + z @ e @ w.conj().T @ z.conj().T  # E W* + Z E W* Z*
+    delta_tilde = hermitian_part(
+        p
+        - e @ e.conj().T
+        - z @ e @ e.conj().T @ z.conj().T
+        + cross.conj().T @ np.linalg.solve(delta, cross)
+    )
+    return delta, delta_tilde
+
+
+def scalar_feasible_x(d, x, deltas=None, tol=DEFAULT_TOL):
+    """Scalar-route PSD test of one parameter value (k = 1, ``|x| < 1``).
+
+    Forms ``K = conj(x) Delta^(1/2) - Delta^(-1/2) (E W* + Z E W* Z*)``
+    and tests ``Delta_tilde - K* K``; the verdict coincides with PSD of
+    the quadratic constrained Pick matrix at ``x``.  Returns
+    ``(psd, margin)``.
+    """
+    if abs(x) >= 1.0:
+        raise DomainError("the scalar route assumes |x| < 1")
+    if deltas is None:
+        deltas = scalar_delta(d)
+    delta, delta_tilde = deltas
+    min_eig, scale = psd_margin(delta)
+    if min_eig <= tol.psd_tol * scale:
+        raise NotPsdError("Delta must be positive definite for the scalar route")
+    aux = aux_matrices(d)
+    z, e, w = aux.z, aux.e, aux.w_col
+    cross = e @ w.conj().T + z @ e @ w.conj().T @ z.conj().T
+    k_mat = np.conj(x) * sqrt_psd(delta, tol) - inv_sqrt_psd(delta, tol) @ cross
+    return is_psd(delta_tilde - k_mat.conj().T @ k_mat, tol)
 
 
 def scan_oracle(d, samples=500, seed=0, tol=DEFAULT_TOL):

@@ -12,9 +12,10 @@ from cnpick.body import body_membership, body_union
 from cnpick.feasibility import (
     FEASIBLE,
     INFEASIBLE,
+    _pivot,
     ball_membership,
     ball_sample,
-    ball_unstructured,
+    matrix_ball,
     one_point_disk,
     pencil_build,
     search_lambda,
@@ -60,9 +61,10 @@ def report(name, ok, detail=""):
 
 
 def criterion_matrix(pencil, xt):
-    top = pencil.e_tilde + pencil.w_tilde @ xt.conj().T
+    p, e_tilde, w_tilde = pencil
+    top = e_tilde + w_tilde @ xt.conj().T
     gap = hermitian_part(np.eye(xt.shape[0]) - xt @ xt.conj().T)
-    return np.block([[pencil.p, top], [top.conj().T, gap]])
+    return np.block([[p, top], [top.conj().T, gap]])
 
 
 def test_criterion_1_one_point_disk_fixture():
@@ -199,13 +201,13 @@ def test_criterion_4_matrix_ball_two_sided():
         k = int(rng.integers(1, 3))
         d = random_dataset(seed, n=int(rng.integers(1, 4)), k=k, wmax=0.55)
         pencil = pencil_build(d)
-        if not pencil.p_is_pd or not np.isfinite(pencil.m_cond) or pencil.m_cond > 1e10:
+        min_eig, scale = psd_margin(pencil[0])
+        if min_eig <= PSD_TOL * scale or not np.linalg.cond(_pivot(*pencil)) <= 1e10:
             continue
-        outcome = ball_unstructured(pencil)
-        if outcome.status != FEASIBLE:
+        ball = matrix_ball(*pencil)
+        if ball is None:
             continue
         pencils += 1
-        ball = outcome.ball
         dim = ball.center.shape[0]
         for _ in range(5):
             k0 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

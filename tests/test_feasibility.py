@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 
 from cnpick.body import body_membership
-from cnpick.errors import DegenerateDataError, DomainError, NotPsdError
+from cnpick.errors import DegenerateDataError, DomainError, NotPsdError, SingularBlockError
 from cnpick.feasibility import (
     FEASIBLE,
     INFEASIBLE,
+    M_COND_LIMIT,
     UNDETERMINED,
     MatrixBall,
     _dual_bound,
+    _pivot,
     ball_membership,
     ball_sample,
-    ball_unstructured,
+    matrix_ball,
     one_point_disk,
     pencil_build,
-    pencil_from_parts,
-    scalar_delta,
-    scalar_feasible_x,
     search_lambda,
     search_x_grid,
 )
@@ -50,6 +49,8 @@ from conftest import (
     matrix_feasible,
     random_dataset,
     rng_for,
+    scalar_delta,
+    scalar_feasible_x,
 )
 
 INFEASIBLE_DATA = DataSet.scalar([0.3, -0.3], [0.3, -0.3])
@@ -68,17 +69,19 @@ def assert_certified(report, data, b=None, below=None):
 
 def criterion_matrix(pencil, xt):
     """The LMI matrix at a candidate parameter (test-side assembler)."""
-    top = pencil.e_tilde + pencil.w_tilde @ xt.conj().T
+    p, e_tilde, w_tilde = pencil
+    top = e_tilde + w_tilde @ xt.conj().T
     gap = hermitian_part(np.eye(xt.shape[0]) - xt @ xt.conj().T)
-    return np.block([[pencil.p, top], [top.conj().T, gap]])
+    return np.block([[p, top], [top.conj().T, gap]])
 
 
 def pd_pencil(seed, k=1, n=None):
-    """Random data whose Pick matrix is safely positive definite."""
+    """Random data whose Pick matrix is safely positive definite, with a usable pivot."""
     for offset in range(40):
         d = random_dataset(seed + 131 * offset, n=n, k=k, wmax=0.55)
         pencil = pencil_build(d)
-        if pencil.p_is_pd and np.isfinite(pencil.m_cond) and pencil.m_cond < 1e10:
+        min_eig, scale = psd_margin(pencil[0])
+        if min_eig > DEFAULT_TOL.psd_tol * scale and np.linalg.cond(_pivot(*pencil)) < 1e10:
             return d, pencil
     raise AssertionError("could not find a usable pencil")
 
@@ -87,78 +90,95 @@ def lambda_alt(pencil):
     """Second algebraic form of the solvability Schur complement.
 
     ``I - Et* P^-1 Et + Et* P^-1 Wt (I + Wt* P^-1 Wt)^-1 Wt* P^-1 Et``;
-    agrees with the primary form ``pencil.lam`` by a push-through identity.
-    Needs a positive definite Pick matrix, as ``pd_pencil`` provides.
+    agrees with the primary form, the ball's ``left``, by a push-through
+    identity.  Needs a positive definite Pick matrix, as ``pd_pencil``
+    provides.
     """
-    pinv_e = np.linalg.solve(pencil.p, pencil.e_tilde)
-    pinv_w = np.linalg.solve(pencil.p, pencil.w_tilde)
-    a = pencil.e_tilde.shape[1]
-    b = pencil.w_tilde.shape[1]
-    inner = np.eye(b) + pencil.w_tilde.conj().T @ pinv_w
-    cross = pencil.e_tilde.conj().T @ pinv_w
+    p, e_tilde, w_tilde = pencil
+    pinv_e = np.linalg.solve(p, e_tilde)
+    pinv_w = np.linalg.solve(p, w_tilde)
+    inner = np.eye(w_tilde.shape[1]) + w_tilde.conj().T @ pinv_w
+    cross = e_tilde.conj().T @ pinv_w
     return hermitian_part(
-        np.eye(a) - pencil.e_tilde.conj().T @ pinv_e + cross @ np.linalg.solve(inner, cross.conj().T)
+        np.eye(e_tilde.shape[1]) - e_tilde.conj().T @ pinv_e
+        + cross @ np.linalg.solve(inner, cross.conj().T)
     )
 
 class TestPencil:
     def test_zero_targets_identity_pick(self):
         d = DataSet.scalar([0.5, -0.5], [0.0, 0.0])
         pencil = pencil_build(d)
+        m = _pivot(*pencil)
         # With Wt = 0 the pivot is block diagonal: [I - Et* P^-1 Et, -I].
-        a = pencil.e_tilde.shape[1]
-        assert np.allclose(pencil.m[a:, :a], 0)
-        assert np.allclose(pencil.m[a:, a:], -np.eye(a))
+        a = pencil[1].shape[1]
+        assert np.allclose(m[a:, :a], 0)
+        assert np.allclose(m[a:, a:], -np.eye(a))
 
     def test_literal_identity_pick_pivot(self):
         rng = rng_for(0)
         et = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        pencil = pencil_from_parts(np.eye(3), et, np.zeros((3, 2)))
+        m = _pivot(np.eye(3), et, np.zeros((3, 2)))
         expected = np.block(
             [
                 [np.eye(2) - et.conj().T @ et, np.zeros((2, 2))],
                 [np.zeros((2, 2)), -np.eye(2)],
             ]
         )
-        assert np.allclose(pencil.m, expected)
+        assert np.allclose(m, expected)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_lambda_two_forms_agree(self, seed):
         _, pencil = pd_pencil(seed, k=int(rng_for(seed).integers(1, 3)))
-        assert np.allclose(pencil.lam, lambda_alt(pencil), atol=DEFAULT_TOL.residual_tol)
+        # The ball's ``left`` is the primary form of ``Lam``.
+        ball = matrix_ball(*pencil)
+        assert np.allclose(ball.left, lambda_alt(pencil), atol=DEFAULT_TOL.residual_tol)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_pivot_corner_negative_definite(self, seed):
         _, pencil = pd_pencil(seed + 50)
-        a = pencil.e_tilde.shape[1]
-        ok, _ = is_psd(-pencil.m[a:, a:])
+        a = pencil[1].shape[1]
+        ok, _ = is_psd(-_pivot(*pencil)[a:, a:])
         assert ok
 
     def test_indefinite_pick_refuses_ball(self):
         d = DataSet.scalar([0.1, -0.1], [0.8, -0.8])
-        pencil = pencil_build(d)
-        assert not pencil.p_is_pd
-        outcome = ball_unstructured(pencil)
-        assert outcome.status == UNDETERMINED
+        with pytest.raises(NotPsdError):
+            matrix_ball(*pencil_build(d))
+
+    def test_singular_pivot_refuses_ball(self):
+        # P = I, Wt = 0 and Et* Et = 1 make the pivot's leading block, Lam, zero.
+        with pytest.raises(SingularBlockError) as err:
+            matrix_ball(np.eye(2), np.array([[1.0], [0.0]]), np.zeros((2, 1)))
+        assert not err.value.cond <= M_COND_LIMIT
 
 
 class TestBall:
     def test_trivial_pencil_full_ball(self):
-        pencil = pencil_from_parts(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-        outcome = ball_unstructured(pencil)
-        assert outcome.status == FEASIBLE
-        assert np.allclose(outcome.ball.center, 0)
-        assert np.allclose(outcome.ball.left, np.eye(2))
-        assert np.allclose(outcome.ball.right, np.eye(2))
+        ball = matrix_ball(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+        assert np.allclose(ball.center, 0)
+        assert np.allclose(ball.left, np.eye(2))
+        assert np.allclose(ball.right, np.eye(2))
+
+    @pytest.mark.parametrize("scale", [0.0, 0.05])
+    def test_indefinite_lambda_empty_ball(self, scale):
+        # Lam = I - Et* G^-1 Et has min eig -3.975 at Wt = 0; the pivot stays usable.
+        rng = rng_for(0)
+        et = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        wt = scale * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+        pencil = (np.eye(3), et, wt)
+        assert np.linalg.cond(_pivot(*pencil)) < 1e3
+        assert psd_margin(lambda_alt(pencil))[0] < -3.0
+        assert matrix_ball(*pencil) is None
 
     def test_center_feasible(self):
         _, pencil = pd_pencil(3)
-        outcome = ball_unstructured(pencil)
-        assert outcome.status == FEASIBLE
-        assert is_psd(criterion_matrix(pencil, outcome.ball.center))[0]
+        ball = matrix_ball(*pencil)
+        assert ball is not None
+        assert is_psd(criterion_matrix(pencil, ball.center))[0]
 
     def test_membership_of_center_and_boundary(self):
         _, pencil = pd_pencil(7)
-        ball = ball_unstructured(pencil).ball
+        ball = matrix_ball(*pencil)
         inside, k, norm = ball_membership(ball, ball.center)
         assert inside and norm < 1e-12 and np.allclose(k, 0)
         boundary = ball_sample(ball, np.eye(ball.center.shape[0]))
@@ -167,7 +187,7 @@ class TestBall:
 
     def test_far_point_outside(self):
         _, pencil = pd_pencil(9)
-        ball = ball_unstructured(pencil).ball
+        ball = matrix_ball(*pencil)
         scale = 10 * (operator_norm(ball.center) + operator_norm(ball.left) + operator_norm(ball.right) + 1)
         inside, _, _ = ball_membership(ball, ball.center + scale * np.eye(ball.center.shape[0]))
         assert not inside
@@ -177,14 +197,19 @@ class TestBall:
         with pytest.raises(NotPsdError):
             ball_membership(ball, np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("func", [ball_sample, ball_membership])
+    def test_argument_shape_refused(self, func):
+        ball = MatrixBall(np.zeros((2, 2)), np.eye(2), np.eye(2))
+        with pytest.raises(DomainError):
+            func(ball, np.eye(3))
+
     @pytest.mark.parametrize("seed", range(40))
     def test_two_sided_membership(self, seed):
         rng = rng_for(90_000 + seed)
         k = int(rng.integers(1, 3))
         _, pencil = pd_pencil(seed, k=k)
-        outcome = ball_unstructured(pencil)
-        assert outcome.status == FEASIBLE
-        ball = outcome.ball
+        ball = matrix_ball(*pencil)
+        assert ball is not None
         dim = ball.center.shape[0]
         for _ in range(6):
             k0 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

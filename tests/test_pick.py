@@ -16,10 +16,9 @@ from cnpick.pick import (
     constrained_pick_z2_quadratic,
     jet_matrices,
     pick_matrix,
-    stein_series,
 )
 
-from conftest import random_blaschke, random_contraction, random_dataset, rng_for
+from conftest import random_blaschke, random_contraction, random_dataset, rng_for, stein_series
 
 
 class TestDataTypes:
