@@ -134,6 +134,7 @@ def cmd_witness(args) -> int:
             "schema": SCHEMA,
             "command": "witness",
             "status": "PASS",
+            "seed": args.seed,
             "samples": report.samples_evaluated,
             "min_value": report.min_value,
         }
@@ -144,6 +145,7 @@ def cmd_witness(args) -> int:
         "schema": SCHEMA,
         "command": "witness",
         "status": "WITNESS",
+        "seed": args.seed,
         "sample_index": report.witness_index,
         "value": report.witness_value,
         "alpha": matrix_to_json(report.witness_param.alpha),
@@ -378,7 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="hunt for a necessity-criterion infeasibility witness")
     p.add_argument("input")
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=500,
+        help="parameters to try: the 17 canonical scalar ones, then random ones (default 500)",
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     add_common(p)
     p.set_defaults(func=cmd_witness)

@@ -33,17 +33,20 @@ origin value ``x = s(0)``: the matrix equals ``diag(z_i^2) P_x
 diag(conj(z_i)^2)``, with ``P_x`` the Pick matrix of the data reduced
 at ``x`` (``schur_reduce_constrained``), so the two are congruent.
 
-All functions here are pure.  Scan samples are independent, so the scan
-evaluates them in blocks (the canonical scalar parameters, then runs of
-``_SCAN_BLOCK`` random draws): per block and shape one stacked draw, one
-stack of form matrices and one batched ``eigh``.  The reported witness
-is still the one with the lowest sample index.
+All functions here are pure.  The scan's random parameters come from
+one generator per shape, spawned from ``SeedSequence(seed)``, and scan
+samples are independent, so the scan evaluates them in blocks (the
+canonical scalar parameters, then runs of ``_SCAN_BLOCK`` random draws):
+per block and shape one stacked draw, one stack of form matrices and one
+batched ``eigvalsh``.  Only the witness matrix gets an ``eigh``, for its
+coefficient tuple.  The reported witness is the one with the lowest
+sample index, and neither it nor any margin depends on the block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -52,10 +55,11 @@ from .linalg import DEFAULT_TOL, ToleranceConfig
 from .pick import DataSet
 
 # Least singular value of ``alpha`` at or below which a drawn parameter
-# counts as non-injective and is redrawn from its own generator.
+# counts as non-injective; the next draw from the same generator replaces it.
 _INJECTIVITY_FLOOR = 1e-6
 # Random samples per block of the necessity scan: enough to amortize the
-# per-call overhead, few enough to keep the stacked forms small.
+# per-call overhead, few enough to keep the stacked forms small.  A speed
+# setting only: the scan's samples and report do not depend on it.
 _SCAN_BLOCK = 64
 
 __all__ = [
@@ -108,51 +112,60 @@ class GrassmannParam:
         return self.alpha.shape[0]
 
 
-def _draw_params(seeds: Sequence[int], ell: int, ell_prime: int):
-    """Stacked normalized pairs ``(alpha, beta)`` of shape ``(len(seeds), ell', ell)``.
+def _draw_params(rng: np.random.Generator, count: int, ell: int, ell_prime: int):
+    """Stacked normalized pairs ``(alpha, beta)`` of shape ``(count, ell', ell)``.
 
-    Row ``r`` equals ``grassmann_sample(seeds[r], ell, ell')`` bit for bit:
-    each seed owns its generator and a rejected draw is redrawn from it,
-    while the QR and the injectivity test run on the whole stack.
+    Each candidate is a complex Gaussian ``ell' x 2 ell`` block (two
+    ``standard_normal`` blocks of ``rng``) with orthonormalized rows.  A
+    candidate whose ``alpha`` is nearly non-injective is dropped and the
+    next one from the stream takes its place, so the rows equal ``count``
+    successive one-row draws from ``rng`` bit for bit, whatever ``count``.
+    All candidates missing from the stack are drawn in one call.
     """
     if not 1 <= ell <= ell_prime:
         raise DomainError(f"need 1 <= ell <= ell', got ell={ell}, ell'={ell_prime}")
     if ell_prime > 2 * ell:
         raise DomainError("ell' > 2 ell admits no normalized pair")
-    if min(seeds) < 0:
-        raise DomainError(f"seed must be nonnegative, got {min(seeds)}")
-    rngs = [np.random.default_rng(s) for s in seeds]
-    rows = np.empty((len(rngs), ell_prime, 2 * ell), dtype=complex)
-    pending = np.arange(len(rngs))
-    for _ in range(128):
-        raw = np.stack([rngs[i].standard_normal((2, ell_prime, 2 * ell)) for i in pending])
+    kept = []
+    have = misses = 0  # misses: rejections since the last accepted candidate
+    while have < count:
+        raw = rng.standard_normal((count - have, 2, ell_prime, 2 * ell))
         g = raw[:, 0] + 1j * raw[:, 1]
         qmat, _ = np.linalg.qr(g.conj().swapaxes(-1, -2), mode="reduced")
-        rows[pending] = qmat.conj().swapaxes(-1, -2)  # orthonormal rows
-        smin = np.linalg.svd(rows[pending, :, :ell], compute_uv=False)[:, -1]
-        pending = pending[~(smin > _INJECTIVITY_FLOOR)]
-        if not pending.size:
-            return rows[..., :ell], rows[..., ell:]
-    raise DomainError("failed to draw an injective alpha in 128 attempts")
+        rows = qmat.conj().swapaxes(-1, -2)  # orthonormal rows
+        ok = np.linalg.svd(rows[:, :, :ell], compute_uv=False)[:, -1] > _INJECTIVITY_FLOOR
+        runs = np.diff(np.concatenate([[-1 - misses], np.flatnonzero(ok), [ok.size]])) - 1
+        if runs.max() >= 128:
+            raise DomainError("failed to draw an injective alpha in 128 attempts")
+        misses = runs[-1]
+        kept.append(rows[ok])
+        have += int(ok.sum())
+    rows = np.concatenate(kept)
+    return rows[..., :ell], rows[..., ell:]
 
 
 def grassmann_sample(seed: int, ell: int, ell_prime: int) -> GrassmannParam:
     """Deterministic sample of a normalized kernel parameter.
 
-    Draws a complex Gaussian ``ell' x 2 ell`` block, orthonormalizes its
-    rows and splits it into ``(alpha, beta)``.  Samples with nearly
-    non-injective ``alpha`` (least singular value <= 1e-6) are rejected
-    and redrawn; the rejected set has measure zero, so this does not
-    bias coverage.  Bitwise deterministic for a fixed nonnegative seed,
-    and equal to the matching sample of the necessity scan.
+    Draws a complex Gaussian ``ell' x 2 ell`` block from
+    ``np.random.default_rng(seed)``, orthonormalizes its rows and splits
+    it into ``(alpha, beta)``.  Samples with nearly non-injective
+    ``alpha`` (least singular value <= 1e-6) are rejected and redrawn
+    from the same generator; the rejected set has measure zero, so this
+    does not bias coverage.  Bitwise deterministic for a fixed
+    nonnegative seed.  The necessity scan draws from one stream per
+    shape instead (see :func:`necessity_scan`), not from this function.
     """
-    alpha, beta = _draw_params([seed], ell, ell_prime)
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    alpha, beta = _draw_params(np.random.default_rng(seed), 1, ell, ell_prime)
     return GrassmannParam(alpha[0], beta[0])
 
 
 def _check_disk(z, name):
-    if np.any(np.abs(np.asarray(z)) >= 1.0):
-        raise DomainError(f"{name} must lie in the open unit disk")
+    # Written so that NaN fails: |NaN| < 1 is False, as is |NaN| >= 1.
+    if not np.all(np.abs(np.asarray(z)) < 1.0):
+        raise DomainError(f"{name} must be finite and lie in the open unit disk")
 
 
 def _kernel(alpha, beta, z, w) -> np.ndarray:
@@ -212,8 +225,7 @@ def lambda_criterion_matrix(d: DataSet, lam) -> np.ndarray:
     if d.k != 1:
         raise DomainError("the one-parameter criterion applies to scalar data only")
     lam = np.asarray(lam)
-    if np.any(np.abs(lam) >= 1.0):
-        raise DomainError("lambda must lie in the open unit disk")
+    _check_disk(lam, "lambda")
     w = d.scalar_values()
     lam = lam[..., None]
     u = (w - lam) / (1.0 - np.conj(lam) * w)
@@ -317,21 +329,23 @@ def _scan_blocks(samples: int, shapes, seed: int):
     """Yield the scan's blocks as lists of ``(indices, alpha, beta)``, one entry per shape.
 
     The canonical scalar parameters form the first block.  Random sample
-    ``i`` has seed ``seed * 1_000_003 + i`` and cycles through ``shapes``.
+    ``i`` cycles through ``shapes``; each shape draws its samples in index
+    order from its own generator, spawned from ``SeedSequence(seed)``, so
+    the samples do not depend on ``_SCAN_BLOCK``.
     """
     alpha, beta = _canonical_scalar_params()
     canonical = len(alpha)
     stop = min(canonical, samples)
     yield [(np.arange(stop), alpha[:stop], beta[:stop])]
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(shapes))]
     for start in range(canonical, samples, _SCAN_BLOCK):
         stop = min(start + _SCAN_BLOCK, samples)
         block = []
-        for j, (l, lp) in enumerate(shapes):
+        for j, ((l, lp), rng) in enumerate(zip(shapes, streams)):
             first = start + (j - (start - canonical)) % len(shapes)
             indices = np.arange(first, stop, len(shapes))
             if indices.size:
-                seeds = [seed * 1_000_003 + int(i) for i in indices]
-                block.append((indices, *_draw_params(seeds, l, lp)))
+                block.append((indices, *_draw_params(rng, indices.size, l, lp)))
         yield block
 
 
@@ -347,16 +361,20 @@ def necessity_scan(
     pair ``(1, 0)`` followed by a 16-point sweep of ``(cos t, sin t)``),
     since for scalar data the scalar family already decides feasibility
     and these are the cheapest witnesses.  Remaining samples draw random
-    parameters cycling through the shapes of :func:`default_shapes`.
-    Each sampled parameter is probed with the extremal coefficient tuple
-    taken from the eigendecomposition of the induced quadratic form,
-    which dominates any random tuple for that parameter.
+    parameters cycling through the shapes of :func:`default_shapes`; the
+    samples of each shape come in order from one generator per shape,
+    spawned from ``np.random.SeedSequence(seed)``.  Each sampled
+    parameter is probed with the extremal coefficient tuple taken from
+    the eigendecomposition of the induced quadratic form, which
+    dominates any random tuple for that parameter.
 
     Samples are evaluated in blocks: the canonical parameters first, so
     infeasible data usually exit after one small batch, then runs of
     ``_SCAN_BLOCK`` random samples.  Per block and shape the parameters
-    are drawn, their form matrices stacked and decomposed by one batched
-    ``eigh``; a block containing a witness ends the scan.
+    are drawn, their form matrices stacked and their eigenvalues taken
+    by one batched ``eigvalsh``; a block containing a witness ends the
+    scan, and only the witness matrix is passed to ``eigh`` for its
+    coefficient tuple.  The block size affects speed only.
 
     A sample is a witness when the relative margin of the form matrix
     drops below ``-psd_tol``.  Deterministic for a fixed nonnegative
@@ -372,17 +390,19 @@ def necessity_scan(
         hit = None
         for indices, alpha, beta in block:
             f = _form_stack(d, alpha, beta)
-            w, v = np.linalg.eigh(0.5 * (f + f.conj().swapaxes(-1, -2)))
+            f = 0.5 * (f + f.conj().swapaxes(-1, -2))
+            w = np.linalg.eigvalsh(f)
             scale = 1.0 + np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
             rel = w[:, 0] / scale
             min_rel = min(min_rel, np.min(rel))
             bad = np.flatnonzero(w[:, 0] < -tol.psd_tol * scale)
             if bad.size and (hit is None or indices[bad[0]] < hit[0]):
                 j = bad[0]
-                hit = (int(indices[j]), rel[j], alpha[j], beta[j], v[j, :, 0])
+                hit = (int(indices[j]), rel[j], alpha[j], beta[j], f[j])
         if hit is not None:
-            index, rel, alpha, beta, vec = hit
+            index, rel, alpha, beta, form = hit
             param = GrassmannParam(alpha, beta)
+            vec = np.linalg.eigh(form)[1][:, 0]
             xs = vec.reshape(d.n, param.ell, d.k).transpose(0, 2, 1)
             return ScanReport(
                 status="WITNESS",

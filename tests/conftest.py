@@ -7,11 +7,11 @@ exactly; no test draws from global random state.
 import numpy as np
 import pytest
 
+from cnpick import kernels
 from cnpick.kernels import (
     GrassmannParam,
     ScanReport,
     default_shapes,
-    grassmann_sample,
     necessity_form,
     necessity_form_matrix,
 )
@@ -196,12 +196,14 @@ def scan_oracle(d, samples=500, seed=0, tol=DEFAULT_TOL):
 
     Test-side oracle for the library's blocked scan: the same samples in
     the same order (the pair (1, 0), a 16-point sweep of (cos t, sin t),
-    then ``grassmann_sample(seed * 1_000_003 + index, ...)`` cycling
-    through ``default_shapes(d.k)``), each with its own form matrix and
-    ``eigh``; the first sample whose relative margin drops below
-    ``-psd_tol`` is the witness.
+    then random parameters cycling through ``default_shapes(d.k)``, each
+    drawn alone from its shape's generator, the generators spawned from
+    ``SeedSequence(seed)``), each with its own form matrix; the margin
+    comes from ``eigvalsh`` and the first sample whose relative margin
+    drops below ``-psd_tol`` is the witness, its tuple from ``eigh``.
     """
     shapes = default_shapes(d.k)
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(shapes))]
     canonical = [GrassmannParam.scalar(1.0, 0.0)]
     for jj in range(16):
         theta = -np.pi / 2.0 + np.pi * (jj + 0.5) / 16
@@ -211,15 +213,17 @@ def scan_oracle(d, samples=500, seed=0, tol=DEFAULT_TOL):
         if index < len(canonical):
             param = canonical[index]
         else:
-            l, lp = shapes[(index - len(canonical)) % len(shapes)]
-            param = grassmann_sample(seed * 1_000_003 + index, l, lp)
+            j = (index - len(canonical)) % len(shapes)
+            alpha, beta = kernels._draw_params(streams[j], 1, *shapes[j])
+            param = GrassmannParam(alpha[0], beta[0])
         f = necessity_form_matrix(d, param)
-        w, v = np.linalg.eigh(0.5 * (f + f.conj().T))
+        f = 0.5 * (f + f.conj().T)
+        w = np.linalg.eigvalsh(f)
         scale = 1.0 + max(abs(w[0]), abs(w[-1]))
         rel = w[0] / scale
         min_rel = min(min_rel, rel)
         if w[0] < -tol.psd_tol * scale:
-            xs = v[:, 0].reshape(d.n, param.ell, d.k).transpose(0, 2, 1)
+            xs = np.linalg.eigh(f)[1][:, 0].reshape(d.n, param.ell, d.k).transpose(0, 2, 1)
             return ScanReport(
                 status="WITNESS",
                 samples_requested=samples,

@@ -185,6 +185,23 @@ def test_witness_deterministic(workdir, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("seed_args", [[], ["--seed", "7"]], ids=["default", "seeded"])
+@pytest.mark.parametrize(
+    "nodes, values, status",
+    [([0.5, -0.4j], [0.2, 0.1], "PASS"), ([0.3, -0.3], [0.3, -0.3], "WITNESS")],
+    ids=["pass", "witness"],
+)
+def test_witness_seed_reproduces_document(workdir, capsys, seed_args, nodes, values, status):
+    path = write_problem(workdir / "p.json", nodes, values)
+    main(["witness", str(path), "--samples", "200", "--json"] + seed_args)
+    first = capsys.readouterr().out
+    doc = json.loads(first)
+    assert doc["status"] == status
+    assert doc["seed"] == (int(seed_args[1]) if seed_args else 0)
+    main(["witness", str(path), "--samples", "200", "--json", "--seed", str(doc["seed"])])
+    assert capsys.readouterr().out == first
+
+
 def test_witness_negative_seed_is_usage_error(workdir, capsys):
     path = write_problem(workdir / "p.json", [0.5, -0.4j], [0.2, 0.1])
     assert main(["witness", str(path), "--seed", "-1"]) == 64

@@ -31,11 +31,57 @@ def past_threshold(seed, n, k, threshold):
     return DataSet(d.nodes, d.values * threshold * (1 + 1e-2))
 
 
-# The first witness of a seed-0 scan lies in the second random block (index 110).
+# The first witness of a seed-10 scan lies in the second random block (index 115).
 NEAR_THRESHOLD = past_threshold(3, 3, 2, 0.0743615205137915)
-# The first random block holds witnesses of several shapes; the lowest index
-# (26) is not in the block's first shape group.
+NEAR_SEED = 10
+# At seed 0 the first random block holds witnesses of two shapes: 60 in the
+# fourth shape group, 36 and 41 in the fifth.  The scan meets 60 first, but
+# the lowest index (36) must win.
 CROWDED = past_threshold(6, 2, 3, 0.17419994378157413)
+
+# ``grassmann_sample`` output for fixed seeds, pinned so that a change of the
+# draw shows: (seed, ell, ell', alpha, beta).
+PINNED_SAMPLES = [
+    (
+        0,
+        1,
+        1,
+        [[-0.1865168763949312 - 0.950047103190218j]],
+        [[0.19597346002732666 - 0.15561606441711276j]],
+    ),
+    (
+        5,
+        1,
+        2,
+        [[-0.41692356641110373 + 0.5906297683556371j], [-0.2082492788141328 - 0.6587590260304647j]],
+        [[-0.688533281373038 + 0.05703627744593401j], [-0.3884821317053417 + 0.609713389095615j]],
+    ),
+    (
+        11,
+        2,
+        2,
+        [
+            [-0.010788853668146414 - 0.23566503292841431j, -0.4290415317777515 + 0.5828869241875636j],
+            [-0.5102279565484122 + 0.7149773639108562j, -0.08584438201840544 + 0.23747601834072402j],
+        ],
+        [
+            [-0.38643659354384846 - 0.49429358463735845j, 0.16101733844806096 + 0.030427267179592477j],
+            [0.17149367538098959 - 0.09631257401638507j, -0.02712391403695487 + 0.35396155853200073j],
+        ],
+    ),
+]
+# Seed 1, shape (1, 1), with the injectivity floor at 0.6: the first draw
+# (|alpha| <= 0.6) is rejected and the second one kept.
+PINNED_REDRAW = (
+    [[-0.705902544244503 + 0.4186604062930267j]],
+    [[-0.3480365654178442 - 0.4530955874468938j]],
+)
+
+
+def one_row_draws(rng, count, l, lp):
+    """``count`` successive single-parameter draws from ``rng``, stacked."""
+    rows = [kernels._draw_params(rng, 1, l, lp) for _ in range(count)]
+    return np.concatenate([a for a, _ in rows]), np.concatenate([b for _, b in rows])
 
 
 class TestGrassmannSample:
@@ -70,33 +116,52 @@ class TestGrassmannSample:
     # Every ell <= ell' <= 3, with the inadmissible (1, 3) refused.
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
     def test_matches_batched_draw(self, shape):
+        """A stacked draw equals one-row draws from the same stream, bit for bit."""
         l, lp = shape
         seeds = [0, 1, 17, 81, 3 * 1_000_003 + 40, 2**70]
         if lp > 2 * l:
             with pytest.raises(DomainError):
-                kernels._draw_params(seeds, l, lp)
+                kernels._draw_params(np.random.default_rng(seeds[0]), len(seeds), l, lp)
             with pytest.raises(DomainError):
                 grassmann_sample(seeds[0], l, lp)
             return
-        alpha, beta = kernels._draw_params(seeds, l, lp)
-        assert alpha.shape == beta.shape == (len(seeds), lp, l)
-        for row, seed in enumerate(seeds):
+        for seed in seeds:
+            alpha, beta = kernels._draw_params(np.random.default_rng(seed), len(seeds), l, lp)
+            assert alpha.shape == beta.shape == (len(seeds), lp, l)
+            want_alpha, want_beta = one_row_draws(np.random.default_rng(seed), len(seeds), l, lp)
+            assert np.array_equal(alpha, want_alpha) and np.array_equal(beta, want_beta)
             p = grassmann_sample(seed, l, lp)
-            assert np.array_equal(alpha[row], p.alpha) and np.array_equal(beta[row], p.beta)
+            assert np.array_equal(alpha[0], p.alpha) and np.array_equal(beta[0], p.beta)
 
     @pytest.mark.parametrize("shape, floor", [((1, 1), 0.6), ((2, 2), 0.3), ((2, 3), 0.65), ((3, 3), 0.2)])
     def test_redraw_matches_per_seed(self, monkeypatch, shape, floor):
+        """Rejected rows are replaced by the stream's next draws, as one-row draws would be."""
         l, lp = shape
-        seeds = list(range(100, 164))
-        first, _ = kernels._draw_params(seeds, l, lp)
+        count, seed = 64, 106  # at this seed the first draw passes every floor below
+        first, _ = kernels._draw_params(np.random.default_rng(seed), count, l, lp)
         monkeypatch.setattr(kernels, "_INJECTIVITY_FLOOR", floor)
-        alpha, beta = kernels._draw_params(seeds, l, lp)
-        redrawn = [row for row in range(len(seeds)) if not np.array_equal(alpha[row], first[row])]
-        assert 0 < len(redrawn) < len(seeds)
+        alpha, beta = kernels._draw_params(np.random.default_rng(seed), count, l, lp)
+        redrawn = [row for row in range(count) if not np.array_equal(alpha[row], first[row])]
+        assert 0 < len(redrawn) < count
         assert np.all(np.linalg.svd(alpha, compute_uv=False)[:, -1] > floor)
-        for row, seed in enumerate(seeds):
-            p = grassmann_sample(seed, l, lp)
-            assert np.array_equal(alpha[row], p.alpha) and np.array_equal(beta[row], p.beta)
+        want_alpha, want_beta = one_row_draws(np.random.default_rng(seed), count, l, lp)
+        assert np.array_equal(alpha, want_alpha) and np.array_equal(beta, want_beta)
+
+    @pytest.mark.parametrize("seed, l, lp, alpha, beta", PINNED_SAMPLES, ids=["1x1", "2x1", "2x2"])
+    def test_pinned_values(self, seed, l, lp, alpha, beta):
+        p = grassmann_sample(seed, l, lp)
+        assert np.array_equal(p.alpha, np.array(alpha)) and np.array_equal(p.beta, np.array(beta))
+
+    def test_pinned_redraw(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_INJECTIVITY_FLOOR", 0.6)
+        p = grassmann_sample(1, 1, 1)
+        alpha, beta = PINNED_REDRAW
+        assert np.array_equal(p.alpha, np.array(alpha)) and np.array_equal(p.beta, np.array(beta))
+
+    def test_redraw_gives_up(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_INJECTIVITY_FLOOR", 1.0)
+        with pytest.raises(DomainError, match="128 attempts"):
+            grassmann_sample(0, 1, 1)
 
     def test_param_validation(self):
         with pytest.raises(DomainError):
@@ -124,6 +189,16 @@ class TestKernelEval:
         p = GrassmannParam.scalar(1.0, 0.0)
         with pytest.raises(DomainError):
             kernel_eval(p, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.1, np.nan), np.inf, complex(-np.inf, 0.0)])
+    def test_rejects_non_finite(self, bad):
+        p = GrassmannParam.scalar(1.0, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            kernel_eval(p, bad, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            kernel_eval(p, 0.0, np.array([0.2, bad]))
+        with pytest.raises(DomainError, match="finite"):
+            kernel_gram(p, [0.3, bad])
 
     @pytest.mark.parametrize("seed", range(25))
     def test_conjugate_symmetry(self, seed):
@@ -216,6 +291,14 @@ class TestCriterionMatrices:
         d = DataSet.scalar([0.5], [0.0])
         with pytest.raises(DomainError):
             lambda_criterion_matrix(d, 1.2)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.2), np.inf])
+    def test_lambda_rejects_non_finite(self, bad):
+        d = DataSet.scalar([0.5], [0.0])
+        with pytest.raises(DomainError, match="finite"):
+            lambda_criterion_matrix(d, bad)
+        with pytest.raises(DomainError, match="finite"):
+            lambda_criterion_matrix(d, np.array([0.1, bad]))
 
     def test_lambda_grid_infeasible_instance(self):
         # No parameter value on a coarse disk grid rescues the documented
@@ -354,21 +437,61 @@ class TestScanMatchesOracle:
         assert_matches_oracle(report, scan_oracle(d, samples=2000, seed=0))
 
     @pytest.mark.parametrize("samples", [1, 17, 18, 81, 82, 500])
-    @pytest.mark.parametrize("data", [NEAR_THRESHOLD, matrix_feasible(24, 2, 2)], ids=["near", "feasible"])
-    def test_block_edges(self, data, samples):
-        report = necessity_scan(data, samples=samples, seed=0)
-        assert_matches_oracle(report, scan_oracle(data, samples=samples, seed=0))
+    @pytest.mark.parametrize(
+        "data, seed",
+        [(NEAR_THRESHOLD, NEAR_SEED), (matrix_feasible(24, 2, 2), 0)],
+        ids=["near", "feasible"],
+    )
+    def test_block_edges(self, data, seed, samples):
+        report = necessity_scan(data, samples=samples, seed=seed)
+        assert_matches_oracle(report, scan_oracle(data, samples=samples, seed=seed))
 
     def test_witness_in_later_block(self):
-        report = necessity_scan(NEAR_THRESHOLD, samples=500, seed=0)
+        report = necessity_scan(NEAR_THRESHOLD, samples=500, seed=NEAR_SEED)
         assert report.status == "WITNESS"
         assert report.witness_index > 81
-        assert_matches_oracle(report, scan_oracle(NEAR_THRESHOLD, samples=500, seed=0))
+        assert_matches_oracle(report, scan_oracle(NEAR_THRESHOLD, samples=500, seed=NEAR_SEED))
 
     def test_lowest_index_wins_across_shapes(self):
         report = necessity_scan(CROWDED, samples=500, seed=0)
-        assert report.witness_index == 26
+        assert report.witness_index == 36
         assert_matches_oracle(report, scan_oracle(CROWDED, samples=500, seed=0))
+
+
+class TestScanBlockSize:
+    """The block size is a speed setting: every report is the same at any size."""
+
+    # A floor of 0.3 rejects a good share of the draws of every shape, so the
+    # rejected rows' replacements are covered too.
+    @pytest.mark.parametrize("floor", [None, 0.3], ids=["default", "redraws"])
+    @pytest.mark.parametrize(
+        "data, seed",
+        [
+            (NEAR_THRESHOLD, NEAR_SEED),
+            (CROWDED, 0),
+            (matrix_feasible(22, 2, 3), 4),
+            (generate_feasible(21, 3)[0], 4),
+        ],
+        ids=["near", "crowded", "k2", "k1"],
+    )
+    def test_reports_identical(self, monkeypatch, data, seed, floor):
+        if floor is not None:
+            monkeypatch.setattr(kernels, "_INJECTIVITY_FLOOR", floor)
+        reports = []
+        for block in (1, 7, 64, 1000):
+            monkeypatch.setattr(kernels, "_SCAN_BLOCK", block)
+            reports.append(necessity_scan(data, samples=300, seed=seed))
+        first = reports[0]
+        for report in reports[1:]:
+            assert report.status == first.status
+            assert report.witness_index == first.witness_index
+            assert report.samples_evaluated == first.samples_evaluated
+            assert report.min_value == first.min_value
+            assert report.witness_value == first.witness_value
+            if first.status == "WITNESS":
+                assert np.array_equal(report.witness_param.alpha, first.witness_param.alpha)
+                assert np.array_equal(report.witness_param.beta, first.witness_param.beta)
+                assert np.array_equal(report.witness_tuple, first.witness_tuple)
 
 
 @settings(max_examples=30, deadline=None)
