@@ -34,10 +34,9 @@ x_disk = one_point_disk(z1, w1)
 print(f"feasible origin values: disk centered {x_disk.center:.6f}, radius {x_disk.radius:.6f}")
 
 union = body_union(z1, w1, z0, x_resolution=10, w_resolution=24)
-print(f"inner approximation: {len(union.inner_disks)} disks, diameter {union.diameter():.6f}")
-inside = sum(1 for _, flag in union.outer_grid if flag)
-print(f"outer membership grid ({len(union.outer_grid)} points, shared x grid): "
-      f"{inside} attainable")
+print(f"inner approximation: {union.xs.size} disks, diameter {union.diameter():.6f}")
+print(f"outer membership grid ({union.outer_grid.size} points, shared x grid): "
+      f"{union.inside.sum()} attainable")
 
 # Only the inner inclusion is proved; the union need not be the whole
 # body.  Measure the gap on a local grid with the certified membership

@@ -25,13 +25,14 @@ as the independent pencil route.  Sweeping ``x`` over its own feasible
 disk yields a union of disks that is contained in the body.  The outer grid
 is that union read off on a raster of candidate values: a 1 is attainable
 (it lies in some ``D(c_x, R_x)``), a 0 is only "not covered at this
-parameter resolution".  A single membership query is decided by the
-certified solver behind :func:`search_x_grid`.
+parameter resolution"; :class:`BodyReport` holds both as arrays.  A
+single membership query is decided by the certified solver behind
+:func:`search_x_grid`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -72,8 +73,8 @@ def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_T
     one-node radius at 1e-9 to 1e-12 from the node is off by about 1e-8,
     far more than the radius itself.
     """
-    if abs(z0) >= 1.0:
-        raise DomainError("z0 must lie in the open unit disk")
+    if not abs(z0) < 1.0:  # written so that NaN fails
+        raise DomainError("z0 must be finite and lie in the open unit disk")
     if np.any(d.nodes == z0):
         raise DomainError("z0 must differ from every interpolation node")
     aux = aux_matrices(d)
@@ -104,8 +105,8 @@ def _check_body_args(z1, w1, z0):
         raise DomainError("need nonzero z0, z1 in the open unit disk")
     if z0 == z1:
         raise DomainError("z0 must differ from z1")
-    if abs(w1) >= 1:
-        raise DomainError("need |w1| < 1")
+    if not abs(w1) < 1:  # written so that NaN fails
+        raise DomainError("need finite w1 with |w1| < 1")
 
 
 def _inner_disks(z1: complex, w1: complex, z0: complex, xs, tol: ToleranceConfig = DEFAULT_TOL):
@@ -124,8 +125,8 @@ def _inner_disks(z1: complex, w1: complex, z0: complex, xs, tol: ToleranceConfig
     ``(centers, radii, admissible)``; entries off the mask are meaningless.
     """
     xs = np.asarray(xs, dtype=complex)
-    if np.any(np.abs(xs) >= 1.0):
-        raise DomainError("need |x| < 1")
+    if not np.all(np.abs(xs) < 1.0):  # written so that NaN fails
+        raise DomainError("need finite x with |x| < 1")
     g = (w1 - xs) / ((1.0 - np.conj(xs) * w1) * z1**2)
     g2 = np.abs(g) ** 2
     p = (1.0 - g2) / (1.0 - abs(z1) ** 2)
@@ -186,37 +187,40 @@ def body_membership(
     return search_x_grid(DataSet.scalar([z1, z0], [w1, w0]), tol=tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class BodyReport:
     """Inner and outer approximations of a constrained interpolation body.
 
-    ``inner_disks`` holds ``(x, Disk)`` pairs from the parameter sweep;
-    their union is contained in the body.  ``outer_grid`` holds rows
-    ``(w0, inside)`` over a grid of candidate values, ``inside`` being
-    :meth:`covers` at ``w0``: 1 is proved attainable, 0 is not a proof
-    of exclusion.
+    ``xs`` are the admissible swept origin values and ``centers``,
+    ``radii`` their disks ``D(c_x, R_x)``, one entry each; the union of
+    the disks is contained in the body.  ``outer_grid`` is a complex
+    array of candidate values ``w0`` and ``inside`` (set from it) its
+    :meth:`covers` flags: True is proved attainable, False is not a
+    proof of exclusion.
     """
 
     z0: complex
-    inner_disks: tuple
-    outer_grid: tuple = field(default=())
+    xs: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+    outer_grid: np.ndarray
+    inside: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inside", self.covers(self.outer_grid))
 
     def diameter(self) -> float:
-        """Exact diameter of the union of the inner disks."""
-        if not self.inner_disks:
-            return 0.0
-        centers = np.array([disk.center for _, disk in self.inner_disks])
-        radii = np.array([disk.radius for _, disk in self.inner_disks])
-        i, j = np.triu_indices(len(radii), 1)
-        pairs = np.abs(centers[i] - centers[j]) + radii[i] + radii[j]
-        return float(max(2.0 * radii.max(), pairs.max(initial=0.0)))
+        """Exact diameter of the union of the inner disks (0 for none)."""
+        i, j = np.triu_indices(self.radii.size, 1)
+        pairs = np.abs(self.centers[i] - self.centers[j]) + self.radii[i] + self.radii[j]
+        return float(max(2.0 * self.radii.max(initial=0.0), pairs.max(initial=0.0)))
 
     def covers(self, w0, slack: float = 0.0):
-        """Whether ``w0`` lies in some inner disk; elementwise for arrays."""
+        """Whether ``w0`` lies in some inner disk; elementwise for arrays, one pass per disk."""
         w0 = np.asarray(w0)
         hit = np.zeros(w0.shape, dtype=bool)
-        for _, disk in self.inner_disks:
-            hit |= np.abs(w0 - disk.center) <= disk.radius + slack
+        for center, reach in zip(self.centers.tolist(), (self.radii + slack).tolist()):
+            hit |= np.abs(w0 - center) <= reach
         return bool(hit) if hit.ndim == 0 else hit
 
 
@@ -231,20 +235,14 @@ def body_union(
     """Inner union-of-disks approximation plus its membership grid.
 
     The parameter sweeps an equal-area grid of the (slightly shrunk)
-    feasible parameter disk; each admissible value contributes one disk.
-    The outer grid flags each candidate value ``w0`` of a
-    ``w_resolution`` grid of the unit disk that the inner union covers.
+    feasible parameter disk; each admissible value contributes one disk
+    to the report's arrays.  The outer grid is a ``w_resolution`` grid
+    of candidate values ``w0`` in the unit disk, flagged where the inner
+    union covers them.
     """
     _check_body_args(z1, w1, z0)
     disk0 = one_point_disk(z1, w1)
     xs = disk0.center + INTERIOR_SHRINK * disk0.radius * _disk_grid(x_resolution)
     xs = xs[np.abs(xs) < 1.0]
-    centers, radii, admissible = _inner_disks(z1, w1, z0, xs, tol)
-    inner = tuple(
-        (complex(x), Disk(complex(c), float(r)))
-        for x, c, r in zip(xs[admissible], centers[admissible], radii[admissible])
-    )
-    report = BodyReport(z0=complex(z0), inner_disks=inner)
-    grid = _disk_grid(w_resolution)
-    outer = tuple((complex(w0), bool(inside)) for w0, inside in zip(grid, report.covers(grid)))
-    return replace(report, outer_grid=outer)
+    centers, radii, ok = _inner_disks(z1, w1, z0, xs, tol)
+    return BodyReport(complex(z0), xs[ok], centers[ok], radii[ok], _disk_grid(w_resolution))

@@ -163,6 +163,14 @@ def cmd_witness(args) -> int:
     return EXIT_INFEASIBLE
 
 
+def _write_csv(path, header, columns):
+    """Write a UTF-8/LF CSV file: ``header``, then row i of the equal-length ``columns``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*(column.tolist() for column in columns)))
+
+
 def cmd_body(args) -> int:
     problem = parse_problem(args.input)
     tol = _tolerances(args, problem.tol)
@@ -176,8 +184,6 @@ def cmd_body(args) -> int:
             raise DomainError(f"{flag} must be a positive integer, got {value}")
     z0 = _parse_complex(args.z0, "--z0")
     z1, w1 = complex(data.nodes[0]), complex(data.scalar_values()[0])
-    if z0 == z1:
-        raise DomainError("--z0 must differ from the interpolation node")
 
     report = body_union(z1, w1, z0, x_resolution=args.xres, w_resolution=args.wres, tol=tol)
     diameter = report.diameter()
@@ -186,25 +192,20 @@ def cmd_body(args) -> int:
     os.makedirs(args.csv, exist_ok=True)
     disks_path = os.path.join(args.csv, "disks.csv")
     members_path = os.path.join(args.csv, "membership.csv")
-    with open(disks_path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["x_re", "x_im", "c_re", "c_im", "R"])
-        for x, inner in report.inner_disks:
-            writer.writerow([x.real, x.imag, inner.center.real, inner.center.imag, inner.radius])
-    with open(members_path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["w_re", "w_im", "inside"])
-        for w0, inside in report.outer_grid:
-            writer.writerow([w0.real, w0.imag, int(inside)])
+    xs, centers, grid = report.xs, report.centers, report.outer_grid
+    disk_columns = (xs.real, xs.imag, centers.real, centers.imag, report.radii)
+    _write_csv(disks_path, ["x_re", "x_im", "c_re", "c_im", "R"], disk_columns)
+    flags = report.inside.astype(int)
+    _write_csv(members_path, ["w_re", "w_im", "inside"], (grid.real, grid.imag, flags))
 
     document = {
         "schema": SCHEMA,
         "command": "body",
         "z0": complex_to_json(z0),
-        "inner_disks": len(report.inner_disks),
+        "inner_disks": xs.size,
         "inner_diameter": diameter,
-        "outer_grid_points": len(report.outer_grid),
-        "outer_inside": sum(1 for _, inside in report.outer_grid if inside),
+        "outer_grid_points": grid.size,
+        "outer_inside": int(report.inside.sum()),
         "unconstrained_disk": {"center": complex_to_json(disk.center), "radius": disk.radius},
         "files": {"disks": disks_path, "membership": members_path},
     }
@@ -212,8 +213,8 @@ def cmd_body(args) -> int:
         args,
         document,
         [
-            f"inner union: {len(report.inner_disks)} disks, diameter {diameter:.6f}",
-            f"outer grid: {document['outer_inside']} of {len(report.outer_grid)} points inside",
+            f"inner union: {xs.size} disks, diameter {diameter:.6f}",
+            f"outer grid: {document['outer_inside']} of {grid.size} points inside",
             f"unconstrained disk: center {disk.center:.6f}, radius {disk.radius:.6f}",
             f"wrote {disks_path} and {members_path}",
         ],

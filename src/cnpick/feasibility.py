@@ -56,6 +56,7 @@ from .kernels import lambda_criterion_matrix
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _batched_margins,
     hermitian_part,
     inv_sqrt_psd,
     is_psd,
@@ -116,7 +117,7 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:  # written so that NaN fails
             raise DomainError("disk radius must be nonnegative")
 
     def contains(self, point: complex, slack: float = 0.0) -> bool:
@@ -263,8 +264,8 @@ def one_point_disk(z1: complex, w1: complex) -> Disk:
     """
     if not 0 < abs(z1) < 1:
         raise DomainError("need 0 < |z1| < 1")
-    if abs(w1) > 1:
-        raise DomainError("need |w1| <= 1")
+    if not abs(w1) <= 1:  # written so that NaN fails
+        raise DomainError("need finite w1 with |w1| <= 1")
     if abs(w1) == 1:
         raise DegenerateDataError(
             "|w1| = 1 is degenerate: the constant function is the unique solution "
@@ -304,14 +305,6 @@ def _refine_grid(center: complex, halfwidth: float, per_side: int = 17) -> np.nd
     pts = center + re.ravel() + 1j * im.ravel()
     pts = pts[np.abs(pts) < 1.0 - 1e-12]
     return pts
-
-
-def _batched_margins(stack: np.ndarray):
-    """Smallest eigenvalue and relative scale for a stack of Hermitian matrices."""
-    w = np.linalg.eigvalsh(stack)
-    lmin = w[:, 0]
-    scale = 1.0 + np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-    return lmin, scale
 
 
 def _dual_bound(a0: np.ndarray, terms: np.ndarray, y: np.ndarray) -> float:

@@ -70,10 +70,10 @@ class SchurChain:
     def __post_init__(self):
         steps = tuple((complex(z), complex(v)) for z, v in self.steps)
         for zeta, v in steps:
-            if abs(zeta) >= 1 or abs(v) >= 1:
-                raise DomainError("chain steps must lie strictly inside the unit disk")
-        if abs(self.tail) > 1:
-            raise DomainError("chain tail must lie in the closed unit disk")
+            if not (abs(zeta) < 1 and abs(v) < 1):  # written so that NaN fails
+                raise DomainError("chain steps must be finite, strictly inside the unit disk")
+        if not abs(self.tail) <= 1:  # likewise
+            raise DomainError("chain tail must be finite and lie in the closed unit disk")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "tail", complex(self.tail))
 
@@ -91,8 +91,8 @@ def chain_eval(chain: SchurChain, z):
     The result has modulus at most one everywhere by construction.
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("evaluation points must lie in the open unit disk")
+    if not np.all(np.abs(z) < 1.0):  # written so that NaN fails
+        raise DomainError("evaluation points must be finite and lie in the open unit disk")
     val = np.full_like(z, chain.tail, dtype=complex)
     for zeta, v in reversed(chain.steps):
         t = _blaschke_factor(z, zeta) * val
@@ -115,8 +115,8 @@ def schur_reduce_constrained(d: DataSet, x: complex) -> DataSet:
         raise DomainError("construction is scalar-only")
     if np.any(d.nodes == 0):
         raise DomainError("reduction requires nonzero nodes")
-    if abs(x) >= 1:
-        raise DomainError("need |x| < 1")
+    if not abs(x) < 1:  # written so that NaN fails
+        raise DomainError("need finite x with |x| < 1")
     w = d.scalar_values()
     denom = (1.0 - np.conj(x) * w) * d.nodes**2
     if np.any(np.abs(1.0 - np.conj(x) * w) < 1e-14):
@@ -160,8 +160,8 @@ def assemble_constrained(chain: SchurChain, x: complex) -> SchurChain:
     Prepends the two origin steps to the chain of the reduced solution.
     The result satisfies ``s(0) = x`` and has vanishing derivative at 0.
     """
-    if abs(x) >= 1:
-        raise DomainError("need |x| < 1")
+    if not abs(x) < 1:  # written so that NaN fails
+        raise DomainError("need finite x with |x| < 1")
     return SchurChain(
         steps=((0.0 + 0.0j, complex(x)), (0.0 + 0.0j, 0.0 + 0.0j)) + chain.steps,
         tail=chain.tail,
@@ -182,8 +182,8 @@ def derivative_at(fn, point: complex, order: int = 1, nodes: int = 256):
     so it never leaves the disk; the trapezoid rule on ``nodes`` points
     is spectrally accurate for these functions.
     """
-    if abs(point) >= 1:
-        raise DomainError("point must lie in the open unit disk")
+    if not abs(point) < 1:  # written so that NaN fails
+        raise DomainError("point must be finite and lie in the open unit disk")
     if not 0 <= order <= 4:
         raise DomainError("orders above 4 are not supported")
     evaluate = (lambda z: chain_eval(fn, z)) if isinstance(fn, SchurChain) else fn

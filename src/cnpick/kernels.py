@@ -51,7 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, _batched_margins, hermitian_part
 from .pick import DataSet
 
 # Least singular value of ``alpha`` at or below which a drawn parameter
@@ -389,13 +389,11 @@ def necessity_scan(
     for block in _scan_blocks(samples, default_shapes(d.k), seed):
         hit = None
         for indices, alpha, beta in block:
-            f = _form_stack(d, alpha, beta)
-            f = 0.5 * (f + f.conj().swapaxes(-1, -2))
-            w = np.linalg.eigvalsh(f)
-            scale = 1.0 + np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-            rel = w[:, 0] / scale
+            f = hermitian_part(_form_stack(d, alpha, beta))
+            lmin, scale = _batched_margins(f)
+            rel = lmin / scale
             min_rel = min(min_rel, np.min(rel))
-            bad = np.flatnonzero(w[:, 0] < -tol.psd_tol * scale)
+            bad = np.flatnonzero(lmin < -tol.psd_tol * scale)
             if bad.size and (hit is None or indices[bad[0]] < hit[0]):
                 j = bad[0]
                 hit = (int(indices[j]), rel[j], alpha[j], beta[j], f[j])

@@ -131,6 +131,14 @@ def psd_margin(a):
     return float(w[0]), float(1.0 + max(abs(w[0]), abs(w[-1])))
 
 
+def _batched_margins(stack: np.ndarray):
+    """:func:`psd_margin` of each matrix of a Hermitian stack (not symmetrized here)."""
+    w = np.linalg.eigvalsh(stack)
+    lmin = w[:, 0]
+    scale = 1.0 + np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    return lmin, scale
+
+
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL):
     """Relative-tolerance PSD test.
 

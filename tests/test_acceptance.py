@@ -12,6 +12,7 @@ from cnpick.body import body_membership, body_union
 from cnpick.feasibility import (
     FEASIBLE,
     INFEASIBLE,
+    Disk,
     _pivot,
     ball_membership,
     ball_sample,
@@ -339,19 +340,20 @@ def test_criterion_8_kernel_positivity_and_soundness():
 def test_criterion_9_body_subset_and_realizability():
     z1, w1, z0 = 0.5, 0.3, 0.3
     union = body_union(z1, w1, z0, x_resolution=8, w_resolution=16)
-    assert union.inner_disks, "parameter sweep produced no disks"
+    assert union.xs.size, "parameter sweep produced no disks"
+    disks = [Disk(complex(c), float(r)) for c, r in zip(union.centers, union.radii)]
 
     boundary_failures = 0
     boundary_checked = 0
-    for x, disk in union.inner_disks:
+    for disk in disks:
         for w0 in disk.boundary(12):
             boundary_checked += 1
             if not body_membership(z1, w1, z0, w0).feasible:
                 boundary_failures += 1
     # spot-check a few points of a coarser boundary sampling as well
     independent_failures = 0
-    step = max(1, len(union.inner_disks) // 10)
-    for x, disk in union.inner_disks[::step][:10]:
+    step = max(1, len(disks) // 10)
+    for disk in disks[::step][:10]:
         w0 = disk.boundary(8)[1]  # 45 degrees, off the 30-degree steps above
         if not body_membership(z1, w1, z0, w0).feasible:
             independent_failures += 1
@@ -362,7 +364,8 @@ def test_criterion_9_body_subset_and_realizability():
     attempts = 0
     while realized < 50 and attempts < 400:
         attempts += 1
-        x, disk = union.inner_disks[int(rng.integers(0, len(union.inner_disks)))]
+        i = int(rng.integers(0, len(disks)))
+        x, disk = complex(union.xs[i]), disks[i]
         if disk.radius <= 0:
             continue
         w0 = disk.center + 0.7 * disk.radius * disk_point(rng, 1.0)

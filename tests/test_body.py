@@ -15,7 +15,6 @@ from cnpick.feasibility import (
     FEASIBLE,
     INFEASIBLE,
     Disk,
-    _batched_margins,
     _disk_grid,
     _dual_bound,
     ball_membership,
@@ -24,7 +23,7 @@ from cnpick.feasibility import (
 )
 from cnpick.interpolant import schur_reduce_constrained
 from cnpick.kernels import lambda_criterion_matrix
-from cnpick.linalg import DEFAULT_TOL, is_psd
+from cnpick.linalg import DEFAULT_TOL, _batched_margins, is_psd
 from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
@@ -35,6 +34,8 @@ from cnpick.pick import (
 )
 
 from conftest import disk_point, random_dataset, rng_for
+
+NAN = complex(float("nan"), 0.0)
 
 
 class TestUnconstrainedBody:
@@ -165,6 +166,11 @@ def swept_xs(z1, w1, x_resolution=10):
     return xs[np.abs(xs) < 1.0]
 
 
+def inner_disks(report):
+    """The report's inner disks as :class:`Disk` objects."""
+    return [Disk(complex(c), float(r)) for c, r in zip(report.centers, report.radii)]
+
+
 def pseudo_distance(a, b):
     return abs(a - b) / abs(1.0 - np.conj(b) * a)
 
@@ -204,6 +210,21 @@ class TestInnerDisks:
         with pytest.raises(DomainError):
             body_disk_x(0.5, 0.3, 0.3, 1.0)
 
+    @pytest.mark.parametrize(
+        "function, args",
+        [
+            (body_union, (0.5, NAN, 0.3)),
+            (body_disk_x, (0.5, NAN, 0.3, 0.1)),
+            (body_disk_x, (0.5, 0.3, 0.3, NAN)),
+            (_inner_disks, (0.5, 0.3, 0.3, [0.1, NAN])),
+            (unconstrained_body, (DataSet.scalar([0.5], [0.2]), NAN)),
+        ],
+        ids=["union-w1", "disk-w1", "disk-x", "inner-xs", "unconstrained-z0"],
+    )
+    def test_rejects_nan(self, function, args):
+        with pytest.raises(DomainError, match="finite"):
+            function(*args)
+
     @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-10])
     def test_near_node_keeps_every_disk(self, eps):
         # The closed form has no pivot to lose near the node: every swept x
@@ -211,9 +232,9 @@ class TestInnerDisks:
         z1, w1 = 0.5 + 0.1j, 0.3 - 0.2j
         z0 = z1 + eps * np.exp(0.7j)
         report = body_union(z1, w1, z0, w_resolution=4)
-        assert [x for x, _ in report.inner_disks] == [complex(x) for x in swept_xs(z1, w1)]
+        assert report.xs.tolist() == swept_xs(z1, w1).tolist()
         bound = pseudo_distance(z0, z1) + 1e-12
-        for _, disk in report.inner_disks:
+        for disk in inner_disks(report):
             assert all(pseudo_distance(w, w1) <= bound for w in disk.boundary(16))
 
 
@@ -262,16 +283,15 @@ class TestBodyUnion:
     @pytest.mark.parametrize("case", BODY_CASES)
     def test_outer_grid_matches_lambda_criterion(self, case):
         report = body_union(*case, x_resolution=8, w_resolution=16)
-        values = [w0 for w0, _ in report.outer_grid]
-        flags, borderline = lambda_criterion_flags(*case, values, x_resolution=8)
-        assert [inside for _, inside in report.outer_grid] == flags
+        flags, borderline = lambda_criterion_flags(*case, report.outer_grid, x_resolution=8)
+        assert report.inside.tolist() == flags
         assert 0 < sum(flags) < len(flags)
         assert borderline == 0
 
     @pytest.mark.parametrize("slack", [0.0, 1e-3, -1e-3])
     def test_covers_array_matches_scalar(self, slack):
         report = body_union(0.5, 0.3, 0.3, x_resolution=8, w_resolution=4)
-        values = report.inner_disks[3][1].boundary(6)[:, None] + 0.02 * _disk_grid(6)
+        values = inner_disks(report)[3].boundary(6)[:, None] + 0.02 * _disk_grid(6)
         flags = report.covers(values, slack)
         assert flags.shape == values.shape and flags.dtype == bool
         expected = [[report.covers(w0, slack) for w0 in row] for row in values]
@@ -282,12 +302,11 @@ class TestBodyUnion:
     def test_zero_data_contains_zero(self):
         report = body_union(0.5, 0.0, 0.3, x_resolution=8, w_resolution=16)
         assert report.covers(0.0, 1e-12)
-        assert len(report.inner_disks) > 0
+        assert report.xs.size > 0
 
     def test_inner_subset_of_outer(self):
         report = body_union(0.5, 0.3, 0.3, x_resolution=8, w_resolution=24)
-        outer = {w0: inside for w0, inside in report.outer_grid}
-        for w0, inside in report.outer_grid:
+        for w0, inside in zip(report.outer_grid, report.inside):
             if report.covers(w0, -1e-9):
                 assert inside
 
@@ -295,7 +314,7 @@ class TestBodyUnion:
         z1, w1, z0 = 0.5, 0.3, 0.3
         report = body_union(z1, w1, z0, x_resolution=8, w_resolution=16)
         inside_feasible = outside_infeasible = 0
-        for w0, inside in report.outer_grid:
+        for w0, inside in zip(report.outer_grid, report.inside):
             status = search_x_grid(DataSet.scalar([z1, z0], [w1, w0])).status
             if inside:
                 assert status == FEASIBLE
@@ -308,7 +327,7 @@ class TestBodyUnion:
     @pytest.mark.parametrize("case", BODY_CASES)
     def test_diameter_matches_pair_loop(self, case):
         report = body_union(*case, w_resolution=4)
-        disks = [disk for _, disk in report.inner_disks]
+        disks = inner_disks(report)
         best = max(2.0 * disk.radius for disk in disks)
         for i, a in enumerate(disks):
             for b in disks[i + 1 :]:
@@ -316,8 +335,12 @@ class TestBodyUnion:
         assert abs(report.diameter() - best) <= 1e-15 * best
 
     def test_diameter_of_no_and_one_disk(self):
-        assert BodyReport(z0=0.3, inner_disks=()).diameter() == 0.0
-        single = BodyReport(z0=0.3, inner_disks=((0.1, Disk(0.2 + 0.1j, 0.05)),))
+        def report(centers, radii):
+            xs = np.full(len(radii), 0.1 + 0j)
+            return BodyReport(0.3, xs, np.array(centers, complex), np.array(radii), np.zeros(0))
+
+        assert report([], []).diameter() == 0.0
+        single = report([0.2 + 0.1j], [0.05])
         assert single.diameter() == 0.1
 
     def test_collapse_as_z0_approaches_node(self):

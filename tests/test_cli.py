@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -163,6 +164,27 @@ def test_verify_tampered_chain_fails(workdir, capsys):
     assert main(["verify", str(chain_path), str(path)]) == 1
 
 
+NAN_ENTRY = float("nan")
+
+
+@pytest.mark.parametrize(
+    "steps, tail",
+    [
+        ([[NAN_ENTRY, 0.0, 0.47, 0.0]], [0.0, 0.0]),
+        ([[0.0, 0.0, NAN_ENTRY, 0.0]], [0.0, 0.0]),
+        ([[0.0, 0.0, 0.47, 0.0]], [NAN_ENTRY, 0.0]),
+    ],
+    ids=["node", "value", "tail"],
+)
+def test_verify_nan_chain_is_usage_error(workdir, capsys, steps, tail):
+    # Python's json reads NaN; the chain must refuse it, not verify with NaN residuals.
+    path = write_problem(workdir / "p.json", [0.5], [0.5])
+    chain_path = workdir / "chain.json"
+    chain_path.write_text(json.dumps({"schema": "cnp/1", "steps": steps, "tail": tail}))
+    assert main(["verify", str(chain_path), str(path)]) == 64
+    assert "finite" in capsys.readouterr().err
+
+
 def test_witness_pass_and_hit(workdir, capsys):
     good = write_problem(workdir / "good.json", [0.5], [0.2])
     assert main(["witness", str(good), "--samples", "64"]) == 0
@@ -266,6 +288,31 @@ def test_body_writes_csv(workdir, capsys):
     assert rows[0] == ["w_re", "w_im", "inside"]
     grid = {(float(r[0]), float(r[1])): int(r[2]) for r in rows[1:]}
     assert grid[(0.0, 0.0)] == 1  # the zero function realizes w0 = 0
+
+
+@pytest.mark.parametrize(
+    "z0, digests",
+    [
+        ("0.3,-0.2", ("b34e4d94a1dd3f699ffd41d93cbaae94797647d9afe4587620e267b634ffbe86",
+                      "75bdedc37ded03434996362724c2ab12df4066c6bcc47ec066d12c87a094949b",
+                      "a1501b63e6a26b27e821b3a86b27f4c56f7960463a28dd8e7a2ef82228454da7")),
+        ("-0.35,0.2", ("820f7534206512d81ea2553ecd16c0fc42fc3f84be57d9d95174dac644937334",
+                       "d87f651967ad60f71d70d921a84729813c84839dcb8f89d45ccefb097f47c3a6",
+                       "88e3408c0d6751f1eb1887c4a6a5c1c8c2a72128f5aa5012cdc306476c2e96a1")),
+        ("0.1,0.93", ("68557fc611dff4657dcb152080595d09977d596f0480fb43769876fe7bb39384",
+                      "b047772b4fc188a836bf19f0b1d37ff1130516ed9edf11d37f6b0d9603218ed4",
+                      "f8a39dd5e2103aa8fb0c7ee57d4d5c428d45049e81a956b01bb7329200a81ef4")),
+    ],
+    ids=["near-node", "far", "near-circle"],
+)
+def test_body_output_digests(workdir, capsys, z0, digests):
+    # Golden bytes at the default resolutions: the --json document, disks.csv
+    # and membership.csv, pinned by their sha256.
+    write_problem(workdir / "p.json", [0.4 - 0.3j], [0.2 + 0.5j])
+    assert main(["body", "p.json", f"--z0={z0}", "--csv", "out", "--json"]) == 0
+    outputs = [capsys.readouterr().out.encode()]
+    outputs += [(workdir / "out" / f).read_bytes() for f in ("disks.csv", "membership.csv")]
+    assert tuple(hashlib.sha256(data).hexdigest() for data in outputs) == digests
 
 
 def test_body_z0_equals_node_is_usage_error(workdir, capsys):

@@ -8,6 +8,7 @@ from cnpick.feasibility import (
     INFEASIBLE,
     M_COND_LIMIT,
     UNDETERMINED,
+    Disk,
     MatrixBall,
     _dual_bound,
     _pivot,
@@ -317,6 +318,15 @@ class TestOnePointDisk:
     def test_rejects_origin_node(self):
         with pytest.raises(DomainError):
             one_point_disk(0.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "function, args",
+        [(one_point_disk, (0.5, complex(np.nan, 0.0))), (Disk, (0.1, np.nan))],
+        ids=["one_point_disk", "Disk"],
+    )
+    def test_rejects_nan(self, function, args):
+        with pytest.raises(DomainError):
+            function(*args)
 
 
 class TestSearch:

@@ -23,6 +23,9 @@ from cnpick.pick import BlaschkeSpec, DataSet, constrained_pick_z2_quadratic, pi
 
 from conftest import disk_point, rng_for
 
+NAN = complex(float("nan"), 0.0)
+SHORT_CHAIN = SchurChain(steps=((0.2, 0.3),), tail=0.1)
+
 
 class TestChainEval:
     def test_zero_chain(self):
@@ -49,6 +52,29 @@ class TestChainEval:
             SchurChain(steps=((1.0, 0.0),), tail=0.0)
         with pytest.raises(DomainError):
             SchurChain(steps=(), tail=1.5)
+
+    @pytest.mark.parametrize(
+        "steps, tail",
+        [(((NAN, 0.3),), 0.0), (((0.2, NAN),), 0.0), ((), NAN)],
+        ids=["node", "value", "tail"],
+    )
+    def test_step_validation_rejects_nan(self, steps, tail):
+        with pytest.raises(DomainError, match="finite"):
+            SchurChain(steps=steps, tail=tail)
+
+    @pytest.mark.parametrize(
+        "function, args",
+        [
+            (chain_eval, (SHORT_CHAIN, [NAN, 0.1])),
+            (schur_reduce_constrained, (DataSet.scalar([0.5], [0.3]), NAN)),
+            (assemble_constrained, (SHORT_CHAIN, NAN)),
+            (derivative_at, (SHORT_CHAIN, NAN)),
+        ],
+        ids=["chain_eval", "schur_reduce_constrained", "assemble_constrained", "derivative_at"],
+    )
+    def test_nan_point_refused(self, function, args):
+        with pytest.raises(DomainError, match="finite"):
+            function(*args)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_norm_bound_random_chains(self, seed):

@@ -1,9 +1,10 @@
 """The public names of cnpick, and the names cnbench reaches by lookup, resolve.
 
 The benchmark's tracer wraps functions by ``getattr`` on the module
-names in ``SPANNED`` and ``COUNTED``; deleting one of them breaks a
-traced run without failing any other test.  cnbench is only read here
-(with ``ast``), never imported or changed.
+names in ``SPANNED`` and ``COUNTED``, and its hooks read attributes of
+the records those functions return; deleting or renaming one of them
+breaks a traced run without failing any other test.  cnbench is only
+read here (with ``ast``), never imported or changed.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import cnpick
+from cnpick.pick import DataSet
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "cnbench"
@@ -43,6 +45,45 @@ def _traced():
     return entries
 
 
+def _hook_reads():
+    """``(module, function, attrs)``: the ``result.<attr>`` names each hook of ``tracing.py`` reads.
+
+    Hooks are the ``_*_hook`` functions; ``HOOKS`` maps a span name to its
+    hook and ``SPANNED`` the span name to the traced functions.
+    """
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    reads, hooks, spanned = {}, {}, []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_hook"):
+            reads[node.name] = sorted(
+                {
+                    sub.attr
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "result"
+                }
+            )
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id == "HOOKS":
+                hooks = {k.value: v.id for k, v in zip(node.value.keys, node.value.values)}
+            elif node.targets[0].id == "SPANNED":
+                spanned = ast.literal_eval(node.value)
+    return [
+        (module, function, reads[hooks[span]])
+        for module, function, span in spanned
+        if span in hooks and reads[hooks[span]]
+    ]
+
+
+# A small fixed call of every function whose result a hook reads.
+HOOK_CALLS = {
+    ("cnpick.feasibility", "search_x_grid"): lambda f: f(DataSet.scalar([0.5], [0.3])),
+    ("cnpick.kernels", "necessity_scan"): lambda f: f(DataSet.scalar([0.5], [0.3]), samples=20),
+    ("cnpick.body", "body_union"): lambda f: f(0.5, 0.3, 0.3, x_resolution=3, w_resolution=3),
+}
+
+
 def _bench_imports():
     """``(module, name)`` for every name a cnbench file imports from cnpick."""
     found = []
@@ -66,8 +107,9 @@ def test_package_exports_are_public(module_name, name):
 
 
 def test_bench_lookups_found():
-    # Guards the readers below: empty lists would make the next two tests vacuous.
+    # Guards the readers below: empty lists would make the next tests vacuous.
     assert len(_traced()) >= 10 and _bench_imports()
+    assert {function for _, function, _ in _hook_reads()} >= {"search_x_grid", "body_union"}
 
 
 @pytest.mark.parametrize("module_name, name", _traced())
@@ -80,3 +122,13 @@ def test_bench_import_resolves(module_name, name):
     module = importlib.import_module(module_name)
     # ``from cnpick import cli`` names a submodule, which import_module finds.
     assert hasattr(module, name) or importlib.import_module(f"{module_name}.{name}")
+
+
+@pytest.mark.parametrize(
+    "module_name, name, attrs",
+    _hook_reads(),
+    ids=lambda value: value if isinstance(value, str) else "+".join(value),
+)
+def test_hook_reads_resolve(module_name, name, attrs):
+    result = HOOK_CALLS[module_name, name](getattr(importlib.import_module(module_name), name))
+    assert [attr for attr in attrs if not hasattr(result, attr)] == []
