@@ -136,10 +136,12 @@ def cmd_witness(args) -> int:
             "status": "PASS",
             "seed": args.seed,
             "samples": report.samples_evaluated,
+            "forms_evaluated": report.forms_evaluated,
             "min_value": report.min_value,
         }
         _emit(args, document, [f"PASS: no witness among {report.samples_evaluated} samples "
-                               f"(min relative margin {report.min_value:.3e})"])
+                               f"({report.forms_evaluated} distinct forms; "
+                               f"min relative margin {report.min_value:.3e})"])
         return EXIT_FEASIBLE
     document = {
         "schema": SCHEMA,
@@ -147,6 +149,7 @@ def cmd_witness(args) -> int:
         "status": "WITNESS",
         "seed": args.seed,
         "sample_index": report.witness_index,
+        "forms_evaluated": report.forms_evaluated,
         "value": report.witness_value,
         "alpha": matrix_to_json(report.witness_param.alpha),
         "beta": matrix_to_json(report.witness_param.beta),

@@ -117,6 +117,8 @@ class Disk:
     radius: float
 
     def __post_init__(self):
+        if not np.isfinite(self.center):
+            raise DomainError("disk center must be finite")
         if not self.radius >= 0:  # written so that NaN fails
             raise DomainError("disk radius must be nonnegative")
 

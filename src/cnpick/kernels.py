@@ -36,11 +36,19 @@ at ``x`` (``schur_reduce_constrained``), so the two are congruent.
 All functions here are pure.  The scan's random parameters come from
 one generator per shape, spawned from ``SeedSequence(seed)``, and scan
 samples are independent, so the scan evaluates them in blocks (the
-canonical scalar parameters, then runs of ``_SCAN_BLOCK`` random draws):
-per block and shape one stacked draw, one stack of form matrices and one
-batched ``eigvalsh``.  Only the witness matrix gets an ``eigh``, for its
+canonical scalar parameters, then runs of random draws sized by
+``_SCAN_BUDGET``, one block for a default scan of small data): per block
+and shape one stacked draw, one stack of form matrices and one batched
+``eigvalsh``.  Only the witness matrix gets an ``eigh``, for its
 coefficient tuple.  The reported witness is the one with the lowest
 sample index, and neither it nor any margin depends on the block size.
+
+A shape with ``ell' = 2 ell`` needs one sample only.  There ``[alpha
+beta]`` is square with orthonormal rows, hence unitary, so its columns
+are orthonormal too: ``alpha* alpha = beta* beta = I`` and ``alpha* beta
+= 0``.  The kernel is then ``(1 + conj(w) z) I`` plus the tail for every
+draw, and so is the form matrix; the scan evaluates such a shape once,
+at its first random index.
 """
 
 from __future__ import annotations
@@ -51,16 +59,21 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .linalg import DEFAULT_TOL, ToleranceConfig, _batched_margins, hermitian_part
+from .linalg import DEFAULT_TOL, ToleranceConfig, _batched_margins
 from .pick import DataSet
 
 # Least singular value of ``alpha`` at or below which a drawn parameter
 # counts as non-injective; the next draw from the same generator replaces it.
 _INJECTIVITY_FLOOR = 1e-6
-# Random samples per block of the necessity scan: enough to amortize the
-# per-call overhead, few enough to keep the stacked forms small.  A speed
-# setting only: the scan's samples and report do not depend on it.
-_SCAN_BLOCK = 64
+# Stacked form entries per block of the necessity scan.  A block holds
+# max(#shapes, _SCAN_BUDGET // (n k k)^2) random samples, (n k k)^2 being the
+# entry count of the largest form: a default scan of data with n k k <= 23
+# runs as one stack per shape, while large data get small blocks, so memory
+# stays bounded for any sample count.  Shapes with ell' = 2 ell add one form
+# per scan, not one per sample: their forms do not depend on the draw (see
+# the module docstring).  A speed setting only: the scan's samples and
+# report do not depend on it.
+_SCAN_BUDGET = 1 << 18
 
 __all__ = [
     "GrassmannParam",
@@ -270,7 +283,7 @@ def _form_stack(d: DataSet, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     n, k, l = d.n, d.k, alpha.shape[-1]
     kmat = _kernel(alpha[:, None, None], beta[:, None, None], d.nodes[:, None], d.nodes[None, :])
     gap = np.eye(k) - d.values[:, None] @ d.values[None, :].conj().swapaxes(-1, -2)
-    forms = np.einsum("pijtr,ijsu->pirsjtu", kmat, gap)
+    forms = np.einsum("pijtr,ijsu->pirsjtu", kmat, gap, order="C")  # reshaped without a copy
     return forms.reshape(len(alpha), n * l * k, n * l * k)
 
 
@@ -295,13 +308,17 @@ class ScanReport:
     For a witness, the offending parameter, coefficient tuple (shape
     ``(n, k, ell)``), form value and sample index are recorded.
     ``min_value`` tracks the most negative relative margin seen across
-    all evaluated samples.
+    all evaluated samples.  ``forms_evaluated`` counts the form matrices
+    the scan decomposed: one per sample, except one per scan for each
+    ``ell' = 2 ell`` shape; after a witness it includes the rest of the
+    witness's block.
     """
 
     status: str
     samples_requested: int
     samples_evaluated: int
     min_value: float
+    forms_evaluated: int
     witness_param: Optional[GrassmannParam] = None
     witness_tuple: Optional[np.ndarray] = None
     witness_value: Optional[float] = None
@@ -325,25 +342,30 @@ def default_shapes(k: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((l, lp) for lp in range(1, k + 1) for l in range(1, lp + 1) if lp <= 2 * l)
 
 
-def _scan_blocks(samples: int, shapes, seed: int):
+def _scan_blocks(samples: int, shapes, seed: int, size: int):
     """Yield the scan's blocks as lists of ``(indices, alpha, beta)``, one entry per shape.
 
-    The canonical scalar parameters form the first block.  Random sample
-    ``i`` cycles through ``shapes``; each shape draws its samples in index
-    order from its own generator, spawned from ``SeedSequence(seed)``, so
-    the samples do not depend on ``_SCAN_BLOCK``.
+    The canonical scalar parameters form the first block, then come runs
+    of ``size`` random samples.  Random sample ``i`` cycles through
+    ``shapes``; each shape draws its samples in index order from its own
+    generator, spawned from ``SeedSequence(seed)``, so the samples do not
+    depend on ``size``.  An ``ell' = 2 ell`` shape yields its first random
+    index only, with its stream's first draw: its later samples share that
+    form (see the module docstring).
     """
     alpha, beta = _canonical_scalar_params()
     canonical = len(alpha)
     stop = min(canonical, samples)
     yield [(np.arange(stop), alpha[:stop], beta[:stop])]
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(shapes))]
-    for start in range(canonical, samples, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, samples)
+    for start in range(canonical, samples, size):
+        stop = min(start + size, samples)
         block = []
         for j, ((l, lp), rng) in enumerate(zip(shapes, streams)):
             first = start + (j - (start - canonical)) % len(shapes)
             indices = np.arange(first, stop, len(shapes))
+            if lp == 2 * l:
+                indices = indices[indices == canonical + j]
             if indices.size:
                 block.append((indices, *_draw_params(rng, indices.size, l, lp)))
         yield block
@@ -368,13 +390,21 @@ def necessity_scan(
     the eigendecomposition of the induced quadratic form, which
     dominates any random tuple for that parameter.
 
+    A shape with ``ell' = 2 ell`` is evaluated once, at its first random
+    index with its stream's first draw: ``[alpha beta]`` is then unitary,
+    so every draw of the shape gives the same kernel ``(1 + conj(w) z) I``
+    plus the tail, and the same form matrix.  Its later indices still
+    count as evaluated samples.
+
     Samples are evaluated in blocks: the canonical parameters first, so
     infeasible data usually exit after one small batch, then runs of
-    ``_SCAN_BLOCK`` random samples.  Per block and shape the parameters
-    are drawn, their form matrices stacked and their eigenvalues taken
-    by one batched ``eigvalsh``; a block containing a witness ends the
-    scan, and only the witness matrix is passed to ``eigh`` for its
-    coefficient tuple.  The block size affects speed only.
+    ``max(#shapes, _SCAN_BUDGET // (n k k)^2)`` random samples, so a
+    default scan of small data is one block.  Per block and shape the
+    parameters are drawn, their form matrices stacked and their
+    eigenvalues taken by one batched ``eigvalsh``; a block containing a
+    witness ends the scan, and only the witness matrix is passed to
+    ``eigh`` for its coefficient tuple.  The block size affects speed
+    only.
 
     A sample is a witness when the relative margin of the form matrix
     drops below ``-psd_tol``.  Deterministic for a fixed nonnegative
@@ -385,11 +415,16 @@ def necessity_scan(
         raise DomainError("samples must be >= 1")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    min_rel = np.inf
-    for block in _scan_blocks(samples, default_shapes(d.k), seed):
+    shapes = default_shapes(d.k)
+    size = max(len(shapes), _SCAN_BUDGET // (d.n * d.k * d.k) ** 2)
+    min_rel, forms = np.inf, 0
+    for block in _scan_blocks(samples, shapes, seed, size):
         hit = None
         for indices, alpha, beta in block:
-            f = hermitian_part(_form_stack(d, alpha, beta))
+            forms += indices.size
+            f = _form_stack(d, alpha, beta)
+            f += f.conj().swapaxes(-1, -2)  # hermitian_part in place: same bits, one stack less
+            f *= 0.5
             lmin, scale = _batched_margins(f)
             rel = lmin / scale
             min_rel = min(min_rel, np.min(rel))
@@ -407,6 +442,7 @@ def necessity_scan(
                 samples_requested=samples,
                 samples_evaluated=index + 1,
                 min_value=float(rel),
+                forms_evaluated=forms,
                 witness_param=param,
                 witness_tuple=xs,
                 witness_value=necessity_form(d, param, xs, tol),
@@ -417,4 +453,5 @@ def necessity_scan(
         samples_requested=samples,
         samples_evaluated=samples,
         min_value=float(min_rel),
+        forms_evaluated=forms,
     )

@@ -229,13 +229,18 @@ def scan_oracle(d, samples=500, seed=0, tol=DEFAULT_TOL):
                 samples_requested=samples,
                 samples_evaluated=index + 1,
                 min_value=float(rel),
+                forms_evaluated=index + 1,
                 witness_param=param,
                 witness_tuple=xs,
                 witness_value=necessity_form(d, param, xs, tol),
                 witness_index=index,
             )
     return ScanReport(
-        status="PASS", samples_requested=samples, samples_evaluated=samples, min_value=float(min_rel)
+        status="PASS",
+        samples_requested=samples,
+        samples_evaluated=samples,
+        min_value=float(min_rel),
+        forms_evaluated=samples,
     )
 
 

@@ -328,6 +328,15 @@ class TestOnePointDisk:
         with pytest.raises(DomainError):
             function(*args)
 
+    @pytest.mark.parametrize(
+        "center",
+        [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.0, -np.inf)],
+        ids=["nan-real", "nan-imag", "inf-real", "inf-imag"],
+    )
+    def test_disk_rejects_non_finite_center(self, center):
+        with pytest.raises(DomainError, match="center must be finite"):
+            Disk(center, 0.1)
+
 
 class TestSearch:
     def test_one_point_feasible_witness_in_disk(self):

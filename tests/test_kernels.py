@@ -478,8 +478,11 @@ class TestScanBlockSize:
         if floor is not None:
             monkeypatch.setattr(kernels, "_INJECTIVITY_FLOOR", floor)
         reports = []
-        for block in (1, 7, 64, 1000):
-            monkeypatch.setattr(kernels, "_SCAN_BLOCK", block)
+        # Blocks of 1 (at least one per shape), 7 and 64 samples, then one
+        # block for the whole scan.
+        largest = (data.n * data.k * data.k) ** 2
+        for block in (1, 7, 64, 300):
+            monkeypatch.setattr(kernels, "_SCAN_BUDGET", block * largest)
             reports.append(necessity_scan(data, samples=300, seed=seed))
         first = reports[0]
         for report in reports[1:]:
@@ -492,6 +495,87 @@ class TestScanBlockSize:
                 assert np.array_equal(report.witness_param.alpha, first.witness_param.alpha)
                 assert np.array_equal(report.witness_param.beta, first.witness_param.beta)
                 assert np.array_equal(report.witness_tuple, first.witness_tuple)
+
+
+class TestUnitaryShapes:
+    """Shapes with ell' = 2 ell have one form, evaluated once per scan."""
+
+    @pytest.mark.parametrize("k, l, lp", [(2, 1, 2), (4, 1, 2), (4, 2, 4)])
+    def test_form_stack_is_closed_form(self, k, l, lp):
+        d = random_dataset(40 + k + l, n=3, k=k)
+        alpha, beta = kernels._draw_params(np.random.default_rng(lp), 8, l, lp)
+        forms = kernels._form_stack(d, alpha, beta)
+        z, w = d.nodes[:, None], np.conj(d.nodes[None, :])
+        c = 1.0 + w * z + w**2 * z**2 / (1.0 - w * z)  # K(z_i, z_j) = c_ij I
+        gap = np.eye(k) - d.values[:, None] @ d.values[None, :].conj().swapaxes(-1, -2)
+        size = d.n * l * k
+        closed = np.einsum("ij,rt,ijsu->irsjtu", c, np.eye(l), gap).reshape(size, size)
+        assert forms.shape == (8, size, size)
+        assert np.max(np.abs(forms - closed)) <= 1e-13
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default", "smallest-blocks"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_one_draw_per_unitary_stream(self, monkeypatch, k, budget):
+        if budget is not None:
+            monkeypatch.setattr(kernels, "_SCAN_BUDGET", budget)
+        rows = {}
+        draw = kernels._draw_params
+
+        def counting(rng, count, l, lp):
+            rows[l, lp] = rows.get((l, lp), 0) + count
+            return draw(rng, count, l, lp)
+
+        monkeypatch.setattr(kernels, "_draw_params", counting)
+        d = matrix_feasible(25, k, 2)
+        report = necessity_scan(d, samples=300, seed=1)
+        assert report.passed
+        shapes = default_shapes(k)
+        unitary = [(l, lp) for l, lp in shapes if lp == 2 * l]
+        assert unitary == ([(1, 2)] if k == 2 else [(1, 2), (2, 4)])
+        for j, shape in enumerate(shapes):
+            share = len(range(j, 300 - 17, len(shapes)))  # the shape's random samples
+            assert rows[shape] == (1 if shape in unitary else share)
+        assert report.forms_evaluated == 17 + sum(rows.values())
+
+    @pytest.mark.parametrize("size", [8, 13, 300])
+    def test_unitary_shape_at_first_index(self, size):
+        """Each ell' = 2 ell shape comes once, at its first random index, with
+        its stream's first draw: a witness there keeps its index and bytes."""
+        shapes = default_shapes(4)
+        streams = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(len(shapes))]
+        seen = []
+        for block in kernels._scan_blocks(300, shapes, 5, size):
+            for indices, alpha, beta in block:
+                l, lp = alpha.shape[2], alpha.shape[1]
+                if lp == 2 * l:
+                    j = shapes.index((l, lp))
+                    want_alpha, want_beta = kernels._draw_params(streams[j], 1, l, lp)
+                    assert indices.tolist() == [17 + j]
+                    assert np.array_equal(alpha, want_alpha)
+                    assert np.array_equal(beta, want_beta)
+                    seen.append((l, lp))
+        assert seen == [(1, 2), (2, 4)]
+
+    def test_stacks_bounded_on_large_data(self, monkeypatch):
+        stacks = []
+        form_stack = kernels._form_stack
+
+        def recording(d, alpha, beta):
+            forms = form_stack(d, alpha, beta)
+            stacks.append(forms.shape)
+            return forms
+
+        monkeypatch.setattr(kernels, "_form_stack", recording)
+        d = matrix_feasible(26, 3, 16)
+        assert necessity_scan(d, samples=120, seed=0).passed
+        largest = (16 * 3 * 3) ** 2
+        per_block = kernels._SCAN_BUDGET // largest
+        assert 5 <= per_block < 120 - 17
+        for count, rows, cols in stacks:
+            assert rows == cols <= 16 * 3 * 3
+            assert count * rows * cols <= kernels._SCAN_BUDGET
+        # The random samples took more than one block.
+        assert len(stacks) > 1 + len(default_shapes(3))
 
 
 @settings(max_examples=30, deadline=None)
