@@ -216,12 +216,37 @@ class BodyReport:
         return float(max(2.0 * self.radii.max(initial=0.0), pairs.max(initial=0.0)))
 
     def covers(self, w0, slack: float = 0.0):
-        """Whether ``w0`` lies in some inner disk; elementwise for arrays, one pass per disk."""
+        """Whether ``w0`` lies in some inner disk; elementwise for arrays.
+
+        A point is covered when ``|w0 - c| <= r + slack`` for some disk.
+        Only the points inside the disks' bounding box, widened by a
+        relative pad far above rounding, get that per-disk test; the
+        others cannot pass it.  When the box is not finite (no disks, or
+        NaN or infinite entries), every point is tested.
+        """
         w0 = np.asarray(w0)
-        hit = np.zeros(w0.shape, dtype=bool)
-        for center, reach in zip(self.centers.tolist(), (self.radii + slack).tolist()):
-            hit |= np.abs(w0 - center) <= reach
-        return bool(hit) if hit.ndim == 0 else hit
+        points = w0.reshape(-1)
+        reach = self.radii + slack
+        re_lo, re_hi, im_lo, im_hi = box = np.array([
+            (self.centers.real - reach).min(initial=np.inf),
+            (self.centers.real + reach).max(initial=-np.inf),
+            (self.centers.imag - reach).min(initial=np.inf),
+            (self.centers.imag + reach).max(initial=-np.inf),
+        ])
+        near = np.arange(points.size)
+        if np.isfinite(box).all():
+            pad = 1e-9 * (1.0 + np.abs(box).max())
+            re, im = points.real, points.imag
+            near = np.flatnonzero(
+                (re >= re_lo - pad) & (re <= re_hi + pad) & (im >= im_lo - pad) & (im <= im_hi + pad)
+            )
+        candidates = points[near]
+        found = np.zeros(candidates.shape, dtype=bool)
+        for center, radius in zip(self.centers.tolist(), reach.tolist()):
+            found |= np.abs(candidates - center) <= radius
+        hit = np.zeros(points.shape, dtype=bool)
+        hit[near] = found
+        return bool(hit[0]) if w0.ndim == 0 else hit.reshape(w0.shape)
 
 
 def body_union(

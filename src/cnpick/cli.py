@@ -12,7 +12,6 @@ an explicit ``--tol`` flag wins over both it and the problem file.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -167,11 +166,17 @@ def cmd_witness(args) -> int:
 
 
 def _write_csv(path, header, columns):
-    """Write a UTF-8/LF CSV file: ``header``, then row i of the equal-length ``columns``."""
+    """Write a UTF-8/LF CSV file: ``header``, then row i of the equal-length ``columns``.
+
+    The file is built as one string and written at once.  Each field is
+    ``repr`` of a Python float or int, which is what ``csv.writer`` writes
+    for numbers (it never quotes them), so the bytes match a row-by-row
+    writer.
+    """
+    fields = (map(repr, column.tolist()) for column in columns)
+    text = "\n".join([",".join(header), *map(",".join, zip(*fields)), ""])
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*(column.tolist() for column in columns)))
+        handle.write(text)
 
 
 def cmd_body(args) -> int:

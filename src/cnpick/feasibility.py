@@ -292,13 +292,15 @@ def _disk_grid(resolution: int) -> np.ndarray:
     resolution^2.
     """
     rings = max(1, resolution // 2)
-    points = [0.0 + 0.0j]
-    for i in range(1, rings + 1):
-        radius = np.sqrt((i - 0.5) / rings)
-        count = max(8, int(round(np.pi * (2 * i - 1))))
-        theta = 2.0 * np.pi * (np.arange(count) + 0.5 * (i % 2)) / count
-        points.append(radius * np.exp(1j * theta))
-    return np.concatenate([np.atleast_1d(p) for p in points])
+    i = np.arange(1, rings + 1)
+    counts = np.maximum(8, np.rint(np.pi * (2 * i - 1)).astype(int))
+    # One entry per point: its ring, its ring's size and its index on the ring.
+    ring = np.repeat(i, counts)
+    count = np.repeat(counts, counts)
+    j = np.arange(count.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    theta = 2.0 * np.pi * (j + 0.5 * (ring % 2)) / count
+    radius = np.sqrt((ring - 0.5) / rings)
+    return np.concatenate([[0.0 + 0.0j], radius * np.exp(1j * theta)])
 
 
 def _refine_grid(center: complex, halfwidth: float, per_side: int = 17) -> np.ndarray:
@@ -322,7 +324,7 @@ def _dual_bound(a0: np.ndarray, terms: np.ndarray, y: np.ndarray) -> float:
     w = np.clip(w, 0.0, None)
     y = (v * (w / w.sum())) @ v.conj().T
     g = np.einsum("ij,abji->ab", y, terms)
-    return float(np.trace(y @ a0).real + 2.0 * np.linalg.norm(g, "nuc"))
+    return float(np.trace(y @ a0).real + 2.0 * np.linalg.svd(g, compute_uv=False).sum())
 
 
 def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):

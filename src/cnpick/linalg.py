@@ -213,4 +213,4 @@ def operator_norm(a):
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(np.atleast_2d(a), compute_uv=False)[0])

@@ -4,6 +4,8 @@ Everything is driven by explicit integer seeds so failures reproduce
 exactly; no test draws from global random state.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,49 @@ def scan_oracle(d, samples=500, seed=0, tol=DEFAULT_TOL):
         min_value=float(min_rel),
         forms_evaluated=samples,
     )
+
+
+def csv_oracle(path, header, columns):
+    """The body CSV files written row by row with ``csv.writer``.
+
+    Test-side oracle for the one-string writer in the CLI: same header,
+    same rows (the ``tolist()`` values of the equal-length ``columns``),
+    UTF-8 with LF line ends.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*(column.tolist() for column in columns)))
+
+
+def disk_grid_oracle(resolution):
+    """The equal-area polar grid of the unit disk built one ring at a time.
+
+    Test-side oracle for the library's one-pass grid: the origin, then
+    ring ``i`` at radius ``sqrt((i - 1/2) / rings)`` with
+    ``max(8, round(pi (2 i - 1)))`` points, odd rings turned by half a step.
+    """
+    rings = max(1, resolution // 2)
+    points = [0.0 + 0.0j]
+    for i in range(1, rings + 1):
+        radius = np.sqrt((i - 0.5) / rings)
+        count = max(8, int(round(np.pi * (2 * i - 1))))
+        theta = 2.0 * np.pi * (np.arange(count) + 0.5 * (i % 2)) / count
+        points.append(radius * np.exp(1j * theta))
+    return np.concatenate([np.atleast_1d(p) for p in points])
+
+
+def covers_oracle(centers, radii, w0, slack=0.0):
+    """Whether ``w0`` lies in some disk ``D(c, r + slack)``, testing every point against every disk.
+
+    Test-side oracle for ``BodyReport.covers``: elementwise for arrays,
+    a ``bool`` for scalar and 0-d input.
+    """
+    w0 = np.asarray(w0)
+    hit = np.zeros(w0.shape, dtype=bool)
+    for center, reach in zip(centers.tolist(), (radii + slack).tolist()):
+        hit |= np.abs(w0 - center) <= reach
+    return bool(hit) if hit.ndim == 0 else hit
 
 
 def random_contraction(rng, k, norm=None):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnpick.body import (
     INTERIOR_SHRINK,
@@ -33,7 +35,7 @@ from cnpick.pick import (
     pick_matrix,
 )
 
-from conftest import disk_point, random_dataset, rng_for
+from conftest import covers_oracle, disk_point, random_dataset, rng_for
 
 NAN = complex(float("nan"), 0.0)
 
@@ -299,6 +301,13 @@ class TestBodyUnion:
         assert flags.tolist() == expected
         assert 0 < flags.sum() < flags.size
 
+    @pytest.mark.parametrize("case", BODY_CASES)
+    @pytest.mark.parametrize("resolutions", [(3, 5), (10, 32), (25, 80)])
+    def test_inside_matches_per_disk_loop(self, case, resolutions):
+        report = body_union(*case, *resolutions)
+        expected = covers_oracle(report.centers, report.radii, report.outer_grid)
+        assert report.inside.tolist() == expected.tolist()
+
     def test_zero_data_contains_zero(self):
         report = body_union(0.5, 0.0, 0.3, x_resolution=8, w_resolution=16)
         assert report.covers(0.0, 1e-12)
@@ -358,3 +367,32 @@ class TestBodyUnion:
         x_disk_diameter = 2 * one_point_disk(0.5, 0.2).radius
         assert diameters[3] <= x_disk_diameter + 1e-9
         assert diameters[3] >= 0.8 * x_disk_diameter
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([-1e-9, 0.0, 1e-9]),
+)
+def test_covers_matches_per_disk_loop(seed, count, slack):
+    rng = rng_for(seed)
+    # Dyadic centres and radii make c + r and c - i r exact: those points lie
+    # exactly on a boundary, where the box filter must not lose a hit.
+    centers = (rng.integers(-48, 49, count) + 1j * rng.integers(-48, 49, count)) / 64
+    radii = rng.integers(0, 33, count) / 64
+    report = BodyReport(0.3 + 0j, centers, centers, radii, rng.uniform(-1, 1, (4, 5)))
+    on_rim = np.concatenate([centers + radii, centers - 1j * radii])
+    far = np.array([1e300, complex(0.0, -1e300), complex(np.inf, 0.0), complex(np.nan, 0.0)])
+    scattered = rng.uniform(-1.5, 1.5, 60) + 1j * rng.uniform(-1.5, 1.5, 60)
+    points = np.concatenate([on_rim, scattered, far])
+
+    assert report.covers(points, slack).tolist() == covers_oracle(centers, radii, points, slack).tolist()
+    assert report.inside.shape == (4, 5)
+    assert report.inside.tolist() == covers_oracle(centers, radii, report.outer_grid).tolist()
+    if slack >= 0.0:
+        assert report.covers(on_rim, slack).all()
+    for w0 in points[::7]:
+        expected = covers_oracle(centers, radii, w0, slack)
+        assert report.covers(complex(w0), slack) is expected
+        assert report.covers(np.asarray(w0), slack) is expected

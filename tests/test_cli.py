@@ -1,16 +1,20 @@
 import csv
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnpick.cli import build_parser, main
+from cnpick.cli import _write_csv, build_parser, main
 from cnpick.feasibility import _dual_bound, search_x_grid
 from cnpick.interpolant import chain_from_json, verify_interpolant
 from cnpick.problemfile import parse_problem
 
-from conftest import fresh_builder
+from conftest import csv_oracle, fresh_builder
 
 
 @pytest.fixture
@@ -290,29 +294,86 @@ def test_body_writes_csv(workdir, capsys):
     assert grid[(0.0, 0.0)] == 1  # the zero function realizes w0 = 0
 
 
+COARSE = ("--xres", "3", "--wres", "5")
+FINE = ("--xres", "25", "--wres", "80")
+
+
 @pytest.mark.parametrize(
-    "z0, digests",
+    "resolutions, z0, digests",
     [
-        ("0.3,-0.2", ("b34e4d94a1dd3f699ffd41d93cbaae94797647d9afe4587620e267b634ffbe86",
-                      "75bdedc37ded03434996362724c2ab12df4066c6bcc47ec066d12c87a094949b",
-                      "a1501b63e6a26b27e821b3a86b27f4c56f7960463a28dd8e7a2ef82228454da7")),
-        ("-0.35,0.2", ("820f7534206512d81ea2553ecd16c0fc42fc3f84be57d9d95174dac644937334",
-                       "d87f651967ad60f71d70d921a84729813c84839dcb8f89d45ccefb097f47c3a6",
-                       "88e3408c0d6751f1eb1887c4a6a5c1c8c2a72128f5aa5012cdc306476c2e96a1")),
-        ("0.1,0.93", ("68557fc611dff4657dcb152080595d09977d596f0480fb43769876fe7bb39384",
-                      "b047772b4fc188a836bf19f0b1d37ff1130516ed9edf11d37f6b0d9603218ed4",
-                      "f8a39dd5e2103aa8fb0c7ee57d4d5c428d45049e81a956b01bb7329200a81ef4")),
+        ((), "0.3,-0.2", ("b34e4d94a1dd3f699ffd41d93cbaae94797647d9afe4587620e267b634ffbe86",
+                          "75bdedc37ded03434996362724c2ab12df4066c6bcc47ec066d12c87a094949b",
+                          "a1501b63e6a26b27e821b3a86b27f4c56f7960463a28dd8e7a2ef82228454da7")),
+        ((), "-0.35,0.2", ("820f7534206512d81ea2553ecd16c0fc42fc3f84be57d9d95174dac644937334",
+                           "d87f651967ad60f71d70d921a84729813c84839dcb8f89d45ccefb097f47c3a6",
+                           "88e3408c0d6751f1eb1887c4a6a5c1c8c2a72128f5aa5012cdc306476c2e96a1")),
+        ((), "0.1,0.93", ("68557fc611dff4657dcb152080595d09977d596f0480fb43769876fe7bb39384",
+                          "b047772b4fc188a836bf19f0b1d37ff1130516ed9edf11d37f6b0d9603218ed4",
+                          "f8a39dd5e2103aa8fb0c7ee57d4d5c428d45049e81a956b01bb7329200a81ef4")),
+        (COARSE, "0.3,-0.2", ("ef6549237cad53cd499d755514ae9254a9d1825d23c2927f033610c4dc1698eb",
+                              "abf0632dc091df8b0b3cf994d100784b9b401bf5fa87d949bcb7b53aa0b74b95",
+                              "d308f67680a5cdb66ba23cbcd98c0e92fa880057fc1689c4f3d025802ca9481d")),
+        (COARSE, "-0.35,0.2", ("75fd6b9e3afbf41151887231398970e2847a267be2d1fb119461995509d75f8f",
+                               "3c2e3c2397124c7aa43750f1464a27643ca9ab35081eae29d9fbf84e0519bb90",
+                               "ad49565d20adaca4cd4ec4d486dd2a9674741fc618120bdcb4c314edd2193de7")),
+        (COARSE, "0.1,0.93", ("3c5609d100337c25042eee77d79befe9659fd6ccb4a9cfaea322c91aeaab9946",
+                              "735901d737f4f7d6d15dff400b02d587422f9217ea6692705af2eca2cb5df65a",
+                              "59a7bf33a8b49172d98fd7b389c2d2db37e5078bf273266a641f91cbd2990c8a")),
+        (FINE, "0.3,-0.2", ("aef0d4b2451d7218166d6342edd92ac56dd958696123eb6c19d114b101ae0ede",
+                            "21be5416f152a26378ec4d66b5e97a4ff23ccdf7add354b790c5ad8eb357334e",
+                            "6b2904135c7ab3db8af5f2366c2b56321cb4e2c35650058019ba3fd04a4211ba")),
+        (FINE, "-0.35,0.2", ("56314833ca27da27d0aa1e8fcae3b537508ea6bdb56941586b7272bb04fe5ebb",
+                             "075c5a21e4aae804cd6ac7b3746f39edac5229ca8b587c7f31c2dca3f2988837",
+                             "ec7cab286932e4e271cf0800fa14e668923c28c7f50198b8422c8302ffb46934")),
+        (FINE, "0.1,0.93", ("dbad81f6c2437e853c26408f743571b3e3b15a0a437ad646337456b5aab58824",
+                            "4e10042bde33b6a39258787d1018fe942447031aef9964b3dd17cd9b656e104a",
+                            "7fa359113a93fd9e7477d4550c90ecee31e0868b0a64c5918cea53605242fb60")),
     ],
-    ids=["near-node", "far", "near-circle"],
+    ids=[
+        "near-node",
+        "far",
+        "near-circle",
+        "near-node-x3-w5",
+        "far-x3-w5",
+        "near-circle-x3-w5",
+        "near-node-x25-w80",
+        "far-x25-w80",
+        "near-circle-x25-w80",
+    ],
 )
-def test_body_output_digests(workdir, capsys, z0, digests):
-    # Golden bytes at the default resolutions: the --json document, disks.csv
-    # and membership.csv, pinned by their sha256.
+def test_body_output_digests(workdir, capsys, resolutions, z0, digests):
+    # Golden bytes at the default and two other resolutions: the --json
+    # document, disks.csv and membership.csv, pinned by their sha256.
     write_problem(workdir / "p.json", [0.4 - 0.3j], [0.2 + 0.5j])
-    assert main(["body", "p.json", f"--z0={z0}", "--csv", "out", "--json"]) == 0
+    assert main(["body", "p.json", f"--z0={z0}", "--csv", "out", "--json", *resolutions]) == 0
     outputs = [capsys.readouterr().out.encode()]
     outputs += [(workdir / "out" / f).read_bytes() for f in ("disks.csv", "membership.csv")]
     assert tuple(hashlib.sha256(data).hexdigest() for data in outputs) == digests
+
+
+def assert_csv_bytes_match(header, columns):
+    with tempfile.TemporaryDirectory() as directory:
+        ours, theirs = os.path.join(directory, "ours.csv"), os.path.join(directory, "theirs.csv")
+        _write_csv(ours, header, columns)
+        csv_oracle(theirs, header, columns)
+        with open(ours, "rb") as a, open(theirs, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_write_csv_bytes_on_extreme_values():
+    floats = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 0.1, 1 / 3, np.inf, np.nan])
+    flags = np.arange(floats.size) % 2
+    assert_csv_bytes_match(["a", "b", "inside"], (floats, floats[::-1] * 1e-7, flags))
+    assert_csv_bytes_match(["x_re", "R"], (np.zeros(0), np.zeros(0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(width=32), st.booleans()), max_size=40))
+def test_write_csv_bytes_on_random_columns(rows):
+    re = np.array([r[0] for r in rows], dtype=float)
+    im = np.array([r[1] for r in rows], dtype=float)
+    flags = np.array([r[2] for r in rows], dtype=bool).astype(int)
+    assert_csv_bytes_match(["w_re", "w_im", "inside"], (re, im, flags))
 
 
 def test_body_z0_equals_node_is_usage_error(workdir, capsys):

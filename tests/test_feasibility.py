@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnpick.body import body_membership
 from cnpick.errors import DegenerateDataError, DomainError, NotPsdError, SingularBlockError
@@ -10,6 +12,7 @@ from cnpick.feasibility import (
     UNDETERMINED,
     Disk,
     MatrixBall,
+    _disk_grid,
     _dual_bound,
     _pivot,
     ball_membership,
@@ -45,10 +48,12 @@ from cnpick.interpolant import generate_feasible
 
 from conftest import (
     accept5_instances,
+    disk_grid_oracle,
     disk_point,
     fresh_builder,
     matrix_feasible,
     random_dataset,
+    random_psd,
     rng_for,
     scalar_delta,
     scalar_feasible_x,
@@ -585,3 +590,31 @@ class TestConjugationDiagnostic:
         lam = rng.uniform(0, 0.85) * np.exp(2j * np.pi * rng.uniform())
         compressed = constrained_pick_compressed(d, BlaschkeSpec.z_squared(), np.array([[lam]]))
         assert is_psd(compressed)[0] == is_psd(lambda_criterion_matrix(d, lam))[0]
+
+
+def test_disk_grid_matches_ring_loop():
+    # search_lambda, body_union and ACCEPT-5 read the same points: bit for bit.
+    for resolution in range(1, 201):
+        grid, expected = _disk_grid(resolution), disk_grid_oracle(resolution)
+        assert grid.dtype == expected.dtype and grid.shape == expected.shape
+        assert grid.tobytes() == expected.tobytes(), resolution
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=3),
+)
+def test_dual_bound_nuclear_norm_same_bits(seed, m, k):
+    rng = rng_for(seed)
+    a0 = hermitian_part(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    terms = rng.standard_normal((k, k, m, m)) + 1j * rng.standard_normal((k, k, m, m))
+    y = random_psd(rng, m, rank=int(rng.integers(1, m + 1)))  # a dual iterate is PSD
+    # The bound as written with numpy's norm wrapper.
+    w, v = np.linalg.eigh(hermitian_part(y))
+    w = np.clip(w, 0.0, None)
+    unit = (v * (w / w.sum())) @ v.conj().T
+    g = np.einsum("ij,abji->ab", unit, terms)
+    expected = float(np.trace(unit @ a0).real + 2.0 * np.linalg.norm(g, "nuc"))
+    assert _dual_bound(a0, terms, y) == expected

@@ -159,6 +159,18 @@ class TestOperatorNorm:
 
 
 @settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+)
+def test_operator_norm_same_bits_as_norm_2(seed, rows, cols):
+    rng = rng_for(seed)
+    a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    assert operator_norm(a) == float(np.linalg.norm(a, 2))
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=8))
 def test_hermitian_part_fixes_asymmetry(seed, n):
     rng = rng_for(seed)
