@@ -29,17 +29,13 @@ from .linalg import (
     sqrt_psd,
 )
 from .pick import (
-    AuxMatrices,
     BlaschkeSpec,
     DataSet,
     PickBundle,
     assemble_bundle,
-    aux_matrices,
     constrained_pick,
     constrained_pick_cf,
     constrained_pick_compressed,
-    constrained_pick_z2,
-    constrained_pick_z2_quadratic,
     jet_matrices,
     pick_matrix,
     stein_solve,

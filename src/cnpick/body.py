@@ -49,7 +49,7 @@ from .feasibility import (
     search_x_grid,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .pick import DataSet, aux_matrices, pick_matrix
+from .pick import DataSet, pick_matrix
 
 __all__ = [
     "Disk",
@@ -77,11 +77,10 @@ def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_T
         raise DomainError("z0 must be finite and lie in the open unit disk")
     if np.any(d.nodes == z0):
         raise DomainError("z0 must differ from every interpolation node")
-    aux = aux_matrices(d)
     delta0 = 1.0 - abs(z0) ** 2
     cauchy = np.kron(np.diag(1.0 / (1.0 - d.nodes * np.conj(z0))), np.eye(d.k))
-    e_t = cauchy @ aux.e * np.sqrt(delta0)
-    w_t = -cauchy @ aux.w_col * np.sqrt(delta0)
+    e_t = cauchy @ np.tile(np.eye(d.k, dtype=complex), (d.n, 1)) * np.sqrt(delta0)
+    w_t = -cauchy @ d.values.reshape(d.n * d.k, d.k) * np.sqrt(delta0)
     try:
         ball = matrix_ball(pick_matrix(d), e_t, w_t, tol)
     except SingularBlockError as err:

@@ -68,7 +68,6 @@ from .pick import (
     BlaschkeSpec,
     DataSet,
     assemble_bundle,
-    aux_matrices,
     constrained_pick,
     constrained_pick_terms,
     pick_matrix,
@@ -195,7 +194,9 @@ class FeasReport:
     solver carry their dual ``certificate`` (checked by
     :func:`_dual_bound` over every admissible parameter); those of the
     overlap route's PSD test carry ``v v*``, with ``tr(v v* A) < 0`` at
-    the shared value.
+    the shared value, and those of disagreeing overlap values the node
+    indices ``[i, j]`` of two nodes on constraint zeros whose values
+    differ by more than ``residual_tol * (1 + max ||W||)`` over those nodes.
     """
 
     status: str
@@ -212,9 +213,11 @@ class FeasReport:
 
 def pencil_build(d: DataSet):
     """Relaxed-LMI data ``(P, Et, Wt)`` of a data set: Et = [E  ZE], Wt = [W  ZW]."""
-    aux = aux_matrices(d)
-    e_tilde = np.hstack([aux.e, aux.z @ aux.e])
-    w_tilde = np.hstack([aux.w_col, aux.z @ aux.w_col])
+    ik = np.eye(d.k, dtype=complex)
+    z, e = np.kron(np.diag(d.nodes), ik), np.tile(ik, (d.n, 1))
+    w = d.values.reshape(d.n * d.k, d.k)
+    e_tilde = np.hstack([e, z @ e])
+    w_tilde = np.hstack([w, z @ w])
     return pick_matrix(d), e_tilde, w_tilde
 
 
@@ -467,8 +470,10 @@ def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasRe
     overlap = [i for i, z in enumerate(d.nodes) if np.any(b.zeros == z)]
     anchor = d.values[overlap[0]]
     wscale = 1.0 + max(operator_norm(d.values[i]) for i in overlap)
-    if any(operator_norm(d.values[i] - anchor) > tol.residual_tol * wscale for i in overlap[1:]):
-        return FeasReport(INFEASIBLE, detail="overlap values differ")
+    for i in overlap[1:]:
+        if operator_norm(d.values[i] - anchor) > tol.residual_tol * wscale:
+            pair = np.array([overlap[0], i])
+            return FeasReport(INFEASIBLE, detail="overlap values differ", certificate=pair)
     keep = [i for i in range(d.n) if i not in overlap]
     certificate = None
     if keep:

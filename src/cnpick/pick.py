@@ -15,36 +15,42 @@ Builders
 --------
 ``pick_matrix``
     The classical Pick matrix of the unconstrained problem.
-``constrained_pick_z2_quadratic`` / ``constrained_pick_z2``
-    The two forms specific to the double zero at the origin
-    (``B(z) = z^2``, interpolants with vanishing derivative at 0): the
-    Caratheodory-Fejer form, quadratic in ``x``, and its linearized
-    5-block expansion.
 ``constrained_pick`` / ``constrained_pick_cf`` / ``constrained_pick_compressed``
     The general-Blaschke forms: linearized, Caratheodory-Fejer, and the
     Schur-complement compression onto the node block (the last one needs
     ``||x|| < 1``).  ``constrained_pick_terms`` returns the linearized
     form's coefficients as an affine map of ``x``.
 
-The general forms are expressed through a pair of Stein equations
+All of them read one displacement pair.  The node part
 
-    Q - J Q J* = Et Et*          Qt - J Qt Z* = Et E*
+    G = [ K   Qt* ]        K_ij = I / (1 - z_i conj(z_j))
+        [ Qt  Q   ]
 
-where ``J`` collects Jordan-type jet blocks at the constraint zeros and
-``Z, E`` encode the nodes.  Both equations are solved exactly as finite
-linear systems (the convergent-series form is a test oracle, outside
-the library).
+is the Caratheodory-Fejer form of zero-value data at ``x = 0``.  It
+depends on the nodes and ``B`` only and solves the Stein equation
+
+    G - T G T* = F F*        T = diag(Z, J),  F = [E; Et]
+
+where ``Z, E`` encode the nodes and ``J, Et`` collect Jordan-type jet
+blocks at the constraint zeros; its blocks ``Q`` and ``Qt`` are solved
+exactly as finite linear systems (the convergent-series form is a test
+oracle, outside the library).  The value part
+``V = diag(W_1, ..., W_n, x, ..., x)`` depends on the values and ``x``
+only.  The Caratheodory-Fejer form is ``G - V G V*``, whose node block
+``K - Wd K Wd*`` is the classical Pick matrix (read from
+:func:`pick_matrix`, block by block), and the linearized form is its
+Schur lift: corner ``Q``, mirrored block ``Q^-1``.
 
 All builders are Hermitian-exact: Hermitian blocks are filled once and
 mirrored, never recomputed, so ``||M - M*|| = 0`` holds to the bit.
-Builders are pure; a :class:`PickBundle` is immutable after construction
-and safe to share across threads.
+Builders are pure; every array of a :class:`PickBundle` is read-only, so
+a bundle is safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -61,15 +67,11 @@ from .linalg import (
 __all__ = [
     "DataSet",
     "BlaschkeSpec",
-    "AuxMatrices",
     "PickBundle",
     "pick_matrix",
-    "aux_matrices",
     "jet_matrices",
     "stein_solve",
     "assemble_bundle",
-    "constrained_pick_z2_quadratic",
-    "constrained_pick_z2",
     "constrained_pick",
     "constrained_pick_terms",
     "constrained_pick_cf",
@@ -184,46 +186,38 @@ class BlaschkeSpec:
         return out
 
 
-class AuxMatrices(NamedTuple):
-    """Node-side auxiliary matrices.
-
-    z : (nk, nk) block diagonal of ``z_i I_k``
-    e : (nk, k) stack of identities
-    w_col : (nk, k) stack of the target matrices
-    w_diag : (nk, nk) block diagonal of the target matrices
-    """
-
-    z: np.ndarray
-    e: np.ndarray
-    w_col: np.ndarray
-    w_diag: np.ndarray
-
-
 @dataclass(frozen=True)
 class PickBundle:
     """All matrices needed by the general-Blaschke builders, precomputed.
 
-    Fields mirror the construction: classical Pick matrix ``p``, node
-    matrices ``z``/``e``/``w_col``/``w_diag``, jet matrices ``j`` and
-    ``e_tilde`` at the constraint zeros, and the Stein solutions: ``q``
-    (Hermitian positive definite; the identity exactly when all
-    constraint zeros sit at the origin) and ``q_tilde`` coupling jets to
-    nodes.
+    ``g`` is the node part ``G = [[K, Qt*], [Qt, Q]]`` (see the module
+    docstring); ``q`` (Hermitian positive definite, the identity exactly
+    when all constraint zeros sit at the origin) and ``q_tilde``
+    (coupling jets to nodes) are views of its blocks.  ``p`` is the
+    classical Pick matrix, ``j`` and ``e_tilde`` the jet matrices at the
+    constraint zeros and ``q_inv`` the inverse of ``Q``.  Every array is
+    read-only, so a bundle is immutable after construction and safe to
+    share across threads.
     """
 
     data: DataSet
     blaschke: BlaschkeSpec
+    g: np.ndarray
     p: np.ndarray
-    z: np.ndarray
-    e: np.ndarray
-    w_col: np.ndarray
-    w_diag: np.ndarray
     j: np.ndarray
     e_tilde: np.ndarray
-    q: np.ndarray
-    q_tilde: np.ndarray
     q_inv: np.ndarray
     stein_residuals: tuple = field(default=(0.0, 0.0))
+
+    @property
+    def q(self) -> np.ndarray:
+        nk = self.data.n * self.data.k
+        return self.g[nk:, nk:]
+
+    @property
+    def q_tilde(self) -> np.ndarray:
+        nk = self.data.n * self.data.k
+        return self.g[nk:, :nk]
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +247,6 @@ def pick_matrix(d: DataSet) -> np.ndarray:
             out[rows, cols] = block
             out[cols, rows] = block.conj().T
     return out
-
-
-def aux_matrices(d: DataSet) -> AuxMatrices:
-    """Auxiliary node matrices: see :class:`AuxMatrices`."""
-    n, k = d.n, d.k
-    ik = np.eye(k, dtype=complex)
-    z = np.kron(np.diag(d.nodes), ik)
-    e = np.tile(ik, (n, 1))
-    w_col = d.values.reshape(n * k, k)
-    w_diag = np.zeros((n * k, n * k), dtype=complex)
-    for i in range(n):
-        w_diag[i * k : (i + 1) * k, i * k : (i + 1) * k] = d.values[i]
-    return AuxMatrices(z=z, e=e, w_col=w_col, w_diag=w_diag)
 
 
 def jet_matrices(b: BlaschkeSpec, k: int):
@@ -302,8 +283,8 @@ def stein_solve(j, e_tilde, z, e):
     """Solve the two Stein equations exactly as finite linear systems.
 
     Solves ``Q - J Q J* = Et Et*`` via the vectorized operator
-    ``I - conj(J) (x) J`` and ``Qt - J Qt Z* = Et E*`` column by column
-    (``Z`` is block diagonal, so each block column decouples).  Both
+    ``I - conj(J) (x) J`` and ``Qt - J Qt Z* = Et E*`` in one batched
+    solve over its columns (``Z`` is diagonal, so they decouple).  Both
     operators are invertible whenever the spectra of ``J`` and ``Z``
     stay inside the unit disk; zeros or nodes creeping towards the
     boundary make them ill-conditioned, which is reported.
@@ -331,13 +312,9 @@ def stein_solve(j, e_tilde, z, e):
     q = np.linalg.solve(op, rhs).reshape(kd, kd, order="F")
     q = hermitian_part(q)
 
-    # Qt column block i solves (I - conj(z_i) J) Qt_i = (Et E*)_i.
+    # Qt column i solves (I - conj(z_i) J) Qt_i = (Et E*)_i.
     rhs_t = e_tilde @ e.conj().T
-    nk = z.shape[0]
-    q_tilde = np.empty((kd, nk), dtype=complex)
-    for col in range(nk):
-        a = np.eye(kd, dtype=complex) - np.conj(zdiag[col]) * j
-        q_tilde[:, col] = np.linalg.solve(a, rhs_t[:, col])
+    q_tilde = np.linalg.solve(col_ops, rhs_t.T[:, :, None])[:, :, 0].T
     return q, q_tilde
 
 
@@ -370,12 +347,14 @@ def assemble_bundle(
     """
     _check_constrained_domain(d, b)
     p = pick_matrix(d)
-    aux = aux_matrices(d)
+    ik = np.eye(d.k, dtype=complex)
+    z = np.kron(np.diag(d.nodes), ik)
+    e = np.tile(ik, (d.n, 1))
     j, e_tilde = jet_matrices(b, d.k)
-    q, q_tilde = stein_solve(j, e_tilde, aux.z, aux.e)
+    q, q_tilde = stein_solve(j, e_tilde, z, e)
 
     res_q = operator_norm(q - j @ q @ j.conj().T - e_tilde @ e_tilde.conj().T)
-    res_t = operator_norm(q_tilde - j @ q_tilde @ aux.z.conj().T - e_tilde @ aux.e.conj().T)
+    res_t = operator_norm(q_tilde - j @ q_tilde @ z.conj().T - e_tilde @ e.conj().T)
     if res_q > tol.residual_tol * (1.0 + operator_norm(q)):
         raise IllConditionedError(f"Stein residual {res_q:.3e} out of tolerance")
     if res_t > tol.residual_tol * (1.0 + operator_norm(q_tilde)):
@@ -389,25 +368,24 @@ def assemble_bundle(
         raise IllConditionedError(f"Stein solution not PSD: min eig = {min_eig:.3e}")
 
     q_inv = hermitian_part(np.linalg.solve(q, np.eye(q.shape[0], dtype=complex)))
+    cauchy = hermitian_part(np.kron(1.0 / (1.0 - np.outer(d.nodes, d.nodes.conj())), ik))
+    g = np.block([[cauchy, q_tilde.conj().T], [q_tilde, q]])
+    for array in (g, p, j, e_tilde, q_inv):
+        array.flags.writeable = False
     return PickBundle(
         data=d,
         blaschke=b,
+        g=g,
         p=p,
-        z=aux.z,
-        e=aux.e,
-        w_col=aux.w_col,
-        w_diag=aux.w_diag,
         j=j,
         e_tilde=e_tilde,
-        q=q,
-        q_tilde=q_tilde,
         q_inv=q_inv,
         stein_residuals=(res_q, res_t),
     )
 
 
 # ---------------------------------------------------------------------------
-# constrained builders, B(z) = z^2 special forms
+# constrained builders, general Blaschke product
 
 
 def _as_param(x, k: int, name="x") -> np.ndarray:
@@ -417,66 +395,6 @@ def _as_param(x, k: int, name="x") -> np.ndarray:
     if x.shape != (k, k):
         raise DomainError(f"{name} must be a {k}x{k} matrix, got shape {x.shape}")
     return x
-
-
-def constrained_pick_z2_quadratic(d: DataSet, x) -> np.ndarray:
-    """Caratheodory-Fejer Pick matrix for the origin constraint, quadratic in x.
-
-    Rows and columns are grouped (nodes, value-at-0, jet-at-0):
-
-        [ P            E - W x*      Z (E - W x*) ]
-        [ *            I - x x*      0            ]
-        [ *            0             I - x x*     ]
-    """
-    k = d.k
-    x = _as_param(x, k)
-    _check_constrained_domain(d, BlaschkeSpec.z_squared())
-    p = pick_matrix(d)
-    aux = aux_matrices(d)
-    top1 = aux.e - aux.w_col @ x.conj().T
-    top2 = aux.z @ top1
-    gap = hermitian_part(np.eye(k) - x @ x.conj().T)
-    zero = np.zeros((k, k), dtype=complex)
-    return np.block(
-        [
-            [p, top1, top2],
-            [top1.conj().T, gap, zero],
-            [top2.conj().T, zero, gap],
-        ]
-    )
-
-
-def constrained_pick_z2(d: DataSet, x) -> np.ndarray:
-    """Linearized 5-block form of :func:`constrained_pick_z2_quadratic`.
-
-    The free parameter enters affinely, which is what makes the
-    feasibility question a linear matrix inequality.  Positive
-    semidefiniteness of this matrix and of the quadratic form agree for
-    every ``x``.
-    """
-    k = d.k
-    x = _as_param(x, k)
-    _check_constrained_domain(d, BlaschkeSpec.z_squared())
-    p = pick_matrix(d)
-    aux = aux_matrices(d)
-    top1 = aux.e - aux.w_col @ x.conj().T
-    top2 = aux.z @ top1
-    ik = np.eye(k, dtype=complex)
-    zk = np.zeros((k, k), dtype=complex)
-    znk = np.zeros((d.n * k, k), dtype=complex)
-    return np.block(
-        [
-            [p, top1, top2, znk, znk],
-            [top1.conj().T, ik, zk, x, zk],
-            [top2.conj().T, zk, ik, zk, x],
-            [znk.conj().T, x.conj().T, zk, ik, zk],
-            [znk.conj().T, zk, x.conj().T, zk, ik],
-        ]
-    )
-
-
-# ---------------------------------------------------------------------------
-# constrained builders, general Blaschke product
 
 
 def _bundle_for(d, b, bundle: Optional[PickBundle]) -> PickBundle:
@@ -493,11 +411,13 @@ def _bundle_for(d, b, bundle: Optional[PickBundle]) -> PickBundle:
     return bundle
 
 
-def _coupling_block(bundle: PickBundle, x: np.ndarray) -> np.ndarray:
-    """``Qt (I - X_n Wdiag*)`` where ``X_n`` repeats x along the node blocks."""
-    n, k = bundle.data.n, bundle.data.k
-    x_n = np.kron(np.eye(n, dtype=complex), x)
-    return bundle.q_tilde @ (np.eye(n * k, dtype=complex) - x_n @ bundle.w_diag.conj().T)
+def _value_part(d: DataSet, x: np.ndarray, degree: int) -> np.ndarray:
+    """``V = diag(W_1, ..., W_n, x, ..., x)`` with ``degree`` copies of ``x``."""
+    blocks = np.concatenate([d.values, np.broadcast_to(x, (degree,) + x.shape)])
+    m, k = blocks.shape[:2]
+    v = np.zeros((m, k, m, k), dtype=complex)
+    v[np.arange(m), :, np.arange(m)] = blocks
+    return v.reshape(m * k, m * k)
 
 
 def constrained_pick(
@@ -505,31 +425,29 @@ def constrained_pick(
 ) -> np.ndarray:
     """Linearized constrained Pick matrix for a general Blaschke constraint.
 
-    Rows and columns are grouped (nodes, jets, mirrored jets):
+    The Schur lift of the Caratheodory-Fejer form ``G - V G V*``: its
+    jet corner becomes ``Q`` and a mirrored block ``Q^-1`` is coupled in
+    through ``Xd``.  Rows and columns are grouped (nodes, jets, mirrored
+    jets):
 
-        [ P                  (I - Wdiag Xn*) Qt*   0     ]
-        [ Qt (I - Xn Wdiag*) Q                     Xd    ]
-        [ 0                  Xd*                   Q^-1  ]
+        [ P                Qt* - Wd Qt* Xd*   0     ]
+        [ Qt - Xd Qt Wd*   Q                  Xd    ]
+        [ 0                Xd*                Q^-1  ]
 
-    with ``Xn`` (resp. ``Xd``) the block-diagonal repetition of ``x``
-    over the node (resp. jet) blocks.  Solvability of the constrained
-    interpolation problem is equivalent to this matrix being PSD for
-    some ``x``.  For ``B(z) = z^2`` it reproduces the dedicated 5-block
-    builder.
+    with ``Wd`` the block diagonal of the target matrices and ``Xd`` the
+    block-diagonal repetition of ``x`` over the jet blocks.  Solvability
+    of the constrained interpolation problem is equivalent to this
+    matrix being PSD for some ``x``.  For ``B(z) = z^2`` it reproduces
+    the 5-block linearized form of that constraint.
     """
     x = _as_param(x, d.k)
     bundle = _bundle_for(d, b, bundle)
-    k, n, deg = d.k, d.n, b.degree
-    lower = _coupling_block(bundle, x)
-    x_d = np.kron(np.eye(deg, dtype=complex), x)
-    z_nd = np.zeros((n * k, deg * k), dtype=complex)
-    return np.block(
-        [
-            [bundle.p, lower.conj().T, z_nd],
-            [lower, bundle.q, x_d],
-            [z_nd.conj().T, x_d.conj().T, bundle.q_inv],
-        ]
-    )
+    nk = d.n * d.k
+    form = constrained_pick_cf(d, b, x, bundle=bundle)
+    form[nk:, nk:] = bundle.q
+    x_d = np.kron(np.eye(b.degree, dtype=complex), x)
+    x_col = np.vstack([np.zeros((nk, x_d.shape[1]), dtype=complex), x_d])
+    return np.block([[form, x_col], [x_col.conj().T, bundle.q_inv]])
 
 
 def constrained_pick_terms(bundle: PickBundle):
@@ -540,7 +458,7 @@ def constrained_pick_terms(bundle: PickBundle):
 
         constrained_pick(x) = a0 + sum_ab (x_ab A_ab + conj(x_ab) A_ab*).
 
-    ``A_ab`` holds ``-Qt (I_n (x) E_ab) Wdiag*`` in the (jets, nodes)
+    ``A_ab`` holds ``-Qt (I_n (x) E_ab) Wd*`` in the (jets, nodes)
     block and ``I_deg (x) E_ab`` in the (jets, mirrored) block, zero
     elsewhere; ``terms`` has shape (k, k, size, size).
     """
@@ -548,7 +466,7 @@ def constrained_pick_terms(bundle: PickBundle):
     k, nk, dk = d.k, d.n * d.k, deg * d.k
     a0 = constrained_pick(d, bundle.blaschke, np.zeros((k, k)), bundle=bundle)
     terms = np.zeros((k, k) + a0.shape, dtype=complex)
-    # Column (i, c) of Qt (I_n (x) E_ab) Wdiag* is Qt[:, (i, a)] conj(W_i[c, b]).
+    # Column (i, c) of Qt (I_n (x) E_ab) Wd* is Qt[:, (i, a)] conj(W_i[c, b]).
     coupling = np.einsum("ria,icb->abric", bundle.q_tilde.reshape(dk, d.n, k), d.values.conj())
     terms[:, :, nk : nk + dk, :nk] = -coupling.reshape(k, k, dk, nk)
     jets = k * np.arange(deg)
@@ -562,18 +480,20 @@ def constrained_pick_cf(
 ) -> np.ndarray:
     """Caratheodory-Fejer form of the general constrained Pick matrix:
 
-        [ P                  (I - Wdiag Xn*) Qt* ]
-        [ Qt (I - Xn Wdiag*) Q - Xd Q Xd*        ]
+        G - V G V* = [ P                Qt* - Wd Qt* Xd* ]
+                     [ Qt - Xd Qt Wd*   Q - Xd Q Xd*     ]
 
+    with the node part ``G`` of the bundle and the value part
+    ``V = diag(Wd, Xd)``; the node block is the bundle's ``p``.
     PSD-equivalent to :func:`constrained_pick` for every ``x``.
     """
     x = _as_param(x, d.k)
     bundle = _bundle_for(d, b, bundle)
-    deg = b.degree
-    lower = _coupling_block(bundle, x)
-    x_d = np.kron(np.eye(deg, dtype=complex), x)
-    corner = hermitian_part(bundle.q - x_d @ bundle.q @ x_d.conj().T)
-    return np.block([[bundle.p, lower.conj().T], [lower, corner]])
+    nk = d.n * d.k
+    v = _value_part(d, x, b.degree)
+    form = hermitian_part(bundle.g - v @ bundle.g @ v.conj().T)
+    form[:nk, :nk] = bundle.p
+    return form
 
 
 def constrained_pick_compressed(
@@ -581,13 +501,11 @@ def constrained_pick_compressed(
 ) -> np.ndarray:
     """Schur-complement compression of the CF form onto the node block.
 
-    ``P - (I - Wdiag Xn*) Qt* (Q - Xd Q Xd*)^{-1} Qt (I - Xn Wdiag*)``.
+    ``P - (Qt* - Wd Qt* Xd*) (Q - Xd Q Xd*)^{-1} (Qt - Xd Qt Wd*)``.
     Requires ``Q - Xd Q Xd*`` invertible, which holds whenever
     ``||x|| < 1``; on the boundary a :class:`SingularBlockError` is
     raised and the caller should test the CF form directly.
     """
-    x = _as_param(x, d.k)
-    bundle = _bundle_for(d, b, bundle)
     cf = constrained_pick_cf(d, b, x, bundle=bundle)
     try:
         compressed = schur_complement(cf, head=d.n * d.k)

@@ -23,8 +23,9 @@ from cnpick.linalg import DEFAULT_TOL, hermitian_part, inv_sqrt_psd, is_psd, psd
 from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
+    _as_param,
+    _check_constrained_domain,
     assemble_bundle,
-    aux_matrices,
     constrained_pick,
     pick_matrix,
 )
@@ -139,6 +140,90 @@ def stein_series(j, e_tilde, z, e, terms=200):
     return q, q_tilde
 
 
+def node_matrices(d):
+    """``(Z, E, W)``: block diagonal of ``z_i I_k``, stack of identities, stack of the targets."""
+    ik = np.eye(d.k, dtype=complex)
+    return np.kron(np.diag(d.nodes), ik), np.tile(ik, (d.n, 1)), d.values.reshape(d.n * d.k, d.k)
+
+
+def constrained_pick_z2_quadratic(d, x):
+    """Caratheodory-Fejer Pick matrix for the origin constraint, quadratic in x.
+
+    Closed-form oracle for ``B(z) = z^2``.  Rows and columns are grouped
+    (nodes, value-at-0, jet-at-0):
+
+        [ P            E - W x*      Z (E - W x*) ]
+        [ *            I - x x*      0            ]
+        [ *            0             I - x x*     ]
+    """
+    k = d.k
+    x = _as_param(x, k)
+    _check_constrained_domain(d, BlaschkeSpec.z_squared())
+    z, e, w = node_matrices(d)
+    top1 = e - w @ x.conj().T
+    top2 = z @ top1
+    gap = hermitian_part(np.eye(k) - x @ x.conj().T)
+    zero = np.zeros((k, k), dtype=complex)
+    return np.block(
+        [
+            [pick_matrix(d), top1, top2],
+            [top1.conj().T, gap, zero],
+            [top2.conj().T, zero, gap],
+        ]
+    )
+
+
+def constrained_pick_z2(d, x):
+    """Linearized 5-block form of :func:`constrained_pick_z2_quadratic`.
+
+    Closed-form oracle for ``B(z) = z^2``.  The free parameter enters
+    affinely; positive semidefiniteness of this matrix and of the
+    quadratic form agree for every ``x``.
+    """
+    k = d.k
+    x = _as_param(x, k)
+    _check_constrained_domain(d, BlaschkeSpec.z_squared())
+    z, e, w = node_matrices(d)
+    top1 = e - w @ x.conj().T
+    top2 = z @ top1
+    ik = np.eye(k, dtype=complex)
+    zk = np.zeros((k, k), dtype=complex)
+    znk = np.zeros((d.n * k, k), dtype=complex)
+    return np.block(
+        [
+            [pick_matrix(d), top1, top2, znk, znk],
+            [top1.conj().T, ik, zk, x, zk],
+            [top2.conj().T, zk, ik, zk, x],
+            [znk.conj().T, x.conj().T, zk, ik, zk],
+            [znk.conj().T, zk, x.conj().T, zk, ik],
+        ]
+    )
+
+
+def constrained_pick_cf_blocks(bundle, x):
+    """The Caratheodory-Fejer form by its block formula.
+
+    Oracle for the library's ``G - V G V*``:
+
+        [ P                  (I - Wd Xn*) Qt* ]
+        [ Qt (I - Xn Wd*)    Q - Xd Q Xd*     ]
+
+    with ``Wd`` the block diagonal of the targets and ``Xn`` (``Xd``) the
+    block-diagonal repetition of ``x`` over the node (jet) blocks.
+    """
+    d, deg = bundle.data, bundle.blaschke.degree
+    n, k = d.n, d.k
+    x = _as_param(x, k)
+    w_diag = np.zeros((n * k, n * k), dtype=complex)
+    for i in range(n):
+        w_diag[i * k : (i + 1) * k, i * k : (i + 1) * k] = d.values[i]
+    x_n = np.kron(np.eye(n, dtype=complex), x)
+    lower = bundle.q_tilde @ (np.eye(n * k, dtype=complex) - x_n @ w_diag.conj().T)
+    x_d = np.kron(np.eye(deg, dtype=complex), x)
+    corner = hermitian_part(bundle.q - x_d @ bundle.q @ x_d.conj().T)
+    return np.block([[bundle.p, lower.conj().T], [lower, corner]])
+
+
 def scalar_delta(d):
     """Scalar-route matrices ``(Delta, Delta_tilde)`` for k = 1 data.
 
@@ -153,9 +238,8 @@ def scalar_delta(d):
         raise DomainError("scalar route requires k = 1")
     if np.any(np.abs(d.scalar_values()) >= 1.0):
         raise DomainError("scalar route requires all |w_i| < 1")
-    aux = aux_matrices(d)
     p = pick_matrix(d)
-    z, e, w = aux.z, aux.e, aux.w_col
+    z, e, w = node_matrices(d)
     delta = hermitian_part(p + w @ w.conj().T + z @ w @ w.conj().T @ z.conj().T)
     cond = np.linalg.cond(delta)
     if not np.isfinite(cond) or cond > 1e14:
@@ -186,8 +270,7 @@ def scalar_feasible_x(d, x, deltas=None, tol=DEFAULT_TOL):
     min_eig, scale = psd_margin(delta)
     if min_eig <= tol.psd_tol * scale:
         raise NotPsdError("Delta must be positive definite for the scalar route")
-    aux = aux_matrices(d)
-    z, e, w = aux.z, aux.e, aux.w_col
+    z, e, w = node_matrices(d)
     cross = e @ w.conj().T + z @ e @ w.conj().T @ z.conj().T
     k_mat = np.conj(x) * sqrt_psd(delta, tol) - inv_sqrt_psd(delta, tol) @ cross
     return is_psd(delta_tilde - k_mat.conj().T @ k_mat, tol)

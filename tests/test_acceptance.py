@@ -37,15 +37,16 @@ from cnpick.pick import (
     constrained_pick,
     constrained_pick_cf,
     constrained_pick_compressed,
-    constrained_pick_z2,
-    constrained_pick_z2_quadratic,
     pick_matrix,
 )
 
 from conftest import (
     accept5_instances,
+    constrained_pick_z2,
+    constrained_pick_z2_quadratic,
     distinct_nodes,
     disk_point,
+    node_matrices,
     random_blaschke,
     random_contraction,
     random_dataset,
@@ -170,9 +171,9 @@ def test_criterion_3_stein_correctness():
             bundle.q - bundle.j @ bundle.q @ bundle.j.conj().T
             - bundle.e_tilde @ bundle.e_tilde.conj().T
         ) / (1.0 + operator_norm(bundle.q))
+        z, e, _ = node_matrices(d)
         res_t = operator_norm(
-            bundle.q_tilde - bundle.j @ bundle.q_tilde @ bundle.z.conj().T
-            - bundle.e_tilde @ bundle.e.conj().T
+            bundle.q_tilde - bundle.j @ bundle.q_tilde @ z.conj().T - bundle.e_tilde @ e.conj().T
         ) / (1.0 + operator_norm(bundle.q_tilde))
         worst = max(worst, res_q, res_t)
         count += 1

@@ -31,11 +31,16 @@ from cnpick.pick import (
     DataSet,
     assemble_bundle,
     constrained_pick_terms,
-    constrained_pick_z2_quadratic,
     pick_matrix,
 )
 
-from conftest import covers_oracle, disk_point, random_dataset, rng_for
+from conftest import (
+    constrained_pick_z2_quadratic,
+    covers_oracle,
+    disk_point,
+    random_dataset,
+    rng_for,
+)
 
 NAN = complex(float("nan"), 0.0)
 

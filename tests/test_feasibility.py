@@ -36,22 +36,22 @@ from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
     assemble_bundle,
-    aux_matrices,
     constrained_pick,
     constrained_pick_cf,
     constrained_pick_compressed,
     constrained_pick_terms,
-    constrained_pick_z2_quadratic,
     pick_matrix,
 )
 from cnpick.interpolant import generate_feasible
 
 from conftest import (
     accept5_instances,
+    constrained_pick_z2_quadratic,
     disk_grid_oracle,
     disk_point,
     fresh_builder,
     matrix_feasible,
+    node_matrices,
     random_dataset,
     random_psd,
     rng_for,
@@ -242,9 +242,9 @@ class TestScalarRoute:
         d = DataSet.scalar([0.5, -0.4], [0.0, 0.0])
         delta, delta_tilde = scalar_delta(d)
         p = pick_matrix(d)
-        aux = aux_matrices(d)
+        z, e, _ = node_matrices(d)
         assert np.allclose(delta, p)
-        expected = p - aux.e @ aux.e.conj().T - aux.z @ aux.e @ aux.e.conj().T @ aux.z.conj().T
+        expected = p - e @ e.conj().T - z @ e @ e.conj().T @ z.conj().T
         assert np.allclose(delta_tilde, expected)
 
     def test_disk_center_feasible_offset_not(self):

@@ -19,9 +19,9 @@ from cnpick.interpolant import (
     verify_interpolant,
 )
 from cnpick.linalg import is_psd
-from cnpick.pick import BlaschkeSpec, DataSet, constrained_pick_z2_quadratic, pick_matrix
+from cnpick.pick import BlaschkeSpec, DataSet, pick_matrix
 
-from conftest import disk_point, rng_for
+from conftest import constrained_pick_z2_quadratic, disk_point, rng_for
 
 NAN = complex(float("nan"), 0.0)
 SHORT_CHAIN = SchurChain(steps=((0.2, 0.3),), tail=0.1)

@@ -8,17 +8,25 @@ from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
     assemble_bundle,
-    aux_matrices,
     constrained_pick,
     constrained_pick_cf,
     constrained_pick_compressed,
-    constrained_pick_z2,
-    constrained_pick_z2_quadratic,
+    constrained_pick_terms,
     jet_matrices,
     pick_matrix,
 )
 
-from conftest import random_blaschke, random_contraction, random_dataset, rng_for, stein_series
+from conftest import (
+    constrained_pick_cf_blocks,
+    constrained_pick_z2,
+    constrained_pick_z2_quadratic,
+    node_matrices,
+    random_blaschke,
+    random_contraction,
+    random_dataset,
+    rng_for,
+    stein_series,
+)
 
 
 class TestDataTypes:
@@ -69,21 +77,6 @@ class TestPickMatrix:
         d = random_dataset(seed, k=int(rng_for(seed).integers(1, 3)))
         p = pick_matrix(d)
         assert operator_norm(p - p.conj().T) == 0.0
-
-
-class TestAuxMatrices:
-    def test_scalar_pair(self):
-        aux = aux_matrices(DataSet.scalar([0.5, -0.5], [0.1, 0.2]))
-        assert np.allclose(aux.z, np.diag([0.5, -0.5]))
-        assert np.allclose(aux.e, [[1.0], [1.0]])
-
-    def test_single_matrix_node(self):
-        d = DataSet(np.array([0.3 + 0.1j]), np.eye(2).reshape(1, 2, 2))
-        aux = aux_matrices(d)
-        assert np.allclose(aux.z, (0.3 + 0.1j) * np.eye(2))
-        assert np.allclose(aux.e, np.eye(2))
-        assert np.allclose(aux.w_col, np.eye(2))
-        assert np.allclose(aux.w_diag, np.eye(2))
 
 
 class TestJetMatrices:
@@ -145,9 +138,9 @@ class TestStein:
             bundle.q - bundle.j @ bundle.q @ bundle.j.conj().T
             - bundle.e_tilde @ bundle.e_tilde.conj().T
         )
+        z, e, _ = node_matrices(d)
         res_t = operator_norm(
-            bundle.q_tilde - bundle.j @ bundle.q_tilde @ bundle.z.conj().T
-            - bundle.e_tilde @ bundle.e.conj().T
+            bundle.q_tilde - bundle.j @ bundle.q_tilde @ z.conj().T - bundle.e_tilde @ e.conj().T
         )
         assert res_q <= 1e-10 * (1 + operator_norm(bundle.q))
         assert res_t <= 1e-10 * (1 + operator_norm(bundle.q_tilde))
@@ -168,7 +161,8 @@ class TestStein:
         b = random_blaschke(seed, max_degree=5)
         d = random_dataset(seed + 300, k=1)
         bundle = assemble_bundle(d, b)
-        q_s, qt_s = stein_series(bundle.j, bundle.e_tilde, bundle.z, bundle.e, terms=200)
+        z, e, _ = node_matrices(d)
+        q_s, qt_s = stein_series(bundle.j, bundle.e_tilde, z, e, terms=200)
         assert np.allclose(q_s, bundle.q, atol=1e-10)
         assert np.allclose(qt_s, bundle.q_tilde, atol=1e-10)
 
@@ -183,13 +177,71 @@ class TestStein:
         assert err.value.cond is not None and err.value.cond > 1e13
 
 
+class TestGramPair:
+    """The node part ``G`` of a bundle and the forms read off ``G - V G V*``."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_g_solves_its_stein_equation(self, seed):
+        # G - T G T* = F F* with T = diag(Z, J) and F = [E; Et].
+        rng = rng_for(80_000 + seed)
+        k = int(rng.integers(1, 4))
+        b = random_blaschke(seed + 200, max_degree=8)
+        d = random_dataset(seed + 700, n=int(rng.integers(1, 4)), k=k)
+        bundle = assemble_bundle(d, b)
+        z, e, _ = node_matrices(d)
+        nk, dk = z.shape[0], bundle.j.shape[0]
+        t = np.block([[z, np.zeros((nk, dk))], [np.zeros((dk, nk)), bundle.j]])
+        f = np.vstack([e, bundle.e_tilde])
+        g = bundle.g
+        residual = operator_norm(g - t @ g @ t.conj().T - f @ f.conj().T)
+        assert residual <= 1e-10 * operator_norm(g)
+        assert operator_norm(g - g.conj().T) == 0.0
+        assert np.array_equal(bundle.q, g[nk:, nk:]) and np.array_equal(bundle.q_tilde, g[nk:, :nk])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_forms_match_the_block_formula(self, seed):
+        rng = rng_for(81_000 + seed)
+        k = int(rng.integers(1, 4))
+        b = random_blaschke(seed + 300, max_degree=8)
+        d = random_dataset(seed + 800, n=int(rng.integers(1, 4)), k=k, wmax=1.1)
+        bundle = assemble_bundle(d, b)
+        x = random_contraction(rng, k, norm=rng.uniform(0.0, 1.3))
+        oracle = constrained_pick_cf_blocks(bundle, x)
+        scale = operator_norm(oracle)
+        cf = constrained_pick_cf(d, b, x, bundle=bundle)
+        assert operator_norm(cf - oracle) <= 1e-14 * scale
+        # The linearized form lifts the CF form: corner Q, mirrored block Q^-1.
+        nk, dk = d.n * k, b.degree * k
+        oracle[nk:, nk:] = bundle.q
+        full = constrained_pick(d, b, x, bundle=bundle)
+        assert operator_norm(full[: nk + dk, : nk + dk] - oracle) <= 1e-14 * scale
+        assert np.array_equal(full[nk : nk + dk, nk + dk :], np.kron(np.eye(b.degree), x))
+        assert not full[:nk, nk + dk :].any()
+        assert np.array_equal(full[nk + dk :, nk + dk :], bundle.q_inv)
+
+    def test_bundle_is_read_only(self):
+        d = DataSet(np.array([0.5, -0.3 + 0.2j]), 0.3 * np.stack([np.eye(2), 1j * np.eye(2)]))
+        b = BlaschkeSpec(np.array([0.2, -0.1j]), np.array([2, 1]))
+        bundle = assemble_bundle(d, b)
+        for name in ("g", "p", "j", "e_tilde", "q_inv", "q", "q_tilde"):
+            with pytest.raises(ValueError):
+                getattr(bundle, name)[0, 0] = 5.0
+        x = np.array([[0.3, 0.1j], [0.0, -0.2]])
+        for builder in (constrained_pick, constrained_pick_cf, constrained_pick_compressed):
+            m = builder(d, b, x, bundle=bundle)
+            assert m.flags.writeable and np.array_equal(m, builder(d, b, x))
+        a0, terms = constrained_pick_terms(bundle)
+        assert np.array_equal(a0, constrained_pick(d, b, np.zeros((2, 2)), bundle=bundle))
+        assert terms.shape == (2, 2) + a0.shape
+
+
 class TestZ2Builders:
     def test_quadratic_zero_data_structure(self):
         d = DataSet.scalar([0.5, -0.5], [0.0, 0.0])
         m = constrained_pick_z2_quadratic(d, 0.0)
-        aux = aux_matrices(d)
-        assert np.allclose(m[:2, 2:3], aux.e)
-        assert np.allclose(m[:2, 3:4], aux.z @ aux.e)
+        z, e, _ = node_matrices(d)
+        assert np.allclose(m[:2, 2:3], e)
+        assert np.allclose(m[:2, 3:4], z @ e)
         assert np.allclose(m[2:, 2:], np.eye(2))
 
     def test_one_point_fixture(self):
@@ -332,7 +384,11 @@ class TestOverlap:
         report = search_x_grid(d, b)
         assert report.status == INFEASIBLE and report.margin == -np.inf
         assert report.detail == "overlap values differ" and report.witness_x is None
-        assert report.certificate is None
+        # The pair of overlapped nodes re-checks without the solver.
+        i, j = report.certificate
+        assert d.nodes[i] in b.zeros and d.nodes[j] in b.zeros
+        wscale = 1.0 + max(abs(d.values[i, 0, 0]), abs(d.values[j, 0, 0]))
+        assert operator_norm(d.values[i] - d.values[j]) > DEFAULT_TOL.residual_tol * wscale
 
     def test_matching_values_reduce(self):
         # Shared value at the overlapped node; remaining node must fit.
