@@ -365,6 +365,7 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     k, m = terms.shape[0], a0.shape[0]
     units = np.eye(k * k).reshape(k * k, k, k)
     coords = np.concatenate([units, 1j * units])  # X = sum_j y_j coords[j]
+    coords_rows = coords.reshape(len(coords), -1)
     # One block-diagonal pencil F(v) = F0 + sum_j v_j F_j, v = (y, t).
     f = np.zeros((len(coords) + 2, m + 2 * k, m + 2 * k), dtype=complex)
     f[0, :m, :m] = a0
@@ -375,15 +376,17 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     f[1:-1, m : m + k, m + k :] = coords
     f[1:-1, m + k :, m : m + k] = coords.conj().transpose(0, 2, 1)
     f[-1, :m, :m] = -np.eye(m)
-    f = hermitian_part(f)
-    fj = f[1:]
+    f = 0.5 * (f + f.conj().transpose(0, 2, 1))
+    f0, fj = f[0], f[1:]
     fj_rows = fj.reshape(len(fj), -1)  # tr(F_j W) = fj_rows @ W.T.ravel()
-    size = len(f[0])
+    size = len(f0)
+    eye_m = np.eye(m)
     target = np.zeros(len(fj))
     target[-1] = 1.0  # maximise t
 
-    def pencil(v):
-        return f[0] + np.tensordot(v, fj, 1)
+    # ``np.dot`` on flat rows is the call ``np.tensordot(v, fj, 1)`` makes, without its wrapper.
+    def combine(v):
+        return np.dot(v[None], fj_rows).reshape(size, size)
 
     def traces(w):
         return (fj_rows @ w.T.ravel()).real
@@ -396,15 +399,16 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
 
     v = np.zeros(len(fj))
     v[-1] = -1.0 - np.linalg.norm(a0)  # A0 - t I >= I
-    s = pencil(v)
+    s = f0 + combine(v)
     z = np.linalg.inv(s)
     z /= np.trace(z[:m, :m]).real  # the central point of S, with a unit-trace Y block
     best = (None, -np.inf, 1.0)
     upper, certificate, stop = np.inf, None, "cap"
     for iterations in range(MAX_ITERATIONS + 1):
-        lmin, scale = _batched_margins(s[None, :m, :m] + v[-1] * np.eye(m))
-        if lmin[0] > best[1]:
-            best = (np.tensordot(v[:-1], coords, 1), float(lmin[0]), float(scale[0]))
+        w = np.linalg.eigvalsh(s[:m, :m] + v[-1] * eye_m)  # the spectrum of A(X)
+        if w[0] > best[1]:
+            x = np.dot(v[None, :-1], coords_rows).reshape(k, k)
+            best = (x, float(w[0]), float(1.0 + max(abs(w[0]), abs(w[-1]))))
         y = z[:m, :m] / np.trace(z[:m, :m]).real
         bound = _dual_bound(a0, terms, y)
         if bound < upper:
@@ -431,8 +435,9 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
             schur_inv = np.linalg.inv(np.linalg.cholesky(schur))
             # Predictor: the affine-scaling direction (centring weight 0).
             dv = schur_inv.T @ (schur_inv @ target)
-            ds = np.tensordot(dv, fj, 1)
-            dz = -z - hermitian_part(z @ ds @ s_inv)
+            ds = combine(dv)
+            dz = z @ ds @ s_inv
+            dz = -z - 0.5 * (dz + dz.conj().T)
             alpha = step_lengths(inv_chol, ds, dz, 1.0)
             mu = gap / size
             mu_aff = np.vdot(z + alpha[1] * dz, s + alpha[0] * ds).real / size
@@ -440,8 +445,9 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
             sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3 if mu > 0 else 1.0
             second = dz @ ds @ s_inv
             dv = schur_inv.T @ (schur_inv @ (target + sigma * mu * traces(s_inv) - traces(second)))
-            ds = np.tensordot(dv, fj, 1)
-            dz = sigma * mu * s_inv - z - hermitian_part(z @ ds @ s_inv + second)
+            ds = combine(dv)
+            dz = z @ ds @ s_inv + second
+            dz = sigma * mu * s_inv - z - 0.5 * (dz + dz.conj().T)
             if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(dz))):
                 raise np.linalg.LinAlgError("direction is not finite")
             alpha = step_lengths(inv_chol, ds, dz, STEP_FRACTION)
@@ -449,8 +455,9 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
             stop = "stall"
             break
         v = v + alpha[0] * dv
-        s = pencil(v)
-        z = hermitian_part(z + alpha[1] * dz)
+        s = f0 + combine(v)
+        z = z + alpha[1] * dz
+        z = 0.5 * (z + z.conj().T)
     return best[0], best[1], best[2], upper, certificate, iterations, stop
 
 
