@@ -181,7 +181,8 @@ def body_membership(
         certificate = np.zeros((6, 6))
         certificate[1, 1] = 1.0
         return FeasReport(
-            INFEASIBLE, detail="|w0| > 1 exceeds the sup-norm bound", certificate=certificate
+            INFEASIBLE, detail="|w0| > 1 exceeds the sup-norm bound", certificate=certificate,
+            certificate_kind="dual",
         )
     return search_x_grid(DataSet.scalar([z1, z0], [w1, w0]), tol=tol)
 

@@ -111,15 +111,19 @@ def cmd_check(args) -> int:
     disk = _optional_disk(problem.data)
     if disk is not None:
         document["one_point_disk"] = disk
-    lines = [f"status: {report.status}", f"margin: {report.margin:.6e}", f"detail: {report.detail}"]
-    if report.witness_x is not None:
-        lines.append(f"witness x: {np.array2string(report.witness_x, precision=6)}")
-    if disk is not None:
-        lines.append(
-            f"one-point feasible disk: center {disk['center']}, radius {disk['radius']:.6f}"
-        )
-    _emit(args, document, lines)
+    _emit(args, document, _check_lines(report, disk))
     return _STATUS_EXIT[report.status]
+
+
+def _check_lines(report, disk):
+    # A generator: under --json nothing here is formatted.
+    yield f"status: {report.status}"
+    yield f"margin: {report.margin:.6e}"
+    yield f"detail: {report.detail}"
+    if report.witness_x is not None:
+        yield f"witness x: {np.array2string(report.witness_x, precision=6)}"
+    if disk is not None:
+        yield f"one-point feasible disk: center {disk['center']}, radius {disk['radius']:.6f}"
 
 
 def cmd_witness(args) -> int:
@@ -269,7 +273,7 @@ def cmd_solve(args) -> int:
     chain = construct_interpolant(data, x)
     report = verify_interpolant(chain, data, problem.blaschke, tol=args.check_tol)
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(chain_to_json(chain), handle, indent=2)
+        handle.write(json.dumps(chain_to_json(chain), indent=2))  # one write, json.dump's bytes
     document = {
         "schema": SCHEMA,
         "command": "solve",
@@ -369,6 +373,27 @@ def cmd_stein(args) -> int:
     return EXIT_FEASIBLE
 
 
+# Options whose value may start with a minus sign, e.g. ``--z0 -0.3,0.2``.
+_SIGNED_OPTIONS = ("--nodes", "--z0", "--x")
+
+
+def _glue_signed_values(argv):
+    """Write ``--opt -0.5,0.3`` as ``--opt=-0.5,0.3`` for the options in ``_SIGNED_OPTIONS``.
+
+    argparse reads a token that starts with ``-`` and is not a plain
+    negative number as an option, so without this a first value like
+    ``-0.5,0.3`` is refused with "expected one argument".  Only a token
+    starting ``-<digit>`` or ``-.`` is glued; ``--nodes --json`` still
+    fails as before.
+    """
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        option, value = out[i], out[i + 1]
+        if option in _SIGNED_OPTIONS and value[:1] == "-" and value[1:2] in tuple("0123456789."):
+            out[i : i + 2] = [f"{option}={value}"]
+    return out
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -426,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stein", help="jet matrices and Stein solutions for a Blaschke file")
     p.add_argument("blaschke")
     p.add_argument("--nodes", required=True,
-                   help="comma-separated complex nodes, e.g. '0.5,-0.5,0.1+0.2j'")
+                   help="comma-separated complex nodes, e.g. '-0.5,0.5,0.1+0.2j'")
     p.add_argument("--k", type=int, default=1, help="matrix size of the data")
     add_common(p)
     p.set_defaults(func=cmd_stein)
@@ -436,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        argv = _glue_signed_values(sys.argv[1:] if argv is None else argv)
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code:  # argparse usage error; its exit code 2 would read as Undetermined

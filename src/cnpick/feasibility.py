@@ -29,7 +29,8 @@ Every solvability verdict is a :class:`FeasReport`.
 constraint with one primal-dual interior-point solver: ``A(X)`` is
 affine in the parameter (``constrained_pick_terms`` reads its
 coefficients off the Pick bundle), so maximising ``lambda_min(A(X))``
-over ``||X|| <= 1`` is a small semidefinite program.  Each iteration
+over ``||X|| <= 1`` is a small semidefinite program.  It starts at
+``X = 0`` with ``t`` just below ``lambda_min(A(0))``, and each iteration
 (an HKM direction with a Mehrotra predictor-corrector) gives a primal
 ``X``, whose ``lambda_min(A(X))`` is a lower bound, and a dual ``Y``,
 whose ``_dual_bound`` is an upper bound; the solver stops when they
@@ -105,7 +106,7 @@ REFINE_PASSES = 2
 # Iteration cap of the primal-dual solver, and the fraction of the largest
 # PSD-keeping step its corrector takes.
 MAX_ITERATIONS = 50
-STEP_FRACTION = 0.95
+STEP_FRACTION = 0.98
 
 
 @dataclass(frozen=True)
@@ -190,13 +191,17 @@ class FeasReport:
     :func:`search_lambda` and primal-dual iterations for
     :func:`search_x_grid` (the key keeps its name), whose ``stop`` names
     the rule that ended the solver: ``certified``, ``gap``,
-    ``duality_gap``, ``stall`` or ``cap``.  Infeasible verdicts of the
-    solver carry their dual ``certificate`` (checked by
-    :func:`_dual_bound` over every admissible parameter); those of the
-    overlap route's PSD test carry ``v v*``, with ``tr(v v* A) < 0`` at
-    the shared value, and those of disagreeing overlap values the node
-    indices ``[i, j]`` of two nodes on constraint zeros whose values
-    differ by more than ``residual_tol * (1 + max ||W||)`` over those nodes.
+    ``duality_gap``, ``stall`` or ``cap``.  An Infeasible verdict may
+    carry a ``certificate``, and ``certificate_kind`` says which of three
+    it is (None without one):
+
+    - ``"dual"``: the solver's dual matrix, checked by :func:`_dual_bound`
+      over every admissible parameter;
+    - ``"overlap_psd"``: ``v v*`` from the overlap route's PSD test, with
+      ``tr(v v* A) < 0`` at the shared value;
+    - ``"overlap_pair"``: the node indices ``[i, j]`` of two nodes on
+      constraint zeros whose values differ by more than
+      ``residual_tol * (1 + max ||W||)`` over those nodes.
     """
 
     status: str
@@ -205,6 +210,7 @@ class FeasReport:
     grid_stats: dict = field(default_factory=dict)
     detail: str = ""
     certificate: Optional[np.ndarray] = None
+    certificate_kind: Optional[str] = None
 
     @property
     def feasible(self) -> bool:
@@ -337,12 +343,18 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     ``S = F(v) = (A(X) - t I) (+) [[I, X], [X*, I]] >= 0``, with ``v`` the
     real coordinates of ``(X, t)``; its dual variable ``Z >= 0`` has
     ``tr(F_j Z) = 0`` for the coordinates of ``X`` and a unit-trace
-    ``m x m`` block.  Each iteration takes the HKM direction with a
+    ``m x m`` block.  The start is ``X = 0`` with ``t`` one percent of
+    the scale ``1 + max |eig(A0)|`` below ``lambda_min(A0)``, and
+    ``Z = S^-1`` scaled to a unit-trace ``m x m`` block, so it is exactly
+    central; the eigenvalues of ``A0`` that place ``t`` are also
+    iteration 0's margin.  Each iteration takes the HKM direction with a
     Mehrotra predictor-corrector from the Schur system
     ``M_ij = Re tr(F_i Z F_j S^-1)`` and keeps ``S`` and ``Z`` positive
     definite by step lengths read off one batched ``eigvalsh`` per
-    direction.  ``S`` stays equal to ``F(v)``; ``Z`` may start off its
-    equality constraints and reaches them at its first full step.
+    direction; the corrector takes ``STEP_FRACTION`` of the largest such
+    step, at most a full one.  ``S`` stays equal to ``F(v)``; ``Z`` may
+    start off its equality constraints and reaches them at its first full
+    step.
 
     Every iterate yields a lower bound ``lambda_min(A(X))``; the witness
     is the iterate with the largest one.  Every iterate also yields an
@@ -397,15 +409,15 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
         lowest = np.linalg.eigvalsh(scaled)[:, 0]
         return np.minimum(1.0, gamma / np.maximum(-lowest, gamma))
 
+    w = np.linalg.eigvalsh(a0)  # the spectrum of A(0): iteration 0's margin and the start's t
     v = np.zeros(len(fj))
-    v[-1] = -1.0 - np.linalg.norm(a0)  # A0 - t I >= I
+    v[-1] = w[0] - 0.01 * (1.0 + max(abs(w[0]), abs(w[-1])))
     s = f0 + combine(v)
     z = np.linalg.inv(s)
     z /= np.trace(z[:m, :m]).real  # the central point of S, with a unit-trace Y block
     best = (None, -np.inf, 1.0)
     upper, certificate, stop = np.inf, None, "cap"
     for iterations in range(MAX_ITERATIONS + 1):
-        w = np.linalg.eigvalsh(s[:m, :m] + v[-1] * eye_m)  # the spectrum of A(X)
         if w[0] > best[1]:
             x = np.dot(v[None, :-1], coords_rows).reshape(k, k)
             best = (x, float(w[0]), float(1.0 + max(abs(w[0]), abs(w[-1]))))
@@ -458,6 +470,7 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
         s = f0 + combine(v)
         z = z + alpha[1] * dz
         z = 0.5 * (z + z.conj().T)
+        w = np.linalg.eigvalsh(s[:m, :m] + v[-1] * eye_m)  # the spectrum of A(X)
     return best[0], best[1], best[2], upper, certificate, iterations, stop
 
 
@@ -480,16 +493,17 @@ def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasRe
     for i in overlap[1:]:
         if operator_norm(d.values[i] - anchor) > tol.residual_tol * wscale:
             pair = np.array([overlap[0], i])
-            return FeasReport(INFEASIBLE, detail="overlap values differ", certificate=pair)
+            return FeasReport(INFEASIBLE, detail="overlap values differ", certificate=pair,
+                              certificate_kind="overlap_pair")
     keep = [i for i in range(d.n) if i not in overlap]
-    certificate = None
+    certificate = kind = None
     if keep:
         reduced = DataSet(d.nodes[keep], d.values[keep])
         pick = constrained_pick(reduced, b, anchor)
         ok, margin = is_psd(pick, tol)
         if not ok:
             bottom = np.linalg.eigh(hermitian_part(pick))[1][:, :1]
-            certificate = bottom @ bottom.conj().T
+            certificate, kind = bottom @ bottom.conj().T, "overlap_psd"
         detail = "reduced to a PSD test at the shared overlap value"
     else:
         margin = 1.0 - operator_norm(anchor)
@@ -498,7 +512,7 @@ def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasRe
     status = FEASIBLE if ok else INFEASIBLE
     return FeasReport(
         status, witness_x=anchor if ok else None, margin=float(margin), detail=detail,
-        certificate=certificate,
+        certificate=certificate, certificate_kind=kind,
     )
 
 
@@ -530,6 +544,7 @@ def search_x_grid(
     return FeasReport(
         status, witness_x=best_x if status == FEASIBLE else None, margin=best_lmin,
         grid_stats=stats, detail=detail, certificate=certificate if certified else None,
+        certificate_kind="dual" if certified else None,
     )
 
 

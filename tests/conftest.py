@@ -342,6 +342,23 @@ def csv_oracle(path, header, columns):
         writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
+def check_lines_oracle(report, disk):
+    """The text lines of ``cnpick check``, built eagerly as one list.
+
+    Test-side oracle for the CLI's lazily built lines: status, margin and
+    detail, then the witness (``np.array2string`` at precision 6) and the
+    one-point disk where there are any.
+    """
+    lines = [f"status: {report.status}", f"margin: {report.margin:.6e}", f"detail: {report.detail}"]
+    if report.witness_x is not None:
+        lines.append(f"witness x: {np.array2string(report.witness_x, precision=6)}")
+    if disk is not None:
+        lines.append(
+            f"one-point feasible disk: center {disk['center']}, radius {disk['radius']:.6f}"
+        )
+    return lines
+
+
 def disk_grid_oracle(resolution):
     """The equal-area polar grid of the unit disk built one ring at a time.
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnpick.cli import _write_csv, build_parser, main
+from cnpick.cli import _optional_disk, _write_csv, build_parser, main
 from cnpick.feasibility import _dual_bound, search_x_grid
 from cnpick.interpolant import chain_from_json, verify_interpolant
 from cnpick.problemfile import parse_problem
 
-from conftest import csv_oracle, fresh_builder
+from conftest import check_lines_oracle, csv_oracle, fresh_builder
 
 
 @pytest.fixture
@@ -83,6 +83,36 @@ def test_check_overlap_conflict(workdir, capsys):
     assert main(["check", str(path), "--json"]) == 1
     doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert doc["status"] == "Infeasible" and doc["margin"] is None
+
+
+@pytest.mark.parametrize(
+    "nodes, values, blaschke",
+    [
+        ([0.5], [0.5], None),
+        ([0.3, -0.3], [0.3, -0.3], None),
+        ([0.3, 0.6], [0.2, 0.2], {"zeros": [[0.3, 0.0]], "multiplicities": [1]}),
+        ([0.3, 0.5], [0.1, 0.4], {"zeros": [[0.3, 0.0], [0.5, 0.0]], "multiplicities": [1, 1]}),
+    ],
+    ids=["solver-feasible-with-disk", "solver-infeasible", "overlap-feasible", "overlap-pair"],
+)
+def test_check_text_matches_eager_lines(workdir, capsys, nodes, values, blaschke):
+    path = write_problem(workdir / "p.json", nodes, values, blaschke)
+    problem = parse_problem(path)
+    report = search_x_grid(problem.data, problem.blaschke)
+    main(["check", str(path)])
+    lines = check_lines_oracle(report, _optional_disk(problem.data))
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+
+
+def test_check_json_formats_no_text(workdir, capsys, monkeypatch):
+    path = write_problem(workdir / "p.json", [0.5], [0.5])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("text formatted under --json")
+
+    monkeypatch.setattr(np, "array2string", refuse)
+    assert main(["check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness_x"] is not None
 
 
 def test_check_parse_error_exit_64(workdir, capsys):
@@ -155,6 +185,42 @@ def test_solve_explicit_x_outside_disk(workdir, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "x infeasible" in out
+
+
+SOLVE_NODES = [0.5, -0.2 + 0.3j, 0.1 - 0.6j]
+
+
+@pytest.mark.parametrize(
+    "nodes, values, x, digests",
+    [
+        ([0.5], [0.5], "0.45,0.05",
+         ("4c35200705585d88160f00503c2e2431ecc7b1f70d3bf2a06c2592e82243ecd7",
+          "ca09383d42878547e64094fee03a3f4782879197bd303df95c2791428383dd69",
+          "cce44ac554a8c8f537adad7085ad2e7a3e96c51532995381934a5f9e5a9b41b5")),
+        # s(z) = 0.2 + 0.1i + z^2 / 2 interpolates the data and has s(0) = x.
+        (SOLVE_NODES, [0.2 + 0.1j + 0.5 * z * z for z in SOLVE_NODES], "0.2,0.1",
+         ("ec3ab3a659bd96a17bd761729e7230abdebb4acd337ced4bbe036021e19eb2f1",
+          "98db769025112e45836447fac2b85d08b579be689c80802d46c603c319fe24c2",
+          "e73fc5c2a025ba55fe416d712283188b8813d466d05a12c17bfe63ffba9b0941")),
+    ],
+    ids=["one-point", "three-point"],
+)
+def test_solve_output_digests(workdir, capsys, nodes, values, x, digests):
+    # Golden bytes: the text stdout, the --json stdout and the chain file, by their sha256.
+    write_problem(workdir / "p.json", nodes, values)
+    for extra, stdout_digest in zip(([], ["--json"]), digests):
+        assert main(["solve", "p.json", f"--x={x}", "--out", "chain.json", *extra]) == 0
+        outputs = (capsys.readouterr().out.encode(), (workdir / "chain.json").read_bytes())
+        assert tuple(hashlib.sha256(data).hexdigest() for data in outputs) == (stdout_digest, digests[2])
+
+
+def test_solve_x_takes_a_leading_minus(workdir, capsys):
+    write_problem(workdir / "p.json", [0.5], [-0.1 + 0.1j])
+    runs = []
+    for argv in (["--x=-0.1,0.2"], ["--x", "-0.1,0.2"]):
+        assert main(["solve", "p.json", *argv, "--out", "chain.json", "--json"]) == 0
+        runs.append((capsys.readouterr().out, (workdir / "chain.json").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_verify_tampered_chain_fails(workdir, capsys):
@@ -376,6 +442,16 @@ def test_write_csv_bytes_on_random_columns(rows):
     assert_csv_bytes_match(["w_re", "w_im", "inside"], (re, im, flags))
 
 
+def test_body_z0_takes_a_leading_minus(workdir, capsys):
+    write_problem(workdir / "p.json", [0.4 - 0.3j], [0.2 + 0.5j])
+    runs = []
+    for argv in (["--z0=-0.3,0.2"], ["--z0", "-0.3,0.2"]):
+        assert main(["body", "p.json", *argv, "--csv", "out", "--json"]) == 0
+        files = [(workdir / "out" / f).read_bytes() for f in ("disks.csv", "membership.csv")]
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+
+
 def test_body_z0_equals_node_is_usage_error(workdir, capsys):
     path = write_problem(workdir / "p.json", [0.5], [0.0])
     assert main(["body", str(path), "--z0", "0.5,0"]) == 64
@@ -409,6 +485,16 @@ def test_stein_origin_double_zero(workdir, capsys):
     assert max(out["residuals"].values()) <= 1e-12
     qt = np.array([[complex(*e) for e in row] for row in out["q_tilde"]])
     assert np.allclose(qt, [[1.0, 1.0], [0.5, -0.5]])
+
+
+def test_stein_nodes_take_a_leading_minus(workdir, capsys):
+    blaschke = workdir / "b.json"
+    blaschke.write_text(json.dumps({"zeros": [[0.0, 0.0]], "multiplicities": [2]}))
+    assert main(["stein", str(blaschke), "--nodes=-0.5,0.3", "--json"]) == 0
+    glued = capsys.readouterr().out
+    assert main(["stein", str(blaschke), "--nodes", "-0.5,0.3", "--json"]) == 0
+    assert capsys.readouterr().out == glued
+    assert main(["stein", str(blaschke), "--nodes", "--json"]) == 64  # still no value
 
 
 def test_tol_env_override(workdir, capsys, monkeypatch):

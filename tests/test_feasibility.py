@@ -426,6 +426,26 @@ class TestSearch:
         assert necessity_scan(data, samples=500, seed=seed).passed
 
 
+def test_iteration_count_guard():
+    """Solver iterations do not depend on the hardware: their sum over a fixed set is bounded.
+
+    The bound is 475, the count of the solver that starts at lambda_min(A0)
+    and steps 0.98 of the way to the boundary, plus 5%; the start at
+    ``-1 - ||A0||_F`` with 0.95 took 583.  Each Feasible margin there
+    also meets its upper bound within ``psd_tol * scale``.
+    """
+    cases = [generate_feasible(seed, n)[0] for seed in range(20) for n in (1, 3, 8)]
+    cases += [INFEASIBLE_DATA, matrix_feasible(7, 2, 3), matrix_feasible(11, 3, 2)]
+    total = 0
+    for data in cases:
+        report = search_x_grid(data)
+        stats = report.grid_stats
+        total += stats["points"]
+        if report.feasible:
+            assert stats["upper_bound"] - report.margin <= DEFAULT_TOL.psd_tol * stats["best_scale"]
+    assert total <= 498
+
+
 class TestSolverEdgeCases:
     """Near-boundary data end with a verdict, never a raw ``LinAlgError``."""
 
@@ -470,11 +490,61 @@ class TestSolverEdgeCases:
         report = search_x_grid(data)
         monkeypatch.undo()
         assert report.status == status
+        assert report.certificate is None and report.certificate_kind is None
         assert report.grid_stats["stop"] == "stall"
         assert report.grid_stats["points"] == (fail_at - 1) // 2
         x = report.witness_x if report.feasible else np.zeros((1, 1))  # the start is X = 0
         margin, _ = psd_margin(constrained_pick(data, BlaschkeSpec.z_squared(), x))
         assert report.margin == pytest.approx(margin, abs=1e-12)
+
+
+class TestCertificateKind:
+    """``certificate_kind`` names the certificate of each route, None where there is none.
+
+    Undetermined reports are covered by ``test_failed_cholesky_ends_with_the_best_iterate``.
+    """
+
+    def test_solver_dual(self):
+        report = search_x_grid(INFEASIBLE_DATA)
+        assert report.certificate_kind == "dual"
+        assert_certified(report, INFEASIBLE_DATA)
+
+    def test_sup_norm_dual(self):
+        report = body_membership(0.5, 0.2, -0.3, 1.5 + 0.0j)
+        assert report.status == INFEASIBLE and report.certificate_kind == "dual"
+        # The unit matrix at the new node's row of the 6 x 6 LMI: tr(Y A(X)) < 0 for every X.
+        data = DataSet.scalar([0.5, -0.3], [0.2, 1.5])
+        assert _dual_bound(*fresh_builder(data), report.certificate) < -1e-3
+
+    def test_overlap_pair(self):
+        d = DataSet.scalar([0.3, 0.5], [0.1, 0.4])
+        report = search_x_grid(d, BlaschkeSpec(np.array([0.3, 0.5]), np.array([1, 1])))
+        assert report.certificate_kind == "overlap_pair"
+        assert report.certificate.tolist() == [0, 1]
+
+    def test_overlap_psd(self):
+        d = DataSet.scalar([0.3, 0.5], [0.1, 0.4])
+        b = BlaschkeSpec(np.array([0.3]), np.array([1]))
+        report = search_x_grid(d, b)
+        assert report.certificate_kind == "overlap_psd"
+        pick = constrained_pick(DataSet.scalar([0.5], [0.4]), b, d.values[0])
+        assert np.trace(report.certificate @ pick).real < 0
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda: search_x_grid(DataSet.scalar([0.5], [0.5])),
+            lambda: search_lambda(INFEASIBLE_DATA, resolution=200),
+            lambda: search_x_grid(
+                DataSet(np.array([0.3]), np.array([[[0.0, 2.0], [0.0, 0.0]]])),
+                BlaschkeSpec(np.array([0.3]), np.array([1])),
+            ),
+        ],
+        ids=["solver-feasible", "lambda-infeasible", "total-overlap-infeasible"],
+    )
+    def test_no_certificate_no_kind(self, route):
+        report = route()
+        assert report.certificate is None and report.certificate_kind is None
 
 
 class TestWitnessRecheck:
