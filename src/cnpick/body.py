@@ -48,7 +48,7 @@ from .feasibility import (
     one_point_disk,
     search_x_grid,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, _kron
 from .pick import DataSet, pick_matrix
 
 __all__ = [
@@ -78,7 +78,7 @@ def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_T
     if np.any(d.nodes == z0):
         raise DomainError("z0 must differ from every interpolation node")
     delta0 = 1.0 - abs(z0) ** 2
-    cauchy = np.kron(np.diag(1.0 / (1.0 - d.nodes * np.conj(z0))), np.eye(d.k))
+    cauchy = _kron(np.diag(1.0 / (1.0 - d.nodes * np.conj(z0))), np.eye(d.k))
     e_t = cauchy @ np.tile(np.eye(d.k, dtype=complex), (d.n, 1)) * np.sqrt(delta0)
     w_t = -cauchy @ d.values.reshape(d.n * d.k, d.k) * np.sqrt(delta0)
     try:

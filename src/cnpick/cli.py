@@ -257,8 +257,8 @@ def cmd_solve(args) -> int:
         x = complex(report.witness_x[0, 0])
     else:
         x = _parse_complex(args.x, "--x")
-        if abs(x) >= 1:
-            raise DomainError("--x must lie in the open unit disk")
+        if not abs(x) < 1:  # written so that NaN fails
+            raise DomainError("--x must be finite and lie in the open unit disk")
         bundle = assemble_bundle(data, problem.blaschke, tol)
         ok, margin = is_psd(constrained_pick(data, problem.blaschke, np.array([[x]]), bundle), tol)
         if not ok:

@@ -33,11 +33,15 @@ over ``||X|| <= 1`` is a small semidefinite program.  It starts at
 ``X = 0`` with ``t`` just below ``lambda_min(A(0))``, and each iteration
 (an HKM direction with a Mehrotra predictor-corrector) gives a primal
 ``X``, whose ``lambda_min(A(X))`` is a lower bound, and a dual ``Y``,
-whose ``_dual_bound`` is an upper bound; the solver stops when they
-decide the verdict or meet within the tolerance, and the stop rule is
-reported.  The best primal iterate is the Feasible witness; the dual
-matrix is an Infeasible certificate that ``_dual_bound`` checks without
-the solver.  Body
+whose ``Re tr(Y A0) + 2 ||G||_*`` (``G_ab = tr(Y A_ab)``) is an upper
+bound.  While the iteration's Cholesky factorisation proves ``Y``
+positive definite, that bound is read off one product of precomputed
+trace rows with ``Y``; only when the factorisation fails (the stall
+path) does ``_dual_bound`` clip ``Y`` to its PSD part first.  The
+solver stops when the two bounds decide the verdict or meet within the
+tolerance, and the stop rule is reported.  The best primal iterate is
+the Feasible witness; the dual matrix is an Infeasible certificate that
+``_dual_bound`` checks without the solver.  Body
 membership is not a separate search: it is ``search_x_grid`` on the
 augmented data.  ``search_lambda`` alone stays a grid search (one
 batched eigenvalue call per stack of points, then local refinement):
@@ -58,6 +62,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _batched_margins,
+    _kron,
     hermitian_part,
     inv_sqrt_psd,
     is_psd,
@@ -187,11 +192,14 @@ class FeasReport:
     the constraint zeros, and :func:`search_lambda` its ``[[lambda]]``
     (lambda is the origin value).  ``margin`` is the best smallest
     eigenvalue found; ``grid_stats`` records the work done and the
-    bounds behind the verdict.  Its ``points`` counts grid points for
-    :func:`search_lambda` and primal-dual iterations for
-    :func:`search_x_grid` (the key keeps its name), whose ``stop`` names
-    the rule that ended the solver: ``certified``, ``gap``,
-    ``duality_gap``, ``stall`` or ``cap``.  An Infeasible verdict may
+    bounds behind the verdict.  On an Infeasible verdict of the solver,
+    ``margin`` is the best lower bound met before the dual certified,
+    so it says how far the solver got, not how infeasible the data are;
+    ``grid_stats["upper_bound"]`` is the certified bound.  Its
+    ``points`` counts grid points for :func:`search_lambda` and
+    primal-dual iterations for :func:`search_x_grid` (the key keeps its
+    name), whose ``stop`` names the rule that ended the solver:
+    ``certified``, ``gap``, ``duality_gap``, ``stall`` or ``cap``.  An Infeasible verdict may
     carry a ``certificate``, and ``certificate_kind`` says which of three
     it is (None without one):
 
@@ -220,7 +228,7 @@ class FeasReport:
 def pencil_build(d: DataSet):
     """Relaxed-LMI data ``(P, Et, Wt)`` of a data set: Et = [E  ZE], Wt = [W  ZW]."""
     ik = np.eye(d.k, dtype=complex)
-    z, e = np.kron(np.diag(d.nodes), ik), np.tile(ik, (d.n, 1))
+    z, e = _kron(np.diag(d.nodes), ik), np.tile(ik, (d.n, 1))
     w = d.values.reshape(d.n * d.k, d.k)
     e_tilde = np.hstack([e, z @ e])
     w_tilde = np.hstack([w, z @ w])
@@ -320,6 +328,11 @@ def _refine_grid(center: complex, halfwidth: float, per_side: int = 17) -> np.nd
     return pts
 
 
+def _bound(tr_a0: complex, g: np.ndarray) -> float:
+    """The dual bound ``Re tr(Y A0) + 2 ||G||_*`` of a unit-trace ``Y`` from its traces."""
+    return float(tr_a0.real + 2.0 * np.linalg.svd(g, compute_uv=False).sum())
+
+
 def _dual_bound(a0: np.ndarray, terms: np.ndarray, y: np.ndarray) -> float:
     """Upper bound on ``lambda_min(A(X))`` over all ``||X|| <= 1``, certified by ``y``.
 
@@ -332,8 +345,7 @@ def _dual_bound(a0: np.ndarray, terms: np.ndarray, y: np.ndarray) -> float:
     w, v = np.linalg.eigh(hermitian_part(y))
     w = np.clip(w, 0.0, None)
     y = (v * (w / w.sum())) @ v.conj().T
-    g = np.einsum("ij,abji->ab", y, terms)
-    return float(np.trace(y @ a0).real + 2.0 * np.linalg.svd(g, compute_uv=False).sum())
+    return _bound(np.trace(y @ a0), np.einsum("ij,abji->ab", y, terms))
 
 
 def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
@@ -358,10 +370,17 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
 
     Every iterate yields a lower bound ``lambda_min(A(X))``; the witness
     is the iterate with the largest one.  Every iterate also yields an
-    upper bound, :func:`_dual_bound` of ``Z``'s ``m x m`` block, which
-    holds whether or not ``Z`` meets its constraints.  Stop rules, by
-    name: ``certified`` once the upper bound is below ``-psd_tol *
-    scale``; ``gap`` once the two bounds are within ``psd_tol * scale``;
+    upper bound from ``Z``'s ``m x m`` block ``Y``, which holds whether
+    or not ``Z`` meets its constraints.  Each iteration starts with the
+    Cholesky factorisation of ``(S, Z)``; when it succeeds, ``Y`` is
+    positive definite and the bound is read off one product of
+    precomputed trace rows ``[I; A0; A_ab]`` with the entries of ``Y``
+    (no eigendecomposition).  When it fails, :func:`_dual_bound` gives
+    the bound of ``Y`` clipped to its PSD part, and the iteration ends
+    the solver as a stall unless a stop rule before it fires.  Both use
+    the one formula of :func:`_bound`.  Stop rules, by name:
+    ``certified`` once the upper bound is below ``-psd_tol * scale``;
+    ``gap`` once the two bounds are within ``psd_tol * scale``;
     ``duality_gap`` once ``Z`` meets its constraints and ``tr(S Z)`` is at
     most ``psd_tol * scale`` (beyond it lies rounding); ``stall`` when a
     Cholesky factorisation of ``S``, ``Z`` or ``M`` fails, or a direction
@@ -395,6 +414,10 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     eye_m = np.eye(m)
     target = np.zeros(len(fj))
     target[-1] = 1.0  # maximise t
+    # tr(Y), tr(Y A0) and tr(Y A_ab) of an m x m block Y: one product with its flat entries.
+    trace_rows = np.concatenate(
+        [eye_m.reshape(1, -1), a0.T.reshape(1, -1), terms.swapaxes(-1, -2).reshape(k * k, -1)]
+    )
 
     # ``np.dot`` on flat rows is the call ``np.tensordot(v, fj, 1)`` makes, without its wrapper.
     def combine(v):
@@ -403,10 +426,9 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     def traces(w):
         return (fj_rows @ w.T.ravel()).real
 
-    def step_lengths(inv_chol, ds, dz, gamma):
+    def step_lengths(inv_chol, inv_chol_h, ds, dz, gamma):
         # Largest steps keeping S + a dS and Z + a dZ PSD, shortened by gamma, capped at 1.
-        scaled = inv_chol @ np.stack([ds, dz]) @ inv_chol.conj().swapaxes(-1, -2)
-        lowest = np.linalg.eigvalsh(scaled)[:, 0]
+        lowest = np.linalg.eigvalsh(inv_chol @ np.stack([ds, dz]) @ inv_chol_h)[:, 0]
         return np.minimum(1.0, gamma / np.maximum(-lowest, gamma))
 
     w = np.linalg.eigvalsh(a0)  # the spectrum of A(0): iteration 0's margin and the start's t
@@ -421,10 +443,17 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
         if w[0] > best[1]:
             x = np.dot(v[None, :-1], coords_rows).reshape(k, k)
             best = (x, float(w[0]), float(1.0 + max(abs(w[0]), abs(w[-1]))))
-        y = z[:m, :m] / np.trace(z[:m, :m]).real
-        bound = _dual_bound(a0, terms, y)
+        y = z[:m, :m]
+        try:
+            chol = np.linalg.cholesky(np.stack([s, z]))
+            # Z > 0, so its block Y > 0 and needs no clipping: the bound is read off its traces.
+            t = trace_rows @ y.ravel()
+            bound = _bound(t[1] / t[0].real, t[2:].reshape(k, k) / t[0].real)
+        except np.linalg.LinAlgError:
+            chol = None
+            bound = _dual_bound(a0, terms, y / np.trace(y).real)
         if bound < upper:
-            upper, certificate = bound, y
+            upper, certificate = bound, y / np.trace(y).real
         slack = tol.psd_tol * best[2]
         if upper < -slack:
             stop = "certified"
@@ -439,9 +468,13 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
                 break
         if iterations == MAX_ITERATIONS:
             break
+        if chol is None:
+            stop = "stall"
+            break
         try:
-            inv_chol = np.linalg.inv(np.linalg.cholesky(np.stack([s, z])))
-            s_inv = inv_chol[0].conj().T @ inv_chol[0]
+            inv_chol = np.linalg.inv(chol)
+            inv_chol_h = inv_chol.conj().swapaxes(-1, -2)
+            s_inv = inv_chol_h[0] @ inv_chol[0]
             fz, fs = fj @ z, fj @ s_inv
             schur = (fz.reshape(len(fj), -1) @ fs.transpose(0, 2, 1).reshape(len(fj), -1).T).real
             schur_inv = np.linalg.inv(np.linalg.cholesky(schur))
@@ -450,7 +483,7 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
             ds = combine(dv)
             dz = z @ ds @ s_inv
             dz = -z - 0.5 * (dz + dz.conj().T)
-            alpha = step_lengths(inv_chol, ds, dz, 1.0)
+            alpha = step_lengths(inv_chol, inv_chol_h, ds, dz, 1.0)
             mu = gap / size
             mu_aff = np.vdot(z + alpha[1] * dz, s + alpha[0] * ds).real / size
             # Corrector: centring weight sigma and Mehrotra's second-order term.
@@ -462,7 +495,7 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
             dz = sigma * mu * s_inv - z - 0.5 * (dz + dz.conj().T)
             if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(dz))):
                 raise np.linalg.LinAlgError("direction is not finite")
-            alpha = step_lengths(inv_chol, ds, dz, STEP_FRACTION)
+            alpha = step_lengths(inv_chol, inv_chol_h, ds, dz, STEP_FRACTION)
         except np.linalg.LinAlgError:
             stop = "stall"
             break

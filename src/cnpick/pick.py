@@ -58,6 +58,7 @@ from .errors import DomainError, IllConditionedError, SingularBlockError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _kron,
     hermitian_part,
     operator_norm,
     psd_margin,
@@ -296,7 +297,7 @@ def stein_solve(j, e_tilde, z, e):
     z = np.asarray(z, dtype=complex)
     e = np.asarray(e, dtype=complex)
     kd = j.shape[0]
-    op = np.eye(kd * kd, dtype=complex) - np.kron(j.conj(), j)
+    op = np.eye(kd * kd, dtype=complex) - _kron(j.conj(), j)
     # Amplification of the solve; blows up as |lambda_i conj(z_j)| -> 1.
     smin = np.linalg.svd(op, compute_uv=False)[-1]
     zdiag = np.diag(z)
@@ -348,7 +349,7 @@ def assemble_bundle(
     _check_constrained_domain(d, b)
     p = pick_matrix(d)
     ik = np.eye(d.k, dtype=complex)
-    z = np.kron(np.diag(d.nodes), ik)
+    z = _kron(np.diag(d.nodes), ik)
     e = np.tile(ik, (d.n, 1))
     j, e_tilde = jet_matrices(b, d.k)
     q, q_tilde = stein_solve(j, e_tilde, z, e)
@@ -368,7 +369,7 @@ def assemble_bundle(
         raise IllConditionedError(f"Stein solution not PSD: min eig = {min_eig:.3e}")
 
     q_inv = hermitian_part(np.linalg.solve(q, np.eye(q.shape[0], dtype=complex)))
-    cauchy = hermitian_part(np.kron(1.0 / (1.0 - np.outer(d.nodes, d.nodes.conj())), ik))
+    cauchy = hermitian_part(_kron(1.0 / (1.0 - np.outer(d.nodes, d.nodes.conj())), ik))
     g = np.block([[cauchy, q_tilde.conj().T], [q_tilde, q]])
     for array in (g, p, j, e_tilde, q_inv):
         array.flags.writeable = False
@@ -445,7 +446,7 @@ def constrained_pick(
     nk = d.n * d.k
     form = constrained_pick_cf(d, b, x, bundle=bundle)
     form[nk:, nk:] = bundle.q
-    x_d = np.kron(np.eye(b.degree, dtype=complex), x)
+    x_d = _kron(np.eye(b.degree, dtype=complex), x)
     x_col = np.vstack([np.zeros((nk, x_d.shape[1]), dtype=complex), x_d])
     return np.block([[form, x_col], [x_col.conj().T, bundle.q_inv]])
 
@@ -458,13 +459,18 @@ def constrained_pick_terms(bundle: PickBundle):
 
         constrained_pick(x) = a0 + sum_ab (x_ab A_ab + conj(x_ab) A_ab*).
 
-    ``A_ab`` holds ``-Qt (I_n (x) E_ab) Wd*`` in the (jets, nodes)
-    block and ``I_deg (x) E_ab`` in the (jets, mirrored) block, zero
-    elsewhere; ``terms`` has shape (k, k, size, size).
+    ``a0`` is read off the bundle's blocks, ``[[P, Qt*, 0], [Qt, Q, 0],
+    [0, 0, Q^-1]]``, with no build at ``x = 0``.  ``A_ab`` holds
+    ``-Qt (I_n (x) E_ab) Wd*`` in the (jets, nodes) block and
+    ``I_deg (x) E_ab`` in the (jets, mirrored) block, zero elsewhere;
+    ``terms`` has shape (k, k, size, size).
     """
     d, deg = bundle.data, bundle.blaschke.degree
     k, nk, dk = d.k, d.n * d.k, deg * d.k
-    a0 = constrained_pick(d, bundle.blaschke, np.zeros((k, k)), bundle=bundle)
+    a0 = np.zeros((nk + 2 * dk, nk + 2 * dk), dtype=complex)
+    a0[: nk + dk, : nk + dk] = bundle.g
+    a0[:nk, :nk] = bundle.p
+    a0[nk + dk :, nk + dk :] = bundle.q_inv
     terms = np.zeros((k, k) + a0.shape, dtype=complex)
     # Column (i, c) of Qt (I_n (x) E_ab) Wd* is Qt[:, (i, a)] conj(W_i[c, b]).
     coupling = np.einsum("ria,icb->abric", bundle.q_tilde.reshape(dk, d.n, k), d.values.conj())

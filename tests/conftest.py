@@ -4,12 +4,13 @@ Everything is driven by explicit integer seeds so failures reproduce
 exactly; no test draws from global random state.
 """
 
+import collections
 import csv
 
 import numpy as np
 import pytest
 
-from cnpick import kernels
+from cnpick import body, feasibility, kernels, pick
 from cnpick.kernels import (
     GrassmannParam,
     ScanReport,
@@ -409,3 +410,39 @@ def random_psd(rng, n, rank=None):
 @pytest.fixture
 def rng():
     return rng_for(1234)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count the ``np.linalg`` eigh, eigvalsh, cholesky, inv and svd calls made during a test.
+
+    Returns a ``Counter`` keyed by function name.  The library looks each
+    function up on ``np.linalg`` at call time, so every call is counted.
+    """
+    counts = collections.Counter()
+    for name in ("eigh", "eigvalsh", "cholesky", "inv", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.fixture
+def kron_oracle(monkeypatch):
+    """Put ``np.kron`` back where the library forms Kronecker products by broadcasting.
+
+    Test-side oracle for ``_kron``: after the returned function is called,
+    every build in the test forms the node matrix, the Cauchy blocks of
+    the bundle and of the body pencil, the Stein operator and ``Xd`` with
+    ``np.kron`` itself.
+    """
+
+    def use_np_kron():
+        for module in (pick, body, feasibility):
+            monkeypatch.setattr(module, "_kron", np.kron)
+
+    return use_np_kron

@@ -137,7 +137,7 @@ def test_check_matrix_data_feasible(workdir, capsys):
     assert witness.shape == (2, 2)
 
 
-def test_check_matrix_data_undetermined_exit_2(workdir, capsys):
+def test_check_matrix_data_infeasible_exit_1(workdir, capsys):
     """Norm-2 matrix data: Infeasible (exit 1), backed by a certificate."""
     doc = {
         "k": 2,
@@ -185,6 +185,16 @@ def test_solve_explicit_x_outside_disk(workdir, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "x infeasible" in out
+
+
+@pytest.mark.parametrize("x", ["nan,0", "0.1,nan", "inf,0", "1,0"])
+def test_solve_explicit_x_off_the_open_disk_is_usage_error(workdir, capsys, x):
+    # NaN fails the disk test itself, so the message names --x.
+    path = write_problem(workdir / "p.json", [0.5], [0.5])
+    out = workdir / "chain.json"
+    assert main(["solve", str(path), f"--x={x}", "--out", str(out)]) == 64
+    assert "--x must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SOLVE_NODES = [0.5, -0.2 + 0.3j, 0.1 - 0.6j]

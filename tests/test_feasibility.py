@@ -426,6 +426,12 @@ class TestSearch:
         assert necessity_scan(data, samples=500, seed=seed).passed
 
 
+def guard_cases():
+    """The fixed set of the solver's count guards: 60 generated scalar, one infeasible, two matrix."""
+    cases = [generate_feasible(seed, n)[0] for seed in range(20) for n in (1, 3, 8)]
+    return cases + [INFEASIBLE_DATA, matrix_feasible(7, 2, 3), matrix_feasible(11, 3, 2)]
+
+
 def test_iteration_count_guard():
     """Solver iterations do not depend on the hardware: their sum over a fixed set is bounded.
 
@@ -434,16 +440,39 @@ def test_iteration_count_guard():
     ``-1 - ||A0||_F`` with 0.95 took 583.  Each Feasible margin there
     also meets its upper bound within ``psd_tol * scale``.
     """
-    cases = [generate_feasible(seed, n)[0] for seed in range(20) for n in (1, 3, 8)]
-    cases += [INFEASIBLE_DATA, matrix_feasible(7, 2, 3), matrix_feasible(11, 3, 2)]
     total = 0
-    for data in cases:
+    for data in guard_cases():
         report = search_x_grid(data)
         stats = report.grid_stats
         total += stats["points"]
         if report.feasible:
             assert stats["upper_bound"] - report.margin <= DEFAULT_TOL.psd_tol * stats["best_scale"]
     assert total <= 498
+
+
+def test_eigendecomposition_guard(linalg_calls):
+    """The solver's eigendecompositions over the guard set are bounded; ``eigh`` only on a stall.
+
+    The bound is 1,551 ``eigh`` and ``eigvalsh`` calls, the count of the
+    solver that reads its dual bound off the iteration's Cholesky
+    factorisation, plus 5%; clipping the dual block by ``eigh`` in every
+    iteration took 2,089.  A run that does not stall makes no ``eigh``
+    call, and every Infeasible ``upper_bound`` is the bound that
+    :func:`_dual_bound` re-checks on the certificate.
+    """
+    eigendecompositions = 0
+    for data in guard_cases():
+        before = linalg_calls.copy()
+        report = search_x_grid(data)
+        made = linalg_calls - before
+        eigendecompositions += made["eigh"] + made["eigvalsh"]
+        if report.grid_stats["stop"] != "stall":
+            assert made["eigh"] == 0
+        if report.status == INFEASIBLE:
+            a0, terms = constrained_pick_terms(assemble_bundle(data, BlaschkeSpec.z_squared()))
+            bound = _dual_bound(a0, terms, report.certificate)
+            assert report.grid_stats["upper_bound"] == pytest.approx(bound, rel=1e-13, abs=0)
+    assert eigendecompositions <= 1628
 
 
 class TestSolverEdgeCases:

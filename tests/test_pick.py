@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cnpick.body import unconstrained_body
 from cnpick.errors import DomainError, SingularBlockError
-from cnpick.feasibility import FEASIBLE, INFEASIBLE, search_x_grid
+from cnpick.feasibility import FEASIBLE, INFEASIBLE, pencil_build, search_x_grid
 from cnpick.linalg import DEFAULT_TOL, is_psd, operator_norm, psd_margin
 from cnpick.pick import (
     BlaschkeSpec,
@@ -20,6 +21,7 @@ from conftest import (
     constrained_pick_cf_blocks,
     constrained_pick_z2,
     constrained_pick_z2_quadratic,
+    matrix_feasible,
     node_matrices,
     random_blaschke,
     random_contraction,
@@ -447,3 +449,39 @@ class TestOverlap:
         assert np.array_equal(report.witness_x, [[0.1]])
         rest = DataSet.scalar([-0.4j], [0.05j])
         assert is_psd(constrained_pick_cf(rest, b, report.witness_x))[0]
+
+
+class TestBuildBits:
+    """Builds that skip a step, or ``np.kron``, give the arrays of the step they skip."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a0_is_the_build_at_zero(self, degree, k):
+        # Entry for entry; the build at x = 0 conjugates zero blocks, so a zero may differ in sign.
+        rng = rng_for(100 * degree + k)
+        zeros = 0.5 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+        mult = [degree - degree // 2, degree // 2][: 1 + (degree > 1)]  # one zero for degree 1
+        b = BlaschkeSpec(zeros[: len(mult)], mult)
+        d = random_dataset(degree + k, n=3, k=k)
+        bundle = assemble_bundle(d, b)
+        a0, _ = constrained_pick_terms(bundle)
+        assert np.array_equal(a0, constrained_pick(d, b, np.zeros((k, k)), bundle=bundle))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kron_free_arrays_match_np_kron(self, seed, kron_oracle):
+        rng = rng_for(seed)
+        k = 1 + seed % 3
+        d, b = matrix_feasible(seed, k, 3), random_blaschke(seed)
+        x = random_contraction(rng, k)
+
+        def builds():
+            bundle = assemble_bundle(d, b)
+            ball = unconstrained_body(d, 0.1 - 0.2j)
+            return (bundle.g, bundle.p, bundle.q_inv, np.array(bundle.stein_residuals),
+                    constrained_pick(d, b, x, bundle=bundle), ball.center, ball.left, ball.right,
+                    *pencil_build(d))
+
+        arrays = builds()
+        kron_oracle()
+        for array, expected in zip(arrays, builds(), strict=True):
+            assert array.tobytes() == expected.tobytes()
