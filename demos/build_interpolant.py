@@ -30,11 +30,11 @@ data, certificate = generate_feasible(seed=12, n=3)
 print("nodes:", np.round(data.nodes, 4))
 print("targets:", np.round(data.scalar_values(), 4))
 
-# Find the best origin value, then reduce: after the two origin steps
+# Find a feasible origin value, then reduce: after the two origin steps
 # the problem is classical interpolation with rescaled targets.
 found = search_x_grid(data)
 x = complex(found.witness_x[0, 0])
-print(f"\nsearch: {found.status}, max-margin x = {x:.6f}")
+print(f"\nsearch: {found.status}, witness x = {x:.6f}")
 reduced = schur_reduce_constrained(data, x)
 print("reduced targets:", np.round(reduced.scalar_values(), 4))
 

@@ -25,8 +25,9 @@ data = DataSet.scalar([0.5], [0.5])
 disk = one_point_disk(0.5, 0.5)
 print(f"feasible origin values: disk centered {disk.center:.6f}, radius {disk.radius:.6f}")
 
-# The search confirms and returns a concrete witness: the parameter
-# with the largest smallest eigenvalue, here the disk center.
+# The search confirms and returns a concrete witness inside the disk:
+# a parameter whose smallest eigenvalue is nonnegative and certified
+# within a factor 2 of the largest one (attained near the disk center).
 report = search_x_grid(data)
 print(f"search: {report.status}, witness x = {complex(report.witness_x[0, 0]):.6f}")
 

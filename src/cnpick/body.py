@@ -169,7 +169,7 @@ def body_membership(
     ``{(z1, w1), (z0, w0)}`` is solvable, so the verdict is the
     :class:`FeasReport` of :func:`search_x_grid` on it: ``feasible``
     says whether ``w0`` is inside, a Feasible report carries the
-    maximising origin value as ``witness_x`` and an Infeasible one a
+    solver's witness origin value as ``witness_x`` and an Infeasible one a
     dual ``certificate``.  Certified Infeasible and Undetermined stay
     apart.  A value with ``|w0| > 1`` is Infeasible without the solver.
     """

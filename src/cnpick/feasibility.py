@@ -38,9 +38,11 @@ bound.  While the iteration's Cholesky factorisation proves ``Y``
 positive definite, that bound is read off one product of precomputed
 trace rows with ``Y``; only when the factorisation fails (the stall
 path) does ``_dual_bound`` clip ``Y`` to its PSD part first.  The
-solver stops when the two bounds decide the verdict or meet within the
-tolerance, and the stop rule is reported.  The best primal iterate is
-the Feasible witness; the dual matrix is an Infeasible certificate that
+solver stops as soon as the two bounds decide the verdict (for Feasible:
+a nonnegative margin that the upper bound proves within a factor
+``DECIDED_FACTOR`` of the best one) or meet within the tolerance, and
+the stop rule is reported.  The best primal iterate is the Feasible
+witness; the dual matrix is an Infeasible certificate that
 ``_dual_bound`` checks without the solver.  Body
 membership is not a separate search: it is ``search_x_grid`` on the
 augmented data.  ``search_lambda`` alone stays a grid search (one
@@ -108,10 +110,12 @@ INFEASIBLE_MIN_RESOLUTION = 200
 INFEASIBLE_MARGIN_FACTOR = 10.0
 # Local refinement passes of ``search_lambda`` after the disk grid.
 REFINE_PASSES = 2
-# Iteration cap of the primal-dual solver, and the fraction of the largest
-# PSD-keeping step its corrector takes.
+# Iteration cap of the primal-dual solver, the fraction of the largest
+# PSD-keeping step its corrector takes, and the factor within which a
+# nonnegative margin must be certified optimal to end it as Feasible.
 MAX_ITERATIONS = 50
 STEP_FRACTION = 0.98
+DECIDED_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -187,21 +191,25 @@ class FeasReport:
     ``status`` is Feasible, Infeasible or Undetermined.  A Feasible
     report carries ``witness_x``, a k x k origin value at which the
     constrained Pick matrix is PSD, so :func:`constrained_pick_cf`
-    re-checks it.  The solver of :func:`search_x_grid` reports its
-    maximiser, its overlap route the value shared by the nodes that meet
+    re-checks it.  The solver of :func:`search_x_grid` reports its best
+    iterate, its overlap route the value shared by the nodes that meet
     the constraint zeros, and :func:`search_lambda` its ``[[lambda]]``
     (lambda is the origin value).  ``margin`` is the best smallest
     eigenvalue found; ``grid_stats`` records the work done and the
-    bounds behind the verdict.  On an Infeasible verdict of the solver,
-    ``margin`` is the best lower bound met before the dual certified,
-    so it says how far the solver got, not how infeasible the data are;
-    ``grid_stats["upper_bound"]`` is the certified bound.  Its
+    bounds behind the verdict.  On a Feasible verdict of the solver,
+    ``margin`` need not be the best achievable margin: after a
+    ``decided`` stop it is nonnegative and ``grid_stats["upper_bound"]``
+    proves it at least half of the best, after a ``gap`` stop it is
+    within ``psd_tol * scale`` of the best.  On an Infeasible verdict of
+    the solver, ``margin`` is the best lower bound met before the dual
+    certified, so it says how far the solver got, not how infeasible the
+    data are; ``grid_stats["upper_bound"]`` is the certified bound.  Its
     ``points`` counts grid points for :func:`search_lambda` and
     primal-dual iterations for :func:`search_x_grid` (the key keeps its
     name), whose ``stop`` names the rule that ended the solver:
-    ``certified``, ``gap``, ``duality_gap``, ``stall`` or ``cap``.  An Infeasible verdict may
-    carry a ``certificate``, and ``certificate_kind`` says which of three
-    it is (None without one):
+    ``certified``, ``decided``, ``gap``, ``duality_gap``, ``stall`` or
+    ``cap``.  An Infeasible verdict may carry a ``certificate``, and
+    ``certificate_kind`` says which of three it is (None without one):
 
     - ``"dual"``: the solver's dual matrix, checked by :func:`_dual_bound`
       over every admissible parameter;
@@ -380,7 +388,12 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     the solver as a stall unless a stop rule before it fires.  Both use
     the one formula of :func:`_bound`.  Stop rules, by name:
     ``certified`` once the upper bound is below ``-psd_tol * scale``;
-    ``gap`` once the two bounds are within ``psd_tol * scale``;
+    ``decided`` once the lower bound is nonnegative and the upper bound
+    at most ``DECIDED_FACTOR`` times it (the verdict is Feasible, the
+    witness has the nonnegative margin a chain needs, and the dual proves
+    that margin at least half of the best one);
+    ``gap`` once the two bounds are within ``psd_tol * scale`` (this ends
+    near-threshold data, whose best margin is about zero);
     ``duality_gap`` once ``Z`` meets its constraints and ``tr(S Z)`` is at
     most ``psd_tol * scale`` (beyond it lies rounding); ``stall`` when a
     Cholesky factorisation of ``S``, ``Z`` or ``M`` fails, or a direction
@@ -457,6 +470,9 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
         slack = tol.psd_tol * best[2]
         if upper < -slack:
             stop = "certified"
+            break
+        if 0.0 <= best[1] and upper <= DECIDED_FACTOR * best[1]:
+            stop = "decided"
             break
         gap = np.vdot(z, s).real
         if not (upper >= 0 > best[1] or upper >= -slack > best[1]):
@@ -554,8 +570,8 @@ def search_x_grid(
 ) -> FeasReport:
     """Decide whether some parameter makes the constrained Pick matrix PSD.
 
-    Feasible when the maximal smallest eigenvalue found is at least
-    ``-psd_tol * scale`` (the maximiser is the witness), Infeasible when
+    Feasible when the largest smallest eigenvalue found is at least
+    ``-psd_tol * scale`` (its parameter is the witness), Infeasible when
     the dual ``certificate`` bounds it below ``-psd_tol * scale``, else
     Undetermined.  Overlapping nodes and constraint zeros short-circuit
     to the exact overlap analysis (:func:`_overlap_search`).
@@ -569,7 +585,10 @@ def search_x_grid(
     stats = {"points": steps, "best_margin": best_lmin, "best_scale": best_scale,
              "upper_bound": upper, "uniform_infeasible": certified, "stop": stop}
     if best_lmin >= -tol.psd_tol * best_scale:
-        status, detail = FEASIBLE, "witness maximises the smallest eigenvalue"
+        status, detail = FEASIBLE, (
+            "witness margin certified within a factor 2 of the best" if stop == "decided"
+            else f"witness margin {best_lmin:.3e}, the best at most {upper:.3e}"
+        )
     elif certified:
         status, detail = INFEASIBLE, "dual certificate bounds every admissible parameter below zero"
     else:

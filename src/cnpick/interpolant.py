@@ -34,8 +34,8 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, ProblemFileError
-from .linalg import operator_norm
-from .pick import BlaschkeSpec, DataSet
+from .linalg import operator_norm, psd_margin
+from .pick import BlaschkeSpec, DataSet, pick_matrix
 from .problemfile import _complex_from
 
 __all__ = [
@@ -130,8 +130,12 @@ def np_central_solve(d: DataSet) -> SchurChain:
     Performs one reduction step per node in the given order and closes
     with terminal constant 0.  Refuses (with a diagnostic) as soon as an
     intermediate target reaches the unit circle, which happens exactly
-    when the data is not strictly solvable; callers should move the
-    parameter into the interior of the feasible set instead.
+    when the data is not strictly solvable, or when rounding pushes a
+    target of data with a nearly singular Pick matrix there; the message
+    names the smallest eigenvalue of the Pick matrix of ``d`` (for
+    :func:`construct_interpolant`, of the reduced data), so the two cases
+    can be told apart.  Callers should move the parameter into the
+    interior of the feasible set instead.
     """
     if d.k != 1:
         raise DomainError("construction is scalar-only")
@@ -141,9 +145,11 @@ def np_central_solve(d: DataSet) -> SchurChain:
     for j in range(nodes.size):
         zeta, v = nodes[j], targets[j]
         if abs(v) >= 1.0 - 1e-13:
+            min_eig, scale = psd_margin(pick_matrix(d))
             raise DomainError(
                 f"intermediate target {abs(v):.6f} at step {j} reached the unit "
-                "circle: data is at best boundary-solvable (Blaschke-degenerate); "
+                f"circle: the Pick matrix has smallest eigenvalue {min_eig:.3e} "
+                f"(scale {scale:.3e}), so it is not safely positive definite; "
                 "construction refuses"
             )
         steps.append((complex(zeta), complex(v)))

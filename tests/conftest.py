@@ -446,3 +446,45 @@ def kron_oracle(monkeypatch):
             monkeypatch.setattr(module, "_kron", np.kron)
 
     return use_np_kron
+
+
+@pytest.fixture
+def solver_trace(monkeypatch):
+    """Record the bounds the primal-dual solver's stop rules read, iteration by iteration.
+
+    Returns a list with one entry per ``_maximize_min_eig`` run made
+    during the test: the list of its iterations' ``(lower, upper)`` pairs,
+    the best margin so far and the smallest dual bound so far at the
+    iteration's stop test.  An iterate's margin is the bottom of the one
+    ``eigvalsh`` of a single matrix that the solver makes for it (the step
+    lengths decompose stacks), and an iteration's dual bound is its one
+    ``_bound`` call.
+    """
+    runs, margins = [], []
+    solve, bound, eigvalsh = feasibility._maximize_min_eig, feasibility._bound, np.linalg.eigvalsh
+
+    def traced_solve(*args, **kwargs):
+        runs.append([])
+        margins.append(-np.inf)  # nonempty while a run is active
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            margins.clear()
+
+    def traced_eigvalsh(a, *args, **kwargs):
+        w = eigvalsh(a, *args, **kwargs)
+        if margins and np.ndim(a) == 2:
+            margins.append(float(w[0]))
+        return w
+
+    def traced_bound(*args):
+        value = bound(*args)
+        if margins:  # inside a solver run
+            run = runs[-1]
+            run.append((max(margins), min(value, run[-1][1]) if run else value))
+        return value
+
+    monkeypatch.setattr(feasibility, "_maximize_min_eig", traced_solve)
+    monkeypatch.setattr(feasibility, "_bound", traced_bound)
+    monkeypatch.setattr(np.linalg, "eigvalsh", traced_eigvalsh)
+    return runs

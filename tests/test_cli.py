@@ -187,6 +187,17 @@ def test_solve_explicit_x_outside_disk(workdir, capsys):
     assert "x infeasible" in out
 
 
+def test_solve_boundary_data_refusal_prefix(workdir, capsys):
+    # Values of s(z) = z^3: x = 0 is feasible only with a singular reduced Pick matrix.
+    nodes = [0.5, -0.4 + 0.2j]
+    path = write_problem(workdir / "p.json", nodes, [z**3 for z in nodes])
+    out = workdir / "chain.json"
+    assert main(["solve", str(path), "--x=0,0", "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: intermediate target") and "smallest eigenvalue" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("x", ["nan,0", "0.1,nan", "inf,0", "1,0"])
 def test_solve_explicit_x_off_the_open_disk_is_usage_error(workdir, capsys, x):
     # NaN fails the disk test itself, so the message names --x.

@@ -14,6 +14,7 @@ from cnpick.feasibility import (
     MatrixBall,
     _disk_grid,
     _dual_bound,
+    _maximize_min_eig,
     _pivot,
     ball_membership,
     ball_sample,
@@ -367,7 +368,7 @@ class TestSearch:
     def test_feasible_stops_on_a_gap_rule(self):
         report = search_x_grid(generate_feasible(3, 3)[0])
         assert report.status == FEASIBLE
-        assert report.grid_stats["stop"] in ("gap", "duality_gap")
+        assert report.grid_stats["stop"] in ("decided", "gap", "duality_gap")
 
     def test_undetermined_below_resolution_gate(self):
         """The gap instance's certificate bounds every parameter below -1e-3 on its own."""
@@ -432,33 +433,88 @@ def guard_cases():
     return cases + [INFEASIBLE_DATA, matrix_feasible(7, 2, 3), matrix_feasible(11, 3, 2)]
 
 
+def assert_feasible_contract(report):
+    """A solver Feasible: a nonnegative margin, optimal within the tolerance or within a factor 2."""
+    stats = report.grid_stats
+    assert report.margin >= 0
+    upper = stats["upper_bound"]
+    assert upper - report.margin <= DEFAULT_TOL.psd_tol * stats["best_scale"] or upper <= 2 * report.margin
+
+
 def test_iteration_count_guard():
     """Solver iterations do not depend on the hardware: their sum over a fixed set is bounded.
 
-    The bound is 475, the count of the solver that starts at lambda_min(A0)
-    and steps 0.98 of the way to the boundary, plus 5%; the start at
-    ``-1 - ||A0||_F`` with 0.95 took 583.  Each Feasible margin there
-    also meets its upper bound within ``psd_tol * scale``.
+    The bound is 296, the count of the solver that stops once its dual
+    certifies a nonnegative margin within a factor 2 of the best one,
+    plus 5%; iterating until the bounds met within ``psd_tol * scale``
+    took 475.  Each Feasible report meets that contract.
     """
     total = 0
     for data in guard_cases():
         report = search_x_grid(data)
-        stats = report.grid_stats
-        total += stats["points"]
+        total += report.grid_stats["points"]
         if report.feasible:
-            assert stats["upper_bound"] - report.margin <= DEFAULT_TOL.psd_tol * stats["best_scale"]
-    assert total <= 498
+            assert_feasible_contract(report)
+    assert total <= 296
+
+
+def test_feasible_contract_beyond_the_guard_set():
+    feasible = 0
+    for seed in range(20, 60):
+        for n in (1, 3, 8):
+            report = search_x_grid(generate_feasible(seed, n)[0])
+            if report.feasible:
+                feasible += 1
+                assert_feasible_contract(report)
+    assert feasible == 120
+
+
+def test_returned_dual_rechecks_to_the_upper_bound():
+    """The solver's Y gives its ``upper_bound`` under :func:`_dual_bound`, Feasible runs included.
+
+    Relative to ``1 + |upper_bound|``: the bound is a sum of terms of
+    order one, and at a ``gap`` stop it is itself about zero.
+    """
+    signs = set()
+    for data in guard_cases():
+        a0, terms = constrained_pick_terms(assemble_bundle(data, BlaschkeSpec.z_squared()))
+        _, lmin, _, upper, y, _, stop = _maximize_min_eig(a0, terms, DEFAULT_TOL)
+        signs.add(lmin >= 0)
+        assert abs(_dual_bound(a0, terms, y) - upper) <= 1e-13 * (1.0 + abs(upper)), stop
+    assert signs == {False, True}
+
+
+def test_solver_stops_at_the_first_iterate_its_rule_holds(solver_trace):
+    """No wasted iteration and no early stop: ``decided`` fires exactly where it first holds."""
+    stops = set()
+    for data in guard_cases():
+        runs = len(solver_trace)
+        report = search_x_grid(data)
+        stats = report.grid_stats
+        assert len(solver_trace) == runs + 1
+        trace = solver_trace[-1]
+        assert len(trace) == stats["points"] + 1
+        assert trace[-1] == (stats["best_margin"], stats["upper_bound"])
+        decided = [0 <= lower and upper <= 2 * lower for lower, upper in trace]
+        assert not any(decided[:-1])
+        assert decided[-1] == (stats["stop"] == "decided")
+        if stats["stop"] == "gap":
+            lower, upper = trace[-1]
+            assert upper - lower <= DEFAULT_TOL.psd_tol * stats["best_scale"]
+        stops.add(stats["stop"])
+    assert {"decided", "gap", "certified"} <= stops
 
 
 def test_eigendecomposition_guard(linalg_calls):
     """The solver's eigendecompositions over the guard set are bounded; ``eigh`` only on a stall.
 
-    The bound is 1,551 ``eigh`` and ``eigvalsh`` calls, the count of the
-    solver that reads its dual bound off the iteration's Cholesky
-    factorisation, plus 5%; clipping the dual block by ``eigh`` in every
-    iteration took 2,089.  A run that does not stall makes no ``eigh``
-    call, and every Infeasible ``upper_bound`` is the bound that
-    :func:`_dual_bound` re-checks on the certificate.
+    The bound is 1,020 ``eigh`` and ``eigvalsh`` calls, the count of the
+    solver that stops once its dual certifies a nonnegative margin
+    within a factor 2 of the best one, plus 5%; iterating until the
+    bounds met within ``psd_tol * scale`` took 1,551.  A run that does
+    not stall makes no ``eigh`` call, and every Infeasible
+    ``upper_bound`` is the bound that :func:`_dual_bound` re-checks on
+    the certificate.
     """
     eigendecompositions = 0
     for data in guard_cases():
@@ -472,7 +528,7 @@ def test_eigendecomposition_guard(linalg_calls):
             a0, terms = constrained_pick_terms(assemble_bundle(data, BlaschkeSpec.z_squared()))
             bound = _dual_bound(a0, terms, report.certificate)
             assert report.grid_stats["upper_bound"] == pytest.approx(bound, rel=1e-13, abs=0)
-    assert eigendecompositions <= 1628
+    assert eigendecompositions <= 1020
 
 
 class TestSolverEdgeCases:
@@ -500,13 +556,17 @@ class TestSolverEdgeCases:
             assert_certified(report, data)
 
     @pytest.mark.parametrize(
-        "fail_at, status",
-        [(1, UNDETERMINED), (2, UNDETERMINED), (5, FEASIBLE)],
+        "data, fail_at, status",
+        [
+            (DataSet.scalar([0.5, -0.3], [0.3, 0.2]), 1, UNDETERMINED),
+            (DataSet.scalar([0.5, -0.3], [0.3, 0.2]), 2, UNDETERMINED),
+            # Best margin 2.7e-4; ``decided`` first holds at iteration 3.
+            (generate_feasible(2, 2)[0], 5, FEASIBLE),
+        ],
         ids=["s_and_z", "schur", "third_iteration"],
     )
-    def test_failed_cholesky_ends_with_the_best_iterate(self, fail_at, status, monkeypatch):
+    def test_failed_cholesky_ends_with_the_best_iterate(self, data, fail_at, status, monkeypatch):
         """Each iteration factors the stack (S, Z), then the Schur matrix."""
-        data = DataSet.scalar([0.5, -0.3], [0.3, 0.2])
         cholesky, calls = np.linalg.cholesky, []
 
         def failing(a):

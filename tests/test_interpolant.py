@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from cnpick.interpolant import (
     schur_reduce_constrained,
     verify_interpolant,
 )
-from cnpick.linalg import is_psd
+from cnpick.linalg import is_psd, psd_margin
 from cnpick.pick import BlaschkeSpec, DataSet, pick_matrix
 
 from conftest import constrained_pick_z2_quadratic, disk_point, rng_for
@@ -144,6 +146,17 @@ class TestCentralSolve:
         # pseudo-hyperbolically incompatible targets blow up mid-algorithm
         with pytest.raises(DomainError, match="refuses|circle"):
             np_central_solve(DataSet.scalar([0.3, 0.31], [0.9, -0.9]))
+
+    def test_refusal_names_the_smallest_pick_eigenvalue(self):
+        # Values of s(z) = z^3 at x = 0: the reduced targets are the nodes, whose Pick matrix is singular.
+        nodes = np.array([0.5, -0.4 + 0.2j, 0.3j])
+        with pytest.raises(DomainError, match=r"^intermediate target") as err:
+            construct_interpolant(DataSet.scalar(nodes, nodes**3), 0.0)
+        match = re.search(r"smallest eigenvalue (\S+) \(scale (\S+)\)", str(err.value))
+        min_eig, _ = psd_margin(pick_matrix(DataSet.scalar(nodes, nodes)))
+        assert float(match.group(1)) == pytest.approx(min_eig, rel=1e-3, abs=1e-15)
+        assert abs(float(match.group(1))) <= 1e-14 * float(match.group(2))
+        assert "boundary-solvable" not in str(err.value)
 
     def test_unimodular_target_refused(self):
         with pytest.raises(DomainError):
