@@ -28,6 +28,7 @@ Chains are immutable values and evaluation is pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -88,15 +89,18 @@ def _blaschke_factor(z, zeta):
 def chain_eval(chain: SchurChain, z):
     """Evaluate a chain at points of the open unit disk (vectorized).
 
-    The result has modulus at most one everywhere by construction.
+    The result has modulus at most one everywhere by construction.  A
+    step at the origin skips its Blaschke factor (it is ``z``) and a step
+    with value 0 its Moebius map (the identity): exact, up to the sign of
+    a zero component.
     """
     z = np.asarray(z, dtype=complex)
     if not np.all(np.abs(z) < 1.0):  # written so that NaN fails
         raise DomainError("evaluation points must be finite and lie in the open unit disk")
     val = np.full_like(z, chain.tail, dtype=complex)
     for zeta, v in reversed(chain.steps):
-        t = _blaschke_factor(z, zeta) * val
-        val = (t + v) / (1.0 + np.conj(v) * t)
+        t = (z if zeta == 0 else _blaschke_factor(z, zeta)) * val
+        val = t if v == 0 else (t + v) / (1.0 + np.conj(v) * t)
     return val if val.shape else complex(val)
 
 
@@ -179,31 +183,55 @@ def construct_interpolant(d: DataSet, x: complex) -> SchurChain:
     return assemble_constrained(np_central_solve(schur_reduce_constrained(d, x)), x)
 
 
-def derivative_at(fn, point: complex, order: int = 1, nodes: int = 256):
+MAX_ORDER = 4
+CAUCHY_NODES = 256
+
+
+def _circle(nodes: int):
+    """The ``nodes``-point unit ring and its turns ``exp(-i j theta)`` for orders j = 0..4."""
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    return np.exp(1j * theta), tuple(np.exp(-1j * order * theta) for order in range(MAX_ORDER + 1))
+
+
+_CAUCHY_CIRCLE = _circle(CAUCHY_NODES)
+
+
+def _cauchy_ring(point, order: int, nodes: int):
+    """Cauchy ring around ``point`` and the weights that take its values to the derivative."""
+    unit, turns = _CAUCHY_CIRCLE if nodes == CAUCHY_NODES else _circle(nodes)
+    rho = min(0.1, (1.0 - abs(point)) / 2.0)
+    return point + rho * unit, turns[order] * (math.factorial(order) / (nodes * rho**order))
+
+
+def _quadrature(weights, vals):
+    """Weighted sum of ring values: a complex for scalar values, a matrix for matrix values."""
+    if vals.ndim == 1:
+        return complex(np.sum(weights * vals))
+    return np.tensordot(weights, vals, axes=(0, 0))
+
+
+def derivative_at(fn, point: complex, order: int = 1, nodes: int = CAUCHY_NODES):
     """Derivative by Cauchy quadrature on a circle inside the disk.
 
     ``fn`` is a chain or any callable analytic on the disk (scalar or
     matrix valued; callables must accept numpy arrays of points).  The
     circle radius is ``min(0.1, (1 - |point|)/2)``, shrunk automatically
     so it never leaves the disk; the trapezoid rule on ``nodes`` points
-    is spectrally accurate for these functions.
+    is spectrally accurate for these functions.  ``order`` must be an
+    integer in 0..4 and ``nodes`` a positive integer
+    (:class:`DomainError` otherwise).
     """
     if not abs(point) < 1:  # written so that NaN fails
         raise DomainError("point must be finite and lie in the open unit disk")
-    if not 0 <= order <= 4:
-        raise DomainError("orders above 4 are not supported")
+    if not (isinstance(order, numbers.Integral) and 0 <= order <= MAX_ORDER):
+        raise DomainError(f"derivative order must be an integer in 0..{MAX_ORDER}, got {order!r}")
+    if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
+        raise DomainError(f"quadrature nodes must be a positive integer, got {nodes!r}")
     evaluate = (lambda z: chain_eval(fn, z)) if isinstance(fn, SchurChain) else fn
     if order == 0:
         return evaluate(point)
-    rho = min(0.1, (1.0 - abs(point)) / 2.0)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    ring = point + rho * np.exp(1j * theta)
-    vals = evaluate(ring)
-    vals = np.asarray(vals, dtype=complex)
-    weights = np.exp(-1j * order * theta) * (math.factorial(order) / (nodes * rho**order))
-    if vals.ndim == 1:
-        return complex(np.sum(weights * vals))
-    return np.tensordot(weights, vals, axes=(0, 0))
+    ring, weights = _cauchy_ring(point, order, nodes)
+    return _quadrature(weights, np.asarray(evaluate(ring), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -233,6 +261,8 @@ class ResidualReport:
 SUP_NORM_SLACK = 1e-6
 SUP_NORM_RADIUS = 0.999
 SUP_NORM_SAMPLES = 4096
+_SUP_THETA = 2.0 * np.pi * np.arange(SUP_NORM_SAMPLES) / SUP_NORM_SAMPLES
+_SUP_RING = SUP_NORM_RADIUS * np.exp(1j * _SUP_THETA)
 
 
 def check_residual_tol(tol: float) -> None:
@@ -259,37 +289,49 @@ def verify_interpolant(
     characterization: vanishing derivatives at each constraint zero up
     to the multiplicity, equal values across distinct zeros.  ``tol``
     must be finite and nonnegative (see :func:`check_residual_tol`).
+
+    The candidate is evaluated once, on one array of all the points: the
+    nodes, the constraint zeros, one Cauchy ring per zero of multiplicity
+    at least 2, and the sup-norm ring.  A callable receives that 1-d
+    array and must return one value per point: shape ``(N,)``, or
+    ``(N, k, k)`` for matrix values (the only shape for k >= 2); any
+    other shape is refused with :class:`DomainError`.
     """
     check_residual_tol(tol)
     b = b if b is not None else BlaschkeSpec.z_squared()
-    evaluate = (lambda z: chain_eval(fn, z)) if isinstance(fn, SchurChain) else fn
+    rules = [  # per zero: (ring, weights) for the derivative orders 1 .. r - 1, all on one ring
+        [_cauchy_ring(lam, j, CAUCHY_NODES) for j in range(1, int(r))]
+        for lam, r in zip(b.zeros, b.multiplicities)
+    ]
+    rings = [orders[0][0] for orders in rules if orders]
+    points = np.concatenate([d.nodes, b.zeros, *rings, _SUP_RING])
+
+    vals = chain_eval(fn, points) if isinstance(fn, SchurChain) else fn(points)
+    vals = np.asarray(vals, dtype=complex)
+    value_shapes = [(d.k, d.k)] if d.k > 1 else [(), (1, 1)]
+    if vals.shape[:1] != points.shape or vals.shape[1:] not in value_shapes:
+        expected = " or ".join(str(points.shape + shape) for shape in value_shapes)
+        raise DomainError(f"candidate values have shape {vals.shape}, expected {expected}")
 
     def residual(a):
         a = np.asarray(a, dtype=complex)
         return float(abs(complex(a))) if a.ndim == 0 else operator_norm(a)
 
-    interpolation = []
-    for i in range(d.n):
-        got = np.asarray(evaluate(d.nodes[i]), dtype=complex)
-        want = d.values[i] if d.k > 1 or got.ndim else d.values[i, 0, 0]
-        interpolation.append(residual(got - want))
-
-    zero_values = [np.asarray(evaluate(lam), dtype=complex) for lam in b.zeros]
-    coupling = [residual(v - zero_values[0]) for v in zero_values[1:]]
+    n, start = d.n, d.n + b.zeros.size
+    want = d.values if vals.ndim > 1 else d.values[:, 0, 0]
+    interpolation = [residual(a) for a in vals[:n] - want]
+    coupling = [residual(v - vals[n]) for v in vals[n + 1 : start]]
     jets = []
-    for lam, r in zip(b.zeros, b.multiplicities):
-        jets.append(
-            tuple(residual(derivative_at(evaluate, lam, order=j)) for j in range(1, int(r)))
-        )
+    for orders in rules:
+        ring_values = vals[start : start + CAUCHY_NODES]
+        jets.append(tuple(residual(_quadrature(weights, ring_values)) for _, weights in orders))
+        start += CAUCHY_NODES if orders else 0
 
-    theta = 2.0 * np.pi * np.arange(SUP_NORM_SAMPLES) / SUP_NORM_SAMPLES
-    ring = SUP_NORM_RADIUS * np.exp(1j * theta)
-    vals = evaluate(ring)
-    vals = np.asarray(vals, dtype=complex)
-    if vals.ndim == 1:
-        sup = float(np.max(np.abs(vals)))
+    sup_values = vals[start:]
+    if sup_values.ndim == 1:
+        sup = float(np.max(np.abs(sup_values)))
     else:
-        sup = float(max(operator_norm(v) for v in vals))
+        sup = float(max(operator_norm(v) for v in sup_values))
 
     passed = (
         all(r <= tol for r in interpolation)

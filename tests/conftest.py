@@ -6,11 +6,12 @@ exactly; no test draws from global random state.
 
 import collections
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from cnpick import body, feasibility, kernels, pick
+from cnpick import body, feasibility, interpolant, kernels, pick
 from cnpick.kernels import (
     GrassmannParam,
     ScanReport,
@@ -19,8 +20,16 @@ from cnpick.kernels import (
     necessity_form_matrix,
 )
 from cnpick.errors import DomainError, NotPsdError, SingularBlockError
-from cnpick.interpolant import generate_feasible
-from cnpick.linalg import DEFAULT_TOL, hermitian_part, inv_sqrt_psd, is_psd, psd_margin, sqrt_psd
+from cnpick.interpolant import ResidualReport, SchurChain, generate_feasible
+from cnpick.linalg import (
+    DEFAULT_TOL,
+    hermitian_part,
+    inv_sqrt_psd,
+    is_psd,
+    operator_norm,
+    psd_margin,
+    sqrt_psd,
+)
 from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
@@ -390,6 +399,76 @@ def covers_oracle(centers, radii, w0, slack=0.0):
     return bool(hit) if hit.ndim == 0 else hit
 
 
+def chain_eval_oracle(chain, z):
+    """Chain values by the full step loop, origin steps included.
+
+    Test-side oracle for ``chain_eval``, which skips the Blaschke factor
+    of a step at the origin and the Moebius map of a step with value 0:
+    here every step computes ``b(z, zeta) * s`` and ``mu(t, v)`` in full.
+    """
+    z = np.asarray(z, dtype=complex)
+    val = np.full_like(z, chain.tail, dtype=complex)
+    for zeta, v in reversed(chain.steps):
+        t = (z - zeta) / (1.0 - np.conj(zeta) * z) * val
+        val = (t + v) / (1.0 + np.conj(v) * t)
+    return val if val.shape else complex(val)
+
+
+def verify_oracle(fn, d, b=None, tol=1e-7):
+    """Residual report with one evaluation per node, per constraint zero, per derivative and of the sup-norm ring.
+
+    Test-side oracle for the one-pass ``verify_interpolant``: the node and
+    zero values come from scalar evaluations, each derivative of order j
+    at a zero from its own 256-point Cauchy ring, the sup-norm from its
+    own 4096-point ring at radius 0.999; chains go through
+    :func:`chain_eval_oracle`.
+    """
+    b = b if b is not None else BlaschkeSpec.z_squared()
+    evaluate = (lambda z: chain_eval_oracle(fn, z)) if isinstance(fn, SchurChain) else fn
+
+    def residual(a):
+        a = np.asarray(a, dtype=complex)
+        return float(abs(complex(a))) if a.ndim == 0 else operator_norm(a)
+
+    def derivative(point, order, nodes=256):
+        rho = min(0.1, (1.0 - abs(point)) / 2.0)
+        theta = 2.0 * np.pi * np.arange(nodes) / nodes
+        vals = np.asarray(evaluate(point + rho * np.exp(1j * theta)), dtype=complex)
+        weights = np.exp(-1j * order * theta) * (math.factorial(order) / (nodes * rho**order))
+        if vals.ndim == 1:
+            return complex(np.sum(weights * vals))
+        return np.tensordot(weights, vals, axes=(0, 0))
+
+    interpolation = []
+    for i in range(d.n):
+        got = np.asarray(evaluate(d.nodes[i]), dtype=complex)
+        want = d.values[i] if d.k > 1 or got.ndim else d.values[i, 0, 0]
+        interpolation.append(residual(got - want))
+    zero_values = [np.asarray(evaluate(lam), dtype=complex) for lam in b.zeros]
+    coupling = [residual(v - zero_values[0]) for v in zero_values[1:]]
+    jets = [
+        tuple(residual(derivative(lam, j)) for j in range(1, int(r)))
+        for lam, r in zip(b.zeros, b.multiplicities)
+    ]
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    vals = np.asarray(evaluate(0.999 * np.exp(1j * theta)), dtype=complex)
+    sup = float(np.max(np.abs(vals))) if vals.ndim == 1 else float(max(operator_norm(v) for v in vals))
+    passed = (
+        all(r <= tol for r in interpolation)
+        and all(r <= tol for js in jets for r in js)
+        and all(r <= tol for r in coupling)
+        and sup <= 1.0 + 1e-6
+    )
+    return ResidualReport(
+        interpolation=tuple(interpolation),
+        jets=tuple(jets),
+        coupling=tuple(coupling),
+        sup_norm=sup,
+        tol=float(tol),
+        passed=bool(passed),
+    )
+
+
 def random_contraction(rng, k, norm=None):
     x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     target = rng.uniform(0.0, 0.95) if norm is None else norm
@@ -429,6 +508,25 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+@pytest.fixture
+def chain_eval_calls(monkeypatch):
+    """Record the ``chain_eval`` calls made during a test.
+
+    Returns a list with the shape of the points of each call.  The
+    library looks ``chain_eval`` up in its module at call time, so every
+    call is recorded.
+    """
+    shapes = []
+    original = interpolant.chain_eval
+
+    def recorded(chain, z):
+        shapes.append(np.shape(z))
+        return original(chain, z)
+
+    monkeypatch.setattr(interpolant, "chain_eval", recorded)
+    return shapes
 
 
 @pytest.fixture

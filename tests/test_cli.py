@@ -221,7 +221,7 @@ SOLVE_NODES = [0.5, -0.2 + 0.3j, 0.1 - 0.6j]
         # s(z) = 0.2 + 0.1i + z^2 / 2 interpolates the data and has s(0) = x.
         (SOLVE_NODES, [0.2 + 0.1j + 0.5 * z * z for z in SOLVE_NODES], "0.2,0.1",
          ("ec3ab3a659bd96a17bd761729e7230abdebb4acd337ced4bbe036021e19eb2f1",
-          "98db769025112e45836447fac2b85d08b579be689c80802d46c603c319fe24c2",
+          "e821f61c682cdaa816353b758de5262f1c1f5edda1f55f34f4a54734a993f4af",
           "e73fc5c2a025ba55fe416d712283188b8813d466d05a12c17bfe63ffba9b0941")),
     ],
     ids=["one-point", "three-point"],
@@ -253,6 +253,18 @@ def test_verify_tampered_chain_fails(workdir, capsys):
     payload["steps"][-1][2] += 0.1
     chain_path.write_text(json.dumps(payload))
     assert main(["verify", str(chain_path), str(path)]) == 1
+
+
+def test_verify_scalar_chain_on_matrix_data_is_usage_error(workdir, capsys):
+    # A chain has one scalar value per point; 2x2 targets need a 2x2 value.
+    path = workdir / "p.json"
+    value = [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]
+    path.write_text(json.dumps({"k": 2, "nodes": [[0.5, 0.0]], "values": [value]}))
+    chain_path = workdir / "chain.json"
+    chain_path.write_text(json.dumps({"schema": "cnp/1", "steps": [[0.0, 0.0, 0.1, 0.0]], "tail": [0.0, 0.0]}))
+    assert main(["verify", str(chain_path), str(path)]) == 64
+    # 1 node, 1 zero, 1 Cauchy ring and the sup-norm ring: 1 + 1 + 256 + 4096 points
+    assert capsys.readouterr().err == "error: candidate values have shape (4354,), expected (4354, 2, 2)\n"
 
 
 NAN_ENTRY = float("nan")

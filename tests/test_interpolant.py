@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from cnpick.errors import DomainError, ProblemFileError
 from cnpick.feasibility import one_point_disk, search_x_grid
 from cnpick.interpolant import (
+    CAUCHY_NODES,
+    SUP_NORM_SAMPLES,
     SchurChain,
     assemble_constrained,
     chain_eval,
@@ -23,7 +25,14 @@ from cnpick.interpolant import (
 from cnpick.linalg import is_psd, psd_margin
 from cnpick.pick import BlaschkeSpec, DataSet, pick_matrix
 
-from conftest import constrained_pick_z2_quadratic, disk_point, rng_for
+from conftest import (
+    chain_eval_oracle,
+    constrained_pick_z2_quadratic,
+    disk_point,
+    matrix_feasible,
+    rng_for,
+    verify_oracle,
+)
 
 NAN = complex(float("nan"), 0.0)
 SHORT_CHAIN = SchurChain(steps=((0.2, 0.3),), tail=0.1)
@@ -210,6 +219,25 @@ class TestDerivative:
         with pytest.raises(DomainError):
             derivative_at(SchurChain(steps=(), tail=0.0), 0.0, 5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"nodes": 0}, "nodes must be a positive integer"),
+            ({"nodes": -3}, "nodes must be a positive integer"),  # gave 0j for d/dz z^2 at 0.1
+            ({"nodes": 64.0}, "nodes must be a positive integer"),
+            ({"order": 1.5}, "order must be an integer"),
+            ({"order": -1}, "order must be an integer"),
+        ],
+        ids=["nodes-zero", "nodes-negative", "nodes-float", "order-fraction", "order-negative"],
+    )
+    def test_refuses_bad_arguments(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            derivative_at(lambda z: z**2, 0.1, **kwargs)
+
+    def test_other_node_counts(self):
+        assert derivative_at(lambda z: z**2, 0.1, nodes=np.int64(16)) == pytest.approx(0.2, abs=1e-12)
+        assert derivative_at(lambda z: z**3, 0.1, order=2, nodes=8) == pytest.approx(0.6, abs=1e-12)
+
 
 class TestVerify:
     def test_constant_on_constant_data(self):
@@ -262,6 +290,92 @@ class TestVerify:
         d = DataSet(np.array([0.4]), (0.2 * np.eye(2)).reshape(1, 2, 2))
         report = verify_interpolant(lambda z: 0.2 * np.eye(2) * np.ones_like(np.asarray(z))[..., None, None], d)
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "fn, k, got",
+        [
+            (lambda z: 0.3, 1, r"\(\)"),  # a constant, not one value per point
+            (lambda z: np.zeros(3, dtype=complex), 1, r"\(3,\)"),
+            (lambda z: np.zeros((np.size(z), 2, 2)), 1, r"\(\d+, 2, 2\)"),
+            (lambda z: 0.1 * np.asarray(z), 2, r"\(\d+,\)"),  # scalar values for 2x2 data
+        ],
+        ids=["constant", "wrong-length", "matrix-for-scalar-data", "scalar-for-matrix-data"],
+    )
+    def test_refuses_wrongly_shaped_callable(self, fn, k, got):
+        d = DataSet(np.array([0.3, -0.4]), np.zeros((2, k, k)))
+        points = d.n + 1 + CAUCHY_NODES + SUP_NORM_SAMPLES
+        expected = rf"\({points},\) or \({points}, 1, 1\)" if k == 1 else rf"\({points}, 2, 2\)"
+        with pytest.raises(DomainError, match=rf"shape {got}, expected {expected}$"):
+            verify_interpolant(fn, d)
+
+
+def _central_chain(seed, n):
+    data, certificate = generate_feasible(seed, n)
+    return data, construct_interpolant(data, certificate.steps[0][1])
+
+
+class TestOnePassVerify:
+    """The one-pass ``verify_interpolant`` and ``chain_eval`` against their per-point oracles."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_report_matches_oracle(self, seed, n):
+        data, certificate = generate_feasible(seed, n)
+        for chain in (certificate, _central_chain(seed, n)[1]):
+            got, want = verify_interpolant(chain, data), verify_oracle(chain, data)
+            assert (got.sup_norm, got.jets, got.coupling, got.passed) == (
+                want.sup_norm, want.jets, want.coupling, want.passed
+            )
+            assert got.interpolation == pytest.approx(want.interpolation, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matrix_callable_matches_oracle(self, seed):
+        rng = rng_for(seed)
+        c, dd = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        c *= 0.3 / np.linalg.norm(c, 2)
+        dd *= 0.5 / np.linalg.norm(dd, 2)
+        data = matrix_feasible(seed, 2, 3)
+
+        def candidate(z):  # C + z^2 D for fresh C, D: fails interpolation, passes the rest
+            return c + np.asarray(z)[..., None, None] ** 2 * dd
+
+        got, want = verify_interpolant(candidate, data), verify_oracle(candidate, data)
+        assert (got.sup_norm, got.jets, got.coupling, got.passed) == (
+            want.sup_norm, want.jets, want.coupling, want.passed
+        )
+        assert got.interpolation == pytest.approx(want.interpolation, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_chain_eval_bits_match_full_step_loop(self, n):
+        data, chain = _central_chain(7, n)
+        assert chain.steps[0][0] == 0 and chain.steps[1] == (0, 0)  # the two origin steps
+        # Every kind of step: at the origin with value 0 or not, off the origin with value 0 or not.
+        mixed = SchurChain(steps=((0.3 + 0.1j, 0.0), (0.0, 0.4 - 0.2j), (0.2j, 0.1), (0.0, 0.0)), tail=0.2)
+        rng = rng_for(n)
+        z = 0.999 * np.sqrt(rng.uniform(size=500)) * np.exp(2j * np.pi * rng.uniform(size=500))
+        for c, points in ((chain, z), (chain, data.nodes), (mixed, z)):
+            assert chain_eval(c, points).tobytes() == chain_eval_oracle(c, points).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_one_evaluation_per_verification(self, chain_eval_calls, n):
+        data, chain = _central_chain(3, n)
+        chain_eval_calls.clear()  # generate_feasible's own call
+        verify_interpolant(chain, data)
+        assert chain_eval_calls == [(n + 1 + CAUCHY_NODES + SUP_NORM_SAMPLES,)]
+        calls = []
+        verify_interpolant(lambda z: calls.append(np.shape(z)) or chain_eval_oracle(chain, z), data)
+        assert calls == chain_eval_calls  # the callable is called once, chain_eval not at all
+
+    def test_one_ring_per_zero_under_a_general_constraint(self, chain_eval_calls):
+        data, chain = _central_chain(3, 3)
+        b = BlaschkeSpec(np.array([0.0, 0.4j, -0.3]), np.array([3, 1, 2]))
+        chain_eval_calls.clear()
+        report = verify_interpolant(chain, data, b)
+        assert chain_eval_calls == [(3 + 3 + 2 * CAUCHY_NODES + SUP_NORM_SAMPLES,)]
+        assert [len(js) for js in report.jets] == [2, 0, 1]
+        oracle = verify_oracle(chain, data, b)
+        assert (report.jets, report.sup_norm) == (oracle.jets, oracle.sup_norm)
+        assert report.coupling == pytest.approx(oracle.coupling, rel=0, abs=1e-15)
 
 
 class TestGenerator:
