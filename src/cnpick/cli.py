@@ -4,9 +4,10 @@ Thin shell over the library: each subcommand parses files, calls one
 library routine and reports its verdict unchanged.
 
 Exit codes: 0 feasible / pass, 1 infeasible / fail / witness found,
-2 undetermined, 64 usage or parse error, 70 numeric failure.  The
-``CNP_TOL`` environment variable overrides the default PSD tolerance;
-an explicit ``--tol`` flag wins over both it and the problem file.
+2 undetermined, 64 usage or parse error, 70 numeric failure or internal
+error (any other exception, with its traceback).  The ``CNP_TOL``
+environment variable overrides the default PSD tolerance; an explicit
+``--tol`` flag wins over both it and the problem file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -476,6 +478,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (CnpError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except Exception as exc:  # a bug; its exit 1 would read as "infeasible / fail"
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_NUMERIC
 
 

@@ -207,8 +207,8 @@ class FeasReport:
     ``points`` counts grid points for :func:`search_lambda` and
     primal-dual iterations for :func:`search_x_grid` (the key keeps its
     name), whose ``stop`` names the rule that ended the solver:
-    ``certified``, ``decided``, ``gap``, ``duality_gap``, ``stall`` or
-    ``cap``.  An Infeasible verdict may carry a ``certificate``, and
+    ``certified``, ``decided``, ``gap``, ``stall`` or ``cap``.  An
+    Infeasible verdict may carry a ``certificate``, and
     ``certificate_kind`` says which of three it is (None without one):
 
     - ``"dual"``: the solver's dual matrix, checked by :func:`_dual_bound`
@@ -394,14 +394,13 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     that margin at least half of the best one);
     ``gap`` once the two bounds are within ``psd_tol * scale`` (this ends
     near-threshold data, whose best margin is about zero);
-    ``duality_gap`` once ``Z`` meets its constraints and ``tr(S Z)`` is at
-    most ``psd_tol * scale`` (beyond it lies rounding); ``stall`` when a
-    Cholesky factorisation of ``S``, ``Z`` or ``M`` fails, or a direction
-    is not finite; ``cap`` after ``MAX_ITERATIONS``.  While the two
-    bounds straddle zero or ``-psd_tol * scale``, the gap rules wait:
-    the iterations go on until the verdict is decided and the margin has
-    reached zero (the Schur construction needs a witness with a
-    nonnegative margin), or progress stalls.
+    ``stall`` when a Cholesky factorisation of ``S``, ``Z`` or ``M``
+    fails, or a direction is not finite; ``cap`` after
+    ``MAX_ITERATIONS``.  While the two bounds straddle zero or
+    ``-psd_tol * scale``, the gap rule waits: the iterations go on until
+    the verdict is decided and the margin has reached zero (the Schur
+    construction needs a witness with a nonnegative margin), or progress
+    stalls.
 
     Returns ``(best_x, best_lmin, best_scale, upper_bound, Y, iterations,
     stop)``.
@@ -474,14 +473,10 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
         if 0.0 <= best[1] and upper <= DECIDED_FACTOR * best[1]:
             stop = "decided"
             break
-        gap = np.vdot(z, s).real
-        if not (upper >= 0 > best[1] or upper >= -slack > best[1]):
-            if upper - best[1] <= slack:
-                stop = "gap"
-                break
-            if gap <= slack and np.max(np.abs(target + traces(z))) <= tol.psd_tol:
-                stop = "duality_gap"
-                break
+        straddles = upper >= 0 > best[1] or upper >= -slack > best[1]
+        if not straddles and upper - best[1] <= slack:
+            stop = "gap"
+            break
         if iterations == MAX_ITERATIONS:
             break
         if chol is None:
@@ -500,7 +495,7 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
             dz = z @ ds @ s_inv
             dz = -z - 0.5 * (dz + dz.conj().T)
             alpha = step_lengths(inv_chol, inv_chol_h, ds, dz, 1.0)
-            mu = gap / size
+            mu = np.vdot(z, s).real / size
             mu_aff = np.vdot(z + alpha[1] * dz, s + alpha[0] * ds).real / size
             # Corrector: centring weight sigma and Mehrotra's second-order term.
             sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3 if mu > 0 else 1.0

@@ -185,22 +185,17 @@ def construct_interpolant(d: DataSet, x: complex) -> SchurChain:
 
 MAX_ORDER = 4
 CAUCHY_NODES = 256
+# The unit Cauchy ring and its turns ``exp(-i j theta)`` for orders j = 0..MAX_ORDER.
+_CAUCHY_THETA = 2.0 * np.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES
+_CAUCHY_UNIT = np.exp(1j * _CAUCHY_THETA)
+_CAUCHY_TURNS = tuple(np.exp(-1j * order * _CAUCHY_THETA) for order in range(MAX_ORDER + 1))
 
 
-def _circle(nodes: int):
-    """The ``nodes``-point unit ring and its turns ``exp(-i j theta)`` for orders j = 0..4."""
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    return np.exp(1j * theta), tuple(np.exp(-1j * order * theta) for order in range(MAX_ORDER + 1))
-
-
-_CAUCHY_CIRCLE = _circle(CAUCHY_NODES)
-
-
-def _cauchy_ring(point, order: int, nodes: int):
+def _cauchy_ring(point, order: int):
     """Cauchy ring around ``point`` and the weights that take its values to the derivative."""
-    unit, turns = _CAUCHY_CIRCLE if nodes == CAUCHY_NODES else _circle(nodes)
     rho = min(0.1, (1.0 - abs(point)) / 2.0)
-    return point + rho * unit, turns[order] * (math.factorial(order) / (nodes * rho**order))
+    weights = _CAUCHY_TURNS[order] * (math.factorial(order) / (CAUCHY_NODES * rho**order))
+    return point + rho * _CAUCHY_UNIT, weights
 
 
 def _quadrature(weights, vals):
@@ -210,27 +205,24 @@ def _quadrature(weights, vals):
     return np.tensordot(weights, vals, axes=(0, 0))
 
 
-def derivative_at(fn, point: complex, order: int = 1, nodes: int = CAUCHY_NODES):
+def derivative_at(fn, point: complex, order: int = 1):
     """Derivative by Cauchy quadrature on a circle inside the disk.
 
     ``fn`` is a chain or any callable analytic on the disk (scalar or
     matrix valued; callables must accept numpy arrays of points).  The
     circle radius is ``min(0.1, (1 - |point|)/2)``, shrunk automatically
-    so it never leaves the disk; the trapezoid rule on ``nodes`` points
-    is spectrally accurate for these functions.  ``order`` must be an
-    integer in 0..4 and ``nodes`` a positive integer
-    (:class:`DomainError` otherwise).
+    so it never leaves the disk; the trapezoid rule on ``CAUCHY_NODES``
+    points is spectrally accurate for these functions.  ``order`` must be
+    an integer in 0..``MAX_ORDER`` (:class:`DomainError` otherwise).
     """
     if not abs(point) < 1:  # written so that NaN fails
         raise DomainError("point must be finite and lie in the open unit disk")
     if not (isinstance(order, numbers.Integral) and 0 <= order <= MAX_ORDER):
         raise DomainError(f"derivative order must be an integer in 0..{MAX_ORDER}, got {order!r}")
-    if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
-        raise DomainError(f"quadrature nodes must be a positive integer, got {nodes!r}")
     evaluate = (lambda z: chain_eval(fn, z)) if isinstance(fn, SchurChain) else fn
     if order == 0:
         return evaluate(point)
-    ring, weights = _cauchy_ring(point, order, nodes)
+    ring, weights = _cauchy_ring(point, order)
     return _quadrature(weights, np.asarray(evaluate(ring), dtype=complex))
 
 
@@ -288,7 +280,8 @@ def verify_interpolant(
     membership in ``C + B H^inf`` is tested through its jet
     characterization: vanishing derivatives at each constraint zero up
     to the multiplicity, equal values across distinct zeros.  ``tol``
-    must be finite and nonnegative (see :func:`check_residual_tol`).
+    must be finite and nonnegative (see :func:`check_residual_tol`).  A
+    multiplicity above ``MAX_ORDER + 1`` is refused with :class:`DomainError`.
 
     The candidate is evaluated once, on one array of all the points: the
     nodes, the constraint zeros, one Cauchy ring per zero of multiplicity
@@ -299,8 +292,11 @@ def verify_interpolant(
     """
     check_residual_tol(tol)
     b = b if b is not None else BlaschkeSpec.z_squared()
+    if b.multiplicities.max() > MAX_ORDER + 1:  # its jet needs a derivative above MAX_ORDER
+        raise DomainError(f"constraint zero of multiplicity {b.multiplicities.max()}: "
+                          f"multiplicities up to {MAX_ORDER + 1} are supported")
     rules = [  # per zero: (ring, weights) for the derivative orders 1 .. r - 1, all on one ring
-        [_cauchy_ring(lam, j, CAUCHY_NODES) for j in range(1, int(r))]
+        [_cauchy_ring(lam, j) for j in range(1, int(r))]
         for lam, r in zip(b.zeros, b.multiplicities)
     ]
     rings = [orders[0][0] for orders in rules if orders]
@@ -330,8 +326,8 @@ def verify_interpolant(
     sup_values = vals[start:]
     if sup_values.ndim == 1:
         sup = float(np.max(np.abs(sup_values)))
-    else:
-        sup = float(max(operator_norm(v) for v in sup_values))
+    else:  # one stacked SVD: each sample's largest singular value, as operator_norm gives it
+        sup = float(np.linalg.svd(sup_values, compute_uv=False)[:, 0].max())
 
     passed = (
         all(r <= tol for r in interpolation)

@@ -58,7 +58,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CnpError, DomainError
 from .linalg import DEFAULT_TOL, ToleranceConfig, _batched_margins
 from .pick import DataSet
 
@@ -407,9 +407,10 @@ def necessity_scan(
     only.
 
     A sample is a witness when the relative margin of the form matrix
-    drops below ``-psd_tol``.  Deterministic for a fixed nonnegative
-    seed; the first (lowest-index) witness is returned, with
-    ``samples_evaluated`` counting the samples up to and including it.
+    drops below ``-psd_tol``; a form whose eigenvalues overflow raises
+    :class:`CnpError`.  Deterministic for a fixed nonnegative seed; the
+    first (lowest-index) witness is returned, with ``samples_evaluated``
+    counting the samples up to and including it.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -426,6 +427,8 @@ def necessity_scan(
             f += f.conj().swapaxes(-1, -2)  # hermitian_part in place: same bits, one stack less
             f *= 0.5
             lmin, scale = _batched_margins(f)
+            if not np.all(np.isfinite(scale)):  # a NaN or infinite lmin makes its scale so too
+                raise CnpError("necessity form matrices are not finite: the data overflow")
             rel = lmin / scale
             min_rel = min(min_rel, np.min(rel))
             bad = np.flatnonzero(lmin < -tol.psd_tol * scale)

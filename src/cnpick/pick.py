@@ -16,10 +16,10 @@ Builders
 ``pick_matrix``
     The classical Pick matrix of the unconstrained problem.
 ``constrained_pick`` / ``constrained_pick_cf`` / ``constrained_pick_compressed``
-    The general-Blaschke forms: linearized, Caratheodory-Fejer, and the
-    Schur-complement compression onto the node block (the last one needs
-    ``||x|| < 1``).  ``constrained_pick_terms`` returns the linearized
-    form's coefficients as an affine map of ``x``.
+    The general-Blaschke forms: linearized (the affine map whose
+    coefficients ``constrained_pick_terms`` returns, evaluated at ``x``),
+    Caratheodory-Fejer, and the Schur-complement compression onto the
+    node block (the last one needs ``||x|| < 1``).
 
 All of them read one displacement pair.  The node part
 
@@ -439,16 +439,14 @@ def constrained_pick(
     block-diagonal repetition of ``x`` over the jet blocks.  Solvability
     of the constrained interpolation problem is equivalent to this
     matrix being PSD for some ``x``.  For ``B(z) = z^2`` it reproduces
-    the 5-block linearized form of that constraint.
+    the 5-block linearized form of that constraint.  It is evaluated as
+    ``a0 + L + L*``, ``L = sum_ab x_ab A_ab`` (:func:`constrained_pick_terms`);
+    ``L`` and ``L*`` have disjoint supports, so it is Hermitian to the bit.
     """
     x = _as_param(x, d.k)
-    bundle = _bundle_for(d, b, bundle)
-    nk = d.n * d.k
-    form = constrained_pick_cf(d, b, x, bundle=bundle)
-    form[nk:, nk:] = bundle.q
-    x_d = _kron(np.eye(b.degree, dtype=complex), x)
-    x_col = np.vstack([np.zeros((nk, x_d.shape[1]), dtype=complex), x_d])
-    return np.block([[form, x_col], [x_col.conj().T, bundle.q_inv]])
+    a0, terms = constrained_pick_terms(_bundle_for(d, b, bundle))
+    lin = np.tensordot(x, terms, 2)
+    return a0 + lin + lin.conj().T
 
 
 def constrained_pick_terms(bundle: PickBundle):
@@ -460,10 +458,10 @@ def constrained_pick_terms(bundle: PickBundle):
         constrained_pick(x) = a0 + sum_ab (x_ab A_ab + conj(x_ab) A_ab*).
 
     ``a0`` is read off the bundle's blocks, ``[[P, Qt*, 0], [Qt, Q, 0],
-    [0, 0, Q^-1]]``, with no build at ``x = 0``.  ``A_ab`` holds
-    ``-Qt (I_n (x) E_ab) Wd*`` in the (jets, nodes) block and
-    ``I_deg (x) E_ab`` in the (jets, mirrored) block, zero elsewhere;
-    ``terms`` has shape (k, k, size, size).
+    [0, 0, Q^-1]]``.  ``A_ab`` holds ``-Qt (I_n (x) E_ab) Wd*`` in the
+    (jets, nodes) block (``Xd Qt = Qt (I_n (x) x)``, as ``Qt`` is
+    ``I_k``-structured) and ``I_deg (x) E_ab`` in the (jets, mirrored)
+    block, zero elsewhere; ``terms`` has shape (k, k, size, size).
     """
     d, deg = bundle.data, bundle.blaschke.degree
     k, nk, dk = d.k, d.n * d.k, deg * d.k

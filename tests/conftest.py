@@ -36,7 +36,7 @@ from cnpick.pick import (
     _as_param,
     _check_constrained_domain,
     assemble_bundle,
-    constrained_pick,
+    constrained_pick_cf,
     pick_matrix,
 )
 
@@ -105,18 +105,37 @@ def random_blaschke(seed, max_degree=4):
     return BlaschkeSpec(zeros, np.array(mult))
 
 
+def constrained_pick_lift(bundle, x):
+    """The linearized constrained Pick matrix as the Schur lift of the CF form.
+
+    Test-side oracle for the library's evaluation of the affine map: the
+    Caratheodory-Fejer form ``G - V G V*`` with its jet corner replaced
+    by ``Q``, bordered by ``Xd = I_deg (x) x`` and the mirrored block
+    ``Q^-1``, assembled with ``np.block``.
+    """
+    d, b = bundle.data, bundle.blaschke
+    x = _as_param(x, d.k)
+    nk = d.n * d.k
+    form = constrained_pick_cf(d, b, x, bundle=bundle)
+    form[nk:, nk:] = bundle.q
+    x_d = np.kron(np.eye(b.degree, dtype=complex), x)
+    x_col = np.vstack([np.zeros((nk, x_d.shape[1]), dtype=complex), x_d])
+    return np.block([[form, x_col], [x_col.conj().T, bundle.q_inv]])
+
+
 def fresh_builder(data, b=None):
     """Affine coefficients ``(a0, terms)`` of the constrained Pick matrix by finite differences.
 
     Test-side oracle, independent of the library's closed form: ``2 k^2 + 1``
-    builds give ``a0 = A(0)`` and ``terms[a, b] = ((A(E_ab) - a0) - i (A(i E_ab) - a0)) / 2``.
+    builds of :func:`constrained_pick_lift` give ``a0 = A(0)`` and
+    ``terms[a, b] = ((A(E_ab) - a0) - i (A(i E_ab) - a0)) / 2``.
     """
     b = b if b is not None else BlaschkeSpec.z_squared()
     bundle = assemble_bundle(data, b)
     k = data.k
 
     def build(x):
-        return constrained_pick(data, b, x, bundle=bundle)
+        return constrained_pick_lift(bundle, x)
 
     a0 = build(np.zeros((k, k), dtype=complex))
     terms = np.empty((k, k) + a0.shape, dtype=complex)
@@ -535,7 +554,7 @@ def kron_oracle(monkeypatch):
 
     Test-side oracle for ``_kron``: after the returned function is called,
     every build in the test forms the node matrix, the Cauchy blocks of
-    the bundle and of the body pencil, the Stein operator and ``Xd`` with
+    the bundle and of the body pencil and the Stein operator with
     ``np.kron`` itself.
     """
 

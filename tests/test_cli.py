@@ -267,6 +267,37 @@ def test_verify_scalar_chain_on_matrix_data_is_usage_error(workdir, capsys):
     assert capsys.readouterr().err == "error: candidate values have shape (4354,), expected (4354, 2, 2)\n"
 
 
+def test_verify_multiplicity_above_max_order_is_usage_error(workdir, capsys):
+    blaschke = {"zeros": [[0.2, 0.0]], "multiplicities": [6]}
+    path = write_problem(workdir / "p.json", [0.5], [0.1], blaschke)
+    chain_path = workdir / "chain.json"
+    chain_path.write_text(json.dumps({"schema": "cnp/1", "steps": [], "tail": [0.1, 0.0]}))
+    assert main(["verify", str(chain_path), str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "multiplicity 6" in err
+
+
+def test_internal_error_exits_70_with_traceback(workdir, capsys, monkeypatch):
+    # Exit 1 means "infeasible / fail"; an unexpected exception must not read as a verdict.
+    def broken(*args, **kwargs):
+        raise IndexError("tuple index out of range")
+
+    monkeypatch.setattr("cnpick.cli.search_x_grid", broken)
+    path = write_problem(workdir / "p.json", [0.5], [0.5])
+    assert main(["check", str(path), "--json"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: IndexError('tuple index out of range')\n")
+    assert "Traceback (most recent call last)" in captured.err
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("cnpick.cli.search_x_grid", interrupted)
+    with pytest.raises(KeyboardInterrupt):  # not an Exception: it still passes through
+        main(["check", str(path)])
+
+
 NAN_ENTRY = float("nan")
 
 
@@ -299,6 +330,16 @@ def test_witness_pass_and_hit(workdir, capsys):
     assert code == 1
     assert out["status"] == "WITNESS"
     assert out["sample_index"] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_witness_overflowing_forms_are_numeric_failure(workdir, capsys):
+    # Values near 1e160 overflow the form matrices (numpy warns); the scan must not report PASS.
+    path = write_problem(workdir / "p.json", [0.5, 0.3], [0.1, 1e160])
+    assert main(["witness", str(path), "--json"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: necessity form matrices are not finite")
 
 
 def test_witness_deterministic(workdir, capsys):

@@ -19,6 +19,7 @@ from cnpick.pick import (
 
 from conftest import (
     constrained_pick_cf_blocks,
+    constrained_pick_lift,
     constrained_pick_z2,
     constrained_pick_z2_quadratic,
     matrix_feasible,
@@ -217,6 +218,7 @@ class TestGramPair:
         oracle[nk:, nk:] = bundle.q
         full = constrained_pick(d, b, x, bundle=bundle)
         assert operator_norm(full[: nk + dk, : nk + dk] - oracle) <= 1e-14 * scale
+        assert operator_norm(full - constrained_pick_lift(bundle, x)) <= 1e-14 * scale
         assert np.array_equal(full[nk : nk + dk, nk + dk :], np.kron(np.eye(b.degree), x))
         assert not full[:nk, nk + dk :].any()
         assert np.array_equal(full[nk + dk :, nk + dk :], bundle.q_inv)
@@ -465,7 +467,7 @@ class TestBuildBits:
         d = random_dataset(degree + k, n=3, k=k)
         bundle = assemble_bundle(d, b)
         a0, _ = constrained_pick_terms(bundle)
-        assert np.array_equal(a0, constrained_pick(d, b, np.zeros((k, k)), bundle=bundle))
+        assert np.array_equal(a0, constrained_pick_lift(bundle, np.zeros((k, k))))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kron_free_arrays_match_np_kron(self, seed, kron_oracle):
