@@ -543,7 +543,7 @@ def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasRe
     certificate = kind = None
     if keep:
         reduced = DataSet(d.nodes[keep], d.values[keep])
-        pick = constrained_pick(reduced, b, anchor)
+        pick = constrained_pick(reduced, b, anchor, bundle=assemble_bundle(reduced, b, tol))
         ok, margin = is_psd(pick, tol)
         if not ok:
             bottom = np.linalg.eigh(hermitian_part(pick))[1][:, :1]

@@ -34,7 +34,9 @@ depends on the nodes and ``B`` only and solves the Stein equation
 where ``Z, E`` encode the nodes and ``J, Et`` collect Jordan-type jet
 blocks at the constraint zeros; its blocks ``Q`` and ``Qt`` are solved
 exactly as finite linear systems (the convergent-series form is a test
-oracle, outside the library).  The value part
+oracle, outside the library).  Each of ``Z, E, J, Et`` is its ``k = 1``
+matrix tensored with ``I_k``, so the equations are solved once, at
+``k = 1``, and ``G = G_1 (x) I_k``.  The value part
 ``V = diag(W_1, ..., W_n, x, ..., x)`` depends on the values and ``x``
 only.  The Caratheodory-Fejer form is ``G - V G V*``, whose node block
 ``K - Wd K Wd*`` is the classical Pick matrix (read from
@@ -153,8 +155,8 @@ class BlaschkeSpec:
             raise DomainError("need matching nonempty zero and multiplicity lists")
         if np.any(mult < 1):
             raise DomainError("multiplicities must be >= 1")
-        if zeros.size and np.max(np.abs(zeros)) >= 1.0:
-            raise DomainError("Blaschke zeros must lie in the open unit disk")
+        if not np.all(np.abs(zeros) < 1.0):  # written so that NaN fails
+            raise DomainError("Blaschke zeros must be finite and lie in the open unit disk")
         for i in range(zeros.size):
             for j in range(i + 1, zeros.size):
                 if zeros[i] == zeros[j]:
@@ -196,7 +198,9 @@ class PickBundle:
     when all constraint zeros sit at the origin) and ``q_tilde``
     (coupling jets to nodes) are views of its blocks.  ``p`` is the
     classical Pick matrix, ``j`` and ``e_tilde`` the jet matrices at the
-    constraint zeros and ``q_inv`` the inverse of ``Q``.  Every array is
+    constraint zeros and ``q_inv`` the inverse of ``Q``.  ``g``, ``j``,
+    ``e_tilde`` and ``q_inv`` are their ``k = 1`` arrays ``(x) I_k``;
+    ``stein_residuals`` are those of the ``k = 1`` equations.  Every array is
     read-only, so a bundle is immutable after construction and safe to
     share across threads.
     """
@@ -256,24 +260,20 @@ def jet_matrices(b: BlaschkeSpec, k: int):
     Returns ``(j, e_tilde)`` where ``j`` is block diagonal with one
     lower-bidiagonal Jordan-type block per zero (``lambda_i I_k`` on the
     diagonal, ``I_k`` on the first block subdiagonal, size ``k r_i``)
-    and ``e_tilde`` stacks ``(I_k, 0, ..., 0)^T`` blocks.
+    and ``e_tilde`` stacks ``(I_k, 0, ..., 0)^T`` blocks.  Both are the
+    scalar (``k = 1``) Jordan pair tensored with ``I_k``.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    d = b.degree
+    deg = b.degree
+    starts = np.cumsum(b.multiplicities) - b.multiplicities  # first row of each zero's block
+    j = np.eye(deg, k=-1, dtype=complex)
+    j[starts[1:], starts[1:] - 1] = 0.0  # no subdiagonal 1 between two zeros' blocks
+    np.fill_diagonal(j, np.repeat(b.zeros, b.multiplicities))
+    e_tilde = np.zeros((deg, 1), dtype=complex)
+    e_tilde[starts] = 1.0
     ik = np.eye(k, dtype=complex)
-    j = np.zeros((k * d, k * d), dtype=complex)
-    e_tilde = np.zeros((k * d, k), dtype=complex)
-    row = 0
-    for lam, r in zip(b.zeros, b.multiplicities):
-        r = int(r)
-        for s in range(r):
-            j[row + s * k : row + (s + 1) * k, row + s * k : row + (s + 1) * k] = lam * ik
-            if s > 0:
-                j[row + s * k : row + (s + 1) * k, row + (s - 1) * k : row + s * k] = ik
-        e_tilde[row : row + k, :] = ik
-        row += r * k
-    return j, e_tilde
+    return _kron(j, ik), _kron(e_tilde, ik)
 
 
 # Stein operator amplification beyond which the solve is refused.
@@ -292,10 +292,7 @@ def stein_solve(j, e_tilde, z, e):
 
     Returns ``(q, q_tilde)`` with ``q`` Hermitian-exact.
     """
-    j = np.asarray(j, dtype=complex)
-    e_tilde = np.asarray(e_tilde, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    e = np.asarray(e, dtype=complex)
+    j, e_tilde, z, e = (np.asarray(a, dtype=complex) for a in (j, e_tilde, z, e))
     kd = j.shape[0]
     op = np.eye(kd * kd, dtype=complex) - _kron(j.conj(), j)
     # Amplification of the solve; blows up as |lambda_i conj(z_j)| -> 1.
@@ -341,36 +338,37 @@ def assemble_bundle(
 ) -> PickBundle:
     """Precompute everything the general-Blaschke builders need.
 
-    Verifies the Stein residuals against ``residual_tol`` and positive
-    semidefiniteness of the Stein solution before returning; both hold
-    by construction, so a failure indicates numerically hostile data
-    (zeros or nodes hugging the boundary).
+    The Stein equations are solved once, at ``k = 1``: ``g``, ``q_inv``,
+    ``j`` and ``e_tilde`` are the scalar arrays ``(x) I_k``, and the
+    ``k``-sized Stein operators have the scalar singular values, so
+    :data:`STEIN_COND_LIMIT` refuses the same data at every ``k``.  The
+    ``k = 1`` residuals are checked against ``residual_tol`` and Q for
+    PSD-ness; both hold by construction, so a failure indicates
+    numerically hostile data (zeros or nodes hugging the boundary).
     """
     _check_constrained_domain(d, b)
     p = pick_matrix(d)
-    ik = np.eye(d.k, dtype=complex)
-    z = _kron(np.diag(d.nodes), ik)
-    e = np.tile(ik, (d.n, 1))
-    j, e_tilde = jet_matrices(b, d.k)
+    z = np.diag(d.nodes)
+    e = np.ones((d.n, 1), dtype=complex)
+    j, e_tilde = jet_matrices(b, 1)
     q, q_tilde = stein_solve(j, e_tilde, z, e)
 
     res_q = operator_norm(q - j @ q @ j.conj().T - e_tilde @ e_tilde.conj().T)
     res_t = operator_norm(q_tilde - j @ q_tilde @ z.conj().T - e_tilde @ e.conj().T)
-    if res_q > tol.residual_tol * (1.0 + operator_norm(q)):
-        raise IllConditionedError(f"Stein residual {res_q:.3e} out of tolerance")
-    if res_t > tol.residual_tol * (1.0 + operator_norm(q_tilde)):
-        raise IllConditionedError(f"Stein residual {res_t:.3e} out of tolerance")
-    # Q is positive definite (controllability of the jet pair); it equals
-    # the identity exactly when all constraint zeros sit at the origin,
-    # but in general its smallest eigenvalue can drop below 1 and, for
-    # high multiplicities, very close to 0.
+    for res, solution in ((res_q, q), (res_t, q_tilde)):
+        if res > tol.residual_tol * (1.0 + operator_norm(solution)):
+            raise IllConditionedError(f"Stein residual {res:.3e} out of tolerance")
+    # Q is positive definite (controllability of the jet pair), but for
+    # high multiplicities its smallest eigenvalue comes very close to 0.
     min_eig, scale = psd_margin(q)
     if min_eig < -tol.psd_tol * scale:
         raise IllConditionedError(f"Stein solution not PSD: min eig = {min_eig:.3e}")
 
     q_inv = hermitian_part(np.linalg.solve(q, np.eye(q.shape[0], dtype=complex)))
-    cauchy = hermitian_part(_kron(1.0 / (1.0 - np.outer(d.nodes, d.nodes.conj())), ik))
-    g = np.block([[cauchy, q_tilde.conj().T], [q_tilde, q]])
+    cauchy = hermitian_part(1.0 / (1.0 - np.outer(d.nodes, d.nodes.conj())))
+    g = np.vstack([np.hstack([cauchy, q_tilde.conj().T]), np.hstack([q_tilde, q])])
+    ik = np.eye(d.k, dtype=complex)
+    g, j, e_tilde, q_inv = (_kron(array, ik) for array in (g, j, e_tilde, q_inv))
     for array in (g, p, j, e_tilde, q_inv):
         array.flags.writeable = False
     return PickBundle(

@@ -14,7 +14,8 @@ Complex numbers are two-element ``[re, im]`` arrays; matrices are
 row-major nested arrays of them.  For ``k = 1`` a value may be given as
 a bare ``[re, im]`` pair instead of a 1 x 1 matrix.  ``blaschke`` is
 optional and defaults to the double zero at the origin (interpolants
-with vanishing derivative at 0).  ``tolerances`` is optional.
+with vanishing derivative at 0).  ``tolerances`` is optional: missing
+or ``null`` means the defaults, anything else must be an object.
 
 Validation failures raise :class:`ProblemFileError` carrying the JSON
 path of the offending element (or line/column for syntax errors).
@@ -157,7 +158,7 @@ def parse_problem_text(text: str) -> ProblemFile:
     else:
         blaschke = BlaschkeSpec.z_squared()
 
-    tol_raw = raw.get("tolerances") or {}
+    tol_raw = {} if raw.get("tolerances") is None else raw["tolerances"]
     _want(tol_raw, dict, "an object", "tolerances")
     for key in tol_raw:
         if key not in ("psd_tol", "residual_tol"):

@@ -553,9 +553,9 @@ def kron_oracle(monkeypatch):
     """Put ``np.kron`` back where the library forms Kronecker products by broadcasting.
 
     Test-side oracle for ``_kron``: after the returned function is called,
-    every build in the test forms the node matrix, the Cauchy blocks of
-    the bundle and of the body pencil and the Stein operator with
-    ``np.kron`` itself.
+    every build in the test forms the node matrix, the bundle's arrays
+    tensored with ``I_k``, the Cauchy blocks of the body pencil and the
+    Stein operator with ``np.kron`` itself.
     """
 
     def use_np_kron():

@@ -122,6 +122,33 @@ def test_check_parse_error_exit_64(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, location",
+    [("nodes", "nodes/values"), ("values", "nodes/values"), ("blaschke", "blaschke"),
+     ("tolerances", "tolerances")],
+)
+def test_check_nan_field_is_usage_error(workdir, capsys, field, location):
+    nan = float("nan")
+    doc = {
+        "k": 1,
+        "nodes": [[0.5, 0.0]],
+        "values": [[0.1, 0.0]],
+        "blaschke": {"zeros": [[0.2, 0.0]], "multiplicities": [2]},
+        "tolerances": {"psd_tol": 1e-9},
+    }
+    doc[field] = {
+        "nodes": [[nan, 0.0]],
+        "values": [[0.1, nan]],
+        "blaschke": {"zeros": [[nan, 0.0]], "multiplicities": [2]},
+        "tolerances": {"psd_tol": nan},
+    }[field]
+    path = workdir / "p.json"
+    path.write_text(json.dumps(doc))  # json writes the NaN token, which json reads back
+    assert main(["check", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{location}:" in err
+
+
 def test_check_matrix_data_feasible(workdir, capsys):
     doc = {
         "k": 2,

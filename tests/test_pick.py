@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cnpick.body import unconstrained_body
-from cnpick.errors import DomainError, SingularBlockError
+from cnpick.errors import DomainError, IllConditionedError, SingularBlockError
 from cnpick.feasibility import FEASIBLE, INFEASIBLE, pencil_build, search_x_grid
-from cnpick.linalg import DEFAULT_TOL, is_psd, operator_norm, psd_margin
+from cnpick.linalg import DEFAULT_TOL, ToleranceConfig, is_psd, operator_norm, psd_margin
 from cnpick.pick import (
     BlaschkeSpec,
     DataSet,
@@ -170,7 +170,6 @@ class TestStein:
         assert np.allclose(qt_s, bundle.q_tilde, atol=1e-10)
 
     def test_boundary_zero_reports_conditioning(self):
-        from cnpick.errors import IllConditionedError
         from cnpick.pick import jet_matrices as jets, stein_solve as solve
 
         b = BlaschkeSpec(np.array([1.0 - 5e-14]), np.array([1]))
@@ -178,6 +177,34 @@ class TestStein:
         with pytest.raises(IllConditionedError) as err:
             solve(j, e_t, np.diag([0.5 + 0.0j]), np.ones((1, 1)))
         assert err.value.cond is not None and err.value.cond > 1e13
+        # A k = 3 bundle solves the k = 1 equations and meets the same refusal.
+        with pytest.raises(IllConditionedError) as err:
+            assemble_bundle(DataSet(np.array([0.5]), np.zeros((1, 3, 3))), b)
+        assert err.value.cond is not None and err.value.cond > 1e13
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_node_part_is_the_scalar_one_tensor_identity(self, k, seed):
+        # G = G_1 (x) I_k, and likewise Q^-1, J and Et: exactly, not to rounding.
+        b = random_blaschke(seed + 1000, max_degree=8)
+        d = random_dataset(seed + 1100, n=int(rng_for(seed).integers(1, 4)), k=k)
+        bundle = assemble_bundle(d, b)
+        scalar = assemble_bundle(DataSet.scalar(d.nodes, np.zeros(d.n)), b)
+        for name in ("g", "q_inv", "j", "e_tilde"):
+            assert np.array_equal(getattr(bundle, name), np.kron(getattr(scalar, name), np.eye(k)))
+
+    def test_stein_solve_stays_at_k_1_size(self, monkeypatch):
+        # The Stein operator of a degree-4 constraint is 16 x 16 whatever k is.
+        sizes, svd = [], np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            sizes.append(max(np.shape(a)[-2:]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        b = BlaschkeSpec(np.array([0.2, -0.3j]), np.array([3, 1]))
+        assemble_bundle(random_dataset(5, n=2, k=3), b)
+        assert sizes and max(sizes) <= 16
 
 
 class TestGramPair:
@@ -441,6 +468,15 @@ class TestOverlap:
         pick = constrained_pick(DataSet.scalar([-0.4j], [0.5]), b, np.array([[0.1]]))
         _, scale = psd_margin(pick)
         assert np.trace(report.certificate @ pick).real < -DEFAULT_TOL.psd_tol * scale
+
+    def test_reduction_honours_the_callers_tolerances(self):
+        # The reduced bundle is checked at the caller's residual_tol, as the solver route is.
+        b = BlaschkeSpec(np.array([0.3, -0.2 + 0.4j]), np.array([2, 1]))
+        strict = ToleranceConfig(residual_tol=1e-40)
+        for first in (0.3, 0.31):  # on a constraint zero, and off it
+            d = DataSet.scalar([first, 0.5 + 0.1j], [0.1, 0.2])
+            with pytest.raises(IllConditionedError, match="Stein residual"):
+                search_x_grid(d, b, strict)
 
     def test_witness_passes_the_cf_form(self):
         d = DataSet.scalar([0.3, 0.5, -0.4j], [0.1, 0.1, 0.05j])

@@ -72,6 +72,11 @@ def test_syntax_error_carries_position():
         (lambda d: d.update(blaschke={"zeros": [[0.0, 0.0]], "multiplicities": [0]}), "blaschke"),
         (lambda d: d.update(tolerances={"psd_tol": "tiny"}), "tolerances.psd_tol"),
         (lambda d: d.update(tolerances={"bogus": 1.0}), "tolerances"),
+        # Only a missing or null ``tolerances`` means the defaults.
+        pytest.param(lambda d: d.update(tolerances=[]), "tolerances", id="tolerances=[]"),
+        pytest.param(lambda d: d.update(tolerances=0), "tolerances", id="tolerances=0"),
+        pytest.param(lambda d: d.update(tolerances=False), "tolerances", id="tolerances=False"),
+        pytest.param(lambda d: d.update(tolerances=""), "tolerances", id="tolerances=''"),
     ],
 )
 def test_validation_errors_carry_path(mutate, location):
