@@ -64,6 +64,12 @@ from .pick import DataSet
 
 # Least singular value of ``alpha`` at or below which a drawn parameter
 # counts as non-injective; the next draw from the same generator replaces it.
+# Tested as lambda_min(alpha* alpha) > floor**2 (see ``_injective``): a drawn
+# ``alpha`` has norm at most 1, so the Gram eigenvalues carry about 1e-15 of
+# absolute rounding against 1e-12, and the test can differ from comparing
+# the least singular value only within about 5e-4 (relative) of the floor.
+# ``GrassmannParam`` keeps an SVD for its own bound of 1e-8, whose square
+# lies at that rounding level.
 _INJECTIVITY_FLOOR = 1e-6
 # Stacked form entries per block of the necessity scan.  A block holds
 # max(#shapes, _SCAN_BUDGET // (n k k)^2) random samples, (n k k)^2 being the
@@ -125,15 +131,26 @@ class GrassmannParam:
         return self.alpha.shape[0]
 
 
+def _injective(alpha: np.ndarray) -> np.ndarray:
+    """Mask of the stacked ``alpha`` whose least singular value exceeds ``_INJECTIVITY_FLOOR``."""
+    return np.linalg.eigvalsh(alpha.conj().swapaxes(-1, -2) @ alpha)[:, 0] > _INJECTIVITY_FLOOR**2
+
+
 def _draw_params(rng: np.random.Generator, count: int, ell: int, ell_prime: int):
     """Stacked normalized pairs ``(alpha, beta)`` of shape ``(count, ell', ell)``.
 
     Each candidate is a complex Gaussian ``ell' x 2 ell`` block (two
     ``standard_normal`` blocks of ``rng``) with orthonormalized rows.  A
-    candidate whose ``alpha`` is nearly non-injective is dropped and the
-    next one from the stream takes its place, so the rows equal ``count``
-    successive one-row draws from ``rng`` bit for bit, whatever ``count``.
-    All candidates missing from the stack are drawn in one call.
+    candidate whose ``alpha`` is nearly non-injective (least singular
+    value <= 1e-6) is dropped and the next one from the stream takes its
+    place, so the rows equal ``count`` successive one-row draws from
+    ``rng`` bit for bit, whatever ``count``.  All candidates missing from
+    the stack are drawn in one call.
+
+    Injectivity is tested without an SVD, as ``lambda_min(alpha* alpha)
+    > 1e-12`` by one batched ``eigvalsh`` of the Gram matrices: the rows
+    are orthonormal, so ``||alpha|| <= 1`` and the Gram eigenvalues carry
+    about 1e-15 of rounding (see ``_INJECTIVITY_FLOOR``).
     """
     if not 1 <= ell <= ell_prime:
         raise DomainError(f"need 1 <= ell <= ell', got ell={ell}, ell'={ell_prime}")
@@ -146,7 +163,7 @@ def _draw_params(rng: np.random.Generator, count: int, ell: int, ell_prime: int)
         g = raw[:, 0] + 1j * raw[:, 1]
         qmat, _ = np.linalg.qr(g.conj().swapaxes(-1, -2), mode="reduced")
         rows = qmat.conj().swapaxes(-1, -2)  # orthonormal rows
-        ok = np.linalg.svd(rows[:, :, :ell], compute_uv=False)[:, -1] > _INJECTIVITY_FLOOR
+        ok = _injective(rows[:, :, :ell])
         runs = np.diff(np.concatenate([[-1 - misses], np.flatnonzero(ok), [ok.size]])) - 1
         if runs.max() >= 128:
             raise DomainError("failed to draw an injective alpha in 128 attempts")
@@ -163,10 +180,13 @@ def grassmann_sample(seed: int, ell: int, ell_prime: int) -> GrassmannParam:
     Draws a complex Gaussian ``ell' x 2 ell`` block from
     ``np.random.default_rng(seed)``, orthonormalizes its rows and splits
     it into ``(alpha, beta)``.  Samples with nearly non-injective
-    ``alpha`` (least singular value <= 1e-6) are rejected and redrawn
+    ``alpha`` (least singular value <= 1e-6, tested on the eigenvalues of
+    ``alpha* alpha`` as in :func:`_draw_params`) are rejected and redrawn
     from the same generator; the rejected set has measure zero, so this
-    does not bias coverage.  Bitwise deterministic for a fixed
-    nonnegative seed.  The necessity scan draws from one stream per
+    does not bias coverage.  The returned :class:`GrassmannParam` still
+    checks injectivity by an SVD: its bound, 1e-8, squared lies at the
+    rounding level of the Gram eigenvalues.  Bitwise deterministic for a
+    fixed nonnegative seed.  The necessity scan draws from one stream per
     shape instead (see :func:`necessity_scan`), not from this function.
     """
     if seed < 0:

@@ -74,6 +74,19 @@ def random_dataset(seed, n=None, k=1, wmax=0.85):
     return DataSet(nodes, values)
 
 
+def past_threshold(seed, n, k, threshold):
+    """Random data with values scaled 1e-2 past ``threshold``, where bisection
+    on ``search_x_grid`` found the switch from Feasible to Infeasible."""
+    d = random_dataset(seed, n=n, k=k)
+    return DataSet(d.nodes, d.values * threshold * (1 + 1e-2))
+
+
+# The first witness of a seed-10 necessity scan lies in the second random
+# block (index 115).
+NEAR_THRESHOLD = past_threshold(3, 3, 2, 0.0743615205137915)
+NEAR_SEED = 10
+
+
 def accept5_instances():
     """The 200 scalar instances of ACCEPT-5: 100 feasible by construction, 100 random."""
     feasible = [generate_feasible(s, int(rng_for(s).integers(1, 4)))[0] for s in range(100)]

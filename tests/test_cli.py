@@ -11,10 +11,18 @@ from hypothesis import strategies as st
 
 from cnpick.cli import _optional_disk, _write_csv, build_parser, main
 from cnpick.feasibility import _dual_bound, search_x_grid
-from cnpick.interpolant import chain_from_json, verify_interpolant
-from cnpick.problemfile import parse_problem
+from cnpick.interpolant import chain_from_json, generate_feasible, verify_interpolant
+from cnpick.pick import DataSet
+from cnpick.problemfile import complex_to_json, matrix_to_json, parse_problem
 
-from conftest import check_lines_oracle, csv_oracle, fresh_builder
+from conftest import (
+    NEAR_SEED,
+    NEAR_THRESHOLD,
+    check_lines_oracle,
+    csv_oracle,
+    fresh_builder,
+    matrix_feasible,
+)
 
 
 @pytest.fixture
@@ -401,6 +409,42 @@ def test_witness_negative_seed_is_usage_error(workdir, capsys):
     captured = capsys.readouterr()
     assert "seed must be nonnegative" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "data, seed, code, digests",
+    [
+        (generate_feasible(21, 3)[0], 0, 0,
+         ("f4a69647fbac4997e2da1d42183472936737e40a85fb1da33d95fd3c05098d77",
+          "2cc104e7736668c8c1dbd75cc0c3f8f241293d1d771467e96ff0de93a706e5a6")),
+        (matrix_feasible(22, 2, 3), 0, 0,
+         ("c02c700c6701c4693272af6129ff52da71f86f415622ffb200e885fb61fdc8da",
+          "cecbbabd9d8a5ca8edf8d8446530d2c58ef33b40af6248b4dc6ee9330c378428")),
+        (matrix_feasible(23, 3, 2), 0, 0,
+         ("3db963f942e6a12b4e977e1be4e7901e643f64ba6d2f6c3d96b2a557128fb072",
+          "ccae6ff86f25939d85a7702e1d7762f590473934525d4f2c5351e467b7743e38")),
+        (DataSet.scalar([0.3, -0.3], [0.3, -0.3]), 0, 1,
+         ("6cd75ba7bd8f7ab47e8e817c1a57f147452439da4e40107885eb1afec59f878a",
+          "4bff86c6e667df02ee86c10e914771917eb17d1b830c28ac6091378f9197a95a")),
+        (NEAR_THRESHOLD, NEAR_SEED, 1,
+         ("803460ff8550f328eee2b42f0284025030e42610bb48f3b873b4ea7be5bf5171",
+          "2fe96fbf751afd4e4ced14cce36a38bb894e61df17f02b9fe41ac984d8dbcc02")),
+    ],
+    ids=["k1-pass", "k2-pass", "k3-pass", "gap-canonical-witness", "near-random-witness"],
+)
+def test_witness_output_digests(workdir, capsys, data, seed, code, digests):
+    # Golden bytes of a default 500-sample scan: the text and the --json stdout, by their sha256.
+    # k = 3 data draw from all five shapes; the gap instance's witness is a canonical
+    # parameter, the near-threshold one a random sample (index 115).
+    doc = {
+        "k": data.k,
+        "nodes": [complex_to_json(z) for z in data.nodes],
+        "values": [matrix_to_json(v) for v in data.values],
+    }
+    (workdir / "p.json").write_text(json.dumps(doc))
+    for extra, stdout_digest in zip(([], ["--json"]), digests):
+        assert main(["witness", "p.json", "--seed", str(seed), *extra]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
 
 
 def test_consecutive_calls_share_no_options(workdir, capsys):

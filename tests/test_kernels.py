@@ -21,19 +21,18 @@ from cnpick.kernels import (
 from cnpick.linalg import DEFAULT_TOL, is_psd
 from cnpick.pick import DataSet
 
-from conftest import distinct_nodes, matrix_feasible, random_dataset, rng_for, scan_oracle
+from conftest import (
+    NEAR_SEED,
+    NEAR_THRESHOLD,
+    distinct_nodes,
+    matrix_feasible,
+    past_threshold,
+    random_dataset,
+    rng_for,
+    scan_oracle,
+)
 
 
-def past_threshold(seed, n, k, threshold):
-    """Random data with values scaled 1e-2 past ``threshold``, where bisection
-    on ``search_x_grid`` found the switch from Feasible to Infeasible."""
-    d = random_dataset(seed, n=n, k=k)
-    return DataSet(d.nodes, d.values * threshold * (1 + 1e-2))
-
-
-# The first witness of a seed-10 scan lies in the second random block (index 115).
-NEAR_THRESHOLD = past_threshold(3, 3, 2, 0.0743615205137915)
-NEAR_SEED = 10
 # At seed 0 the first random block holds witnesses of two shapes: 60 in the
 # fourth shape group, 36 and 41 in the fifth.  The scan meets 60 first, but
 # the lowest index (36) must win.
@@ -168,6 +167,52 @@ class TestGrassmannSample:
             GrassmannParam(np.array([[1.0]]), np.array([[1.0]]))  # not normalized
         with pytest.raises(DomainError):
             GrassmannParam(np.array([[0.0]]), np.array([[1.0]]))  # alpha not injective
+
+
+def candidate_alphas(seed, count, l, lp):
+    """The ``alpha`` blocks of ``count`` candidates as ``_draw_params`` makes them,
+    before its injectivity test: complex Gaussian rows, orthonormalized."""
+    raw = np.random.default_rng(seed).standard_normal((count, 2, lp, 2 * l))
+    qmat = np.linalg.qr((raw[:, 0] + 1j * raw[:, 1]).conj().swapaxes(-1, -2))[0]
+    return qmat.conj().swapaxes(-1, -2)[..., :l]
+
+
+def svd_accepts(alpha, floor):
+    return np.linalg.svd(alpha, compute_uv=False)[:, -1] > floor
+
+
+ADMISSIBLE_TO_4 = [(l, lp) for lp in range(1, 5) for l in range(1, lp + 1) if lp <= 2 * l]
+
+
+class TestInjectivityCriterion:
+    """The Gram-eigenvalue test accepts what the least singular value accepts."""
+
+    @pytest.mark.parametrize("floor", [1e-6, 0.2, 0.3, 0.6, 0.65])
+    def test_matches_svd_on_draws(self, monkeypatch, floor):
+        monkeypatch.setattr(kernels, "_INJECTIVITY_FLOOR", floor)
+        rejected = 0
+        for l, lp in ADMISSIBLE_TO_4:
+            for seed in range(100):
+                alpha = candidate_alphas(seed, 64, l, lp)
+                want = svd_accepts(alpha, floor)
+                assert np.array_equal(kernels._injective(alpha), want), (l, lp, seed)
+                rejected += int(np.sum(~want))
+        assert (rejected > 0) == (floor > 1e-6)
+
+    @pytest.mark.parametrize("shape", ADMISSIBLE_TO_4, ids=[f"{lp}x{l}" for l, lp in ADMISSIBLE_TO_4])
+    def test_matches_svd_at_the_floor(self, shape):
+        """alpha with least singular value 1e-6 (1 +- 1e-2) and norm at most 1."""
+        l, lp = shape
+        rng = rng_for(sum(shape))
+        for _ in range(20):
+            u = np.linalg.qr(rng.standard_normal((lp, lp)) + 1j * rng.standard_normal((lp, lp)))[0]
+            v = np.linalg.qr(rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))[0]
+            others = rng.uniform(0.05, 1.0, l - 1)
+            sigmas = [np.concatenate([[1e-6 * (1 + t)], others]) for t in (1e-2, -1e-2)]
+            alpha = np.array([(u[:, :l] * s) @ v.conj().T for s in sigmas])
+            want = svd_accepts(alpha, 1e-6)
+            assert want.tolist() == [True, False]
+            assert np.array_equal(kernels._injective(alpha), want)
 
 
 class TestKernelEval:
@@ -395,6 +440,33 @@ class TestNecessityScan:
         assert default_shapes(2) == ((1, 1), (1, 2), (2, 2))
         # (1, 3) is inadmissible (ell' > 2 ell) and left out.
         assert default_shapes(3) == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
+
+
+class TestScanSvdCount:
+    """A scan draws its parameters without an SVD; only a witness's ``GrassmannParam`` takes one."""
+
+    @pytest.mark.parametrize(
+        "data, seed, calls",
+        [
+            (generate_feasible(21, 3)[0], 0, 0),
+            (matrix_feasible(22, 2, 3), 0, 0),
+            (matrix_feasible(23, 3, 2), 0, 0),
+            (DataSet.scalar([0.3, -0.3], [0.3, -0.3]), 0, 1),
+            (NEAR_THRESHOLD, NEAR_SEED, 1),
+        ],
+        ids=["k1-pass", "k2-pass", "k3-pass", "canonical-witness", "random-witness"],
+    )
+    def test_svd_calls(self, monkeypatch, data, seed, calls):
+        svd, counted = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            counted.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        report = necessity_scan(data, 500, seed)
+        assert report.passed == (calls == 0)
+        assert len(counted) == calls, counted
 
 
 def assert_matches_oracle(report, oracle):
