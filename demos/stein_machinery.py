@@ -5,9 +5,11 @@ Jet matrices and Stein equations behind the general constraint
 For a constraint algebra built from a finite Blaschke product, the
 constrained Pick matrices are assembled from two Stein equations tying
 the jet structure at the constraint zeros to the interpolation nodes.
-This script shows the closed forms for the origin constraint, the exact
-residuals of the solver, and a subtlety: the Stein solution dominates
-the identity only when the zeros sit at the origin.
+Their solutions are Gram matrices of Szego-kernel jets, built exactly,
+entry by entry, with no solver.  This script shows the closed forms for
+the origin constraint, the residuals at rounding level, and a subtlety:
+the Stein solution dominates the identity only when the zeros sit at
+the origin.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ print("Q =\n", bundle.q.real)
 print("Qt =\n", bundle.q_tilde)
 print(f"Stein residuals: {bundle.stein_residuals[0]:.2e}, {bundle.stein_residuals[1]:.2e}")
 
-# A double zero away from the origin.  The solver stays exact (its
+# A double zero away from the origin.  The solutions stay exact (their
 # residuals stay at rounding level), but the smallest eigenvalue of Q
 # drops below 1: the identity bound is special to the origin case.
 b = BlaschkeSpec(np.array([0.45]), np.array([2]))
@@ -33,8 +35,8 @@ print("\ndouble zero at 0.45:")
 print(f"Stein residuals: {bundle.stein_residuals[0]:.2e}, {bundle.stein_residuals[1]:.2e}")
 print(f"eigenvalues of Q: {np.linalg.eigvalsh(bundle.q)}")
 
-# Higher multiplicities push Q towards singularity; the solve is still
-# exact because it is a finite linear system, not a truncated sum.
+# Higher multiplicities push Q towards singularity; its entries are
+# still exact, because they are finite sums, not a truncated series.
 b = BlaschkeSpec(np.array([0.3, -0.2 + 0.4j]), np.array([3, 2]))
 bundle = assemble_bundle(data, b)
 print("\ndegree-5 constraint:")

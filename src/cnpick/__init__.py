@@ -38,7 +38,6 @@ from .pick import (
     constrained_pick_compressed,
     jet_matrices,
     pick_matrix,
-    stein_solve,
 )
 from .kernels import (
     GrassmannParam,

@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("stein", help="jet matrices and Stein solutions for a Blaschke file")
+    p = sub.add_parser("stein", help="jet matrices and Stein solutions (exact, no solver) for a Blaschke file")
     p.add_argument("blaschke")
     p.add_argument("--nodes", required=True,
                    help="comma-separated complex nodes, e.g. '-0.5,0.5,0.1+0.2j'")

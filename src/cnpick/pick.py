@@ -32,11 +32,11 @@ depends on the nodes and ``B`` only and solves the Stein equation
     G - T G T* = F F*        T = diag(Z, J),  F = [E; Et]
 
 where ``Z, E`` encode the nodes and ``J, Et`` collect Jordan-type jet
-blocks at the constraint zeros; its blocks ``Q`` and ``Qt`` are solved
-exactly as finite linear systems (the convergent-series form is a test
-oracle, outside the library).  Each of ``Z, E, J, Et`` is its ``k = 1``
-matrix tensored with ``I_k``, so the equations are solved once, at
-``k = 1``, and ``G = G_1 (x) I_k``.  The value part
+blocks at the constraint zeros.  ``G`` is the Gram matrix of Szego
+kernels at the nodes and of their jets at the zeros, so ``Q`` and ``Qt``
+are built exactly with no solver (solvers are test oracles, outside the
+library), once at ``k = 1``: each of ``Z, E, J, Et`` is its ``k = 1``
+matrix tensored with ``I_k``, and ``G = G_1 (x) I_k``.  The value part
 ``V = diag(W_1, ..., W_n, x, ..., x)`` depends on the values and ``x``
 only.  The Caratheodory-Fejer form is ``G - V G V*``, whose node block
 ``K - Wd K Wd*`` is the classical Pick matrix (read from
@@ -51,7 +51,7 @@ a bundle is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,7 +73,6 @@ __all__ = [
     "PickBundle",
     "pick_matrix",
     "jet_matrices",
-    "stein_solve",
     "assemble_bundle",
     "constrained_pick",
     "constrained_pick_terms",
@@ -194,15 +193,14 @@ class PickBundle:
     """All matrices needed by the general-Blaschke builders, precomputed.
 
     ``g`` is the node part ``G = [[K, Qt*], [Qt, Q]]`` (see the module
-    docstring); ``q`` (Hermitian positive definite, the identity exactly
-    when all constraint zeros sit at the origin) and ``q_tilde``
-    (coupling jets to nodes) are views of its blocks.  ``p`` is the
-    classical Pick matrix, ``j`` and ``e_tilde`` the jet matrices at the
-    constraint zeros and ``q_inv`` the inverse of ``Q``.  ``g``, ``j``,
-    ``e_tilde`` and ``q_inv`` are their ``k = 1`` arrays ``(x) I_k``;
-    ``stein_residuals`` are those of the ``k = 1`` equations.  Every array is
-    read-only, so a bundle is immutable after construction and safe to
-    share across threads.
+    docstring), built exactly with no solver; ``q`` (Hermitian positive
+    definite, the identity exactly when all constraint zeros sit at the
+    origin) and ``q_tilde`` (coupling jets to nodes) are views of its
+    blocks.  ``p`` is the classical Pick matrix, ``j`` and ``e_tilde``
+    the jet matrices at the constraint zeros and ``q_inv`` the inverse
+    of ``Q``.  ``g``, ``j``, ``e_tilde`` and ``q_inv`` are their ``k = 1``
+    arrays ``(x) I_k``.  Every array is read-only, so a bundle is
+    immutable after construction and safe to share across threads.
     """
 
     data: DataSet
@@ -212,7 +210,6 @@ class PickBundle:
     j: np.ndarray
     e_tilde: np.ndarray
     q_inv: np.ndarray
-    stein_residuals: tuple = field(default=(0.0, 0.0))
 
     @property
     def q(self) -> np.ndarray:
@@ -223,6 +220,15 @@ class PickBundle:
     def q_tilde(self) -> np.ndarray:
         nk = self.data.n * self.data.k
         return self.g[nk:, :nk]
+
+    @property
+    def stein_residuals(self) -> tuple:
+        """Residuals of ``Q - J Q J* = Et Et*`` and ``Qt - J Qt Z* = Et E*`` at ``k = 1``."""
+        k = self.data.k
+        q, q_tilde, j, e_tilde = (a[::k, ::k] for a in (self.q, self.q_tilde, self.j, self.e_tilde))
+        res_q = operator_norm(q - j @ q @ j.conj().T - e_tilde @ e_tilde.conj().T)
+        res_t = operator_norm(q_tilde - j @ q_tilde * self.data.nodes.conj() - e_tilde)
+        return res_q, res_t
 
 
 # ---------------------------------------------------------------------------
@@ -276,44 +282,44 @@ def jet_matrices(b: BlaschkeSpec, k: int):
     return _kron(j, ik), _kron(e_tilde, ik)
 
 
-# Stein operator amplification beyond which the solve is refused.
+# Stein amplification beyond which the node part is refused.
 STEIN_COND_LIMIT = 1e13
 
 
-def stein_solve(j, e_tilde, z, e):
-    """Solve the two Stein equations exactly as finite linear systems.
+def _node_part(nodes: np.ndarray, b: BlaschkeSpec):
+    """``(Q, Qt, amplification)`` of the ``k = 1`` node part, built exactly with no solver.
 
-    Solves ``Q - J Q J* = Et Et*`` via the vectorized operator
-    ``I - conj(J) (x) J`` and ``Qt - J Qt Z* = Et E*`` in one batched
-    solve over its columns (``Z`` is diagonal, so they decouple).  Both
-    operators are invertible whenever the spectra of ``J`` and ``Z``
-    stay inside the unit disk; zeros or nodes creeping towards the
-    boundary make them ill-conditioned, which is reported.
+    Both are Gram matrices of Szego-kernel jets: ``Qt[(lam, p), i] =
+    conj(z_i)^p / (1 - lam conj(z_i))^(p + 1)``, and ``Q - J Q J* = Et Et*``
+    reads, entry by entry, for the jet ``p`` at ``lam`` and ``q`` at ``mu``,
 
-    Returns ``(q, q_tilde)`` with ``q`` Hermitian-exact.
+        Q[p, q] (1 - lam conj(mu)) = [p = q = 0] + lam Q[p, q-1] + conj(mu) Q[p-1, q] + Q[p-1, q-1],
+
+    run for all pairs of zeros at once, one antidiagonal ``p + q`` a step.
+    ``P - J P J* = I`` is the same run with ``[p = q]``, within each zero.
+    The amplification is ``max(||P||_inf, max_i ||(I - conj(z_i) J)^-1||_inf)``,
+    the latter the largest sum of ``|Qt|`` over one node and one zero's jets.
     """
-    j, e_tilde, z, e = (np.asarray(a, dtype=complex) for a in (j, e_tilde, z, e))
-    kd = j.shape[0]
-    op = np.eye(kd * kd, dtype=complex) - _kron(j.conj(), j)
-    # Amplification of the solve; blows up as |lambda_i conj(z_j)| -> 1.
-    smin = np.linalg.svd(op, compute_uv=False)[-1]
-    zdiag = np.diag(z)
-    col_ops = np.eye(kd)[None, :, :] - np.conj(zdiag)[:, None, None] * j[None, :, :]
-    smin = min(smin, np.min(np.linalg.svd(col_ops, compute_uv=False)[:, -1]))
-    cond = np.inf if smin == 0 else 1.0 / smin
-    if not np.isfinite(cond) or cond > STEIN_COND_LIMIT:
-        raise IllConditionedError(
-            f"Stein operator amplification ~ {cond:.3e} exceeds {STEIN_COND_LIMIT:.1e}",
-            cond=cond,
-        )
-    rhs = (e_tilde @ e_tilde.conj().T).reshape(-1, order="F")
-    q = np.linalg.solve(op, rhs).reshape(kd, kd, order="F")
-    q = hermitian_part(q)
-
-    # Qt column i solves (I - conj(z_i) J) Qt_i = (Et E*)_i.
-    rhs_t = e_tilde @ e.conj().T
-    q_tilde = np.linalg.solve(col_ops, rhs_t.T[:, :, None])[:, :, 0].T
-    return q, q_tilde
+    lam, mult = b.zeros, b.multiplicities
+    top, starts = int(mult.max()), np.cumsum(mult) - mult
+    zero = np.repeat(np.arange(lam.size), mult)  # the zero of each jet
+    jet = np.arange(b.degree) - starts[zero]  # its order
+    zc = nodes.conj()
+    q_tilde = zc ** jet[:, None] / (1.0 - lam[zero, None] * zc) ** (jet[:, None] + 1)
+    # runs[0 or 1, a, c, p + q + 2, p + 1] is Q or P at (lam_a, p), (lam_c, q), seeded with
+    # the right-hand side; the zero padding stands for the entries at p - 1 or q - 1 = -1.
+    runs = np.zeros((2, lam.size, lam.size, 2 * top + 1, top + 1), dtype=complex)
+    runs[0, :, :, 2, 1] = 1.0
+    runs[1, :, :, 2 * np.arange(top) + 2, np.arange(top) + 1] = 1.0
+    left, right = lam[:, None, None], lam.conj()[None, :, None]
+    for s in range(2 * top - 1):
+        row = runs[..., s + 2, 1:]  # a view, seeded with the right-hand side
+        row += left * runs[..., s + 1, 1:] + right * runs[..., s + 1, :-1] + runs[..., s, :-1]
+        row /= 1.0 - left * right
+    q, p = runs[:, zero[:, None], zero, jet[:, None] + jet + 2, jet[:, None] + 1]
+    p_norm = np.max(np.sum(np.abs(p) * (zero[:, None] == zero), axis=1))
+    column_norm = np.max(np.add.reduceat(np.abs(q_tilde), starts, axis=0))
+    return hermitian_part(q), q_tilde, max(p_norm, column_norm)
 
 
 def _check_constrained_domain(d: DataSet, b: BlaschkeSpec):
@@ -338,26 +344,22 @@ def assemble_bundle(
 ) -> PickBundle:
     """Precompute everything the general-Blaschke builders need.
 
-    The Stein equations are solved once, at ``k = 1``: ``g``, ``q_inv``,
-    ``j`` and ``e_tilde`` are the scalar arrays ``(x) I_k``, and the
-    ``k``-sized Stein operators have the scalar singular values, so
-    :data:`STEIN_COND_LIMIT` refuses the same data at every ``k``.  The
-    ``k = 1`` residuals are checked against ``residual_tol`` and Q for
-    PSD-ness; both hold by construction, so a failure indicates
-    numerically hostile data (zeros or nodes hugging the boundary).
+    The node part is built exactly, with no solver, once at ``k = 1``
+    (:func:`_node_part`): ``g``, ``q_inv``, ``j`` and ``e_tilde`` are the
+    scalar arrays ``(x) I_k``, so :data:`STEIN_COND_LIMIT` refuses the same
+    data at every ``k``.  Amplification beyond it (zeros or nodes hugging
+    the boundary) and a Q that fails the PSD test raise
+    :class:`IllConditionedError`.
     """
     _check_constrained_domain(d, b)
     p = pick_matrix(d)
-    z = np.diag(d.nodes)
-    e = np.ones((d.n, 1), dtype=complex)
     j, e_tilde = jet_matrices(b, 1)
-    q, q_tilde = stein_solve(j, e_tilde, z, e)
-
-    res_q = operator_norm(q - j @ q @ j.conj().T - e_tilde @ e_tilde.conj().T)
-    res_t = operator_norm(q_tilde - j @ q_tilde @ z.conj().T - e_tilde @ e.conj().T)
-    for res, solution in ((res_q, q), (res_t, q_tilde)):
-        if res > tol.residual_tol * (1.0 + operator_norm(solution)):
-            raise IllConditionedError(f"Stein residual {res:.3e} out of tolerance")
+    q, q_tilde, amplification = _node_part(d.nodes, b)
+    if not amplification <= STEIN_COND_LIMIT:  # written so that NaN is refused
+        raise IllConditionedError(
+            f"Stein operator amplification ~ {amplification:.3e} exceeds {STEIN_COND_LIMIT:.1e}",
+            cond=amplification,
+        )
     # Q is positive definite (controllability of the jet pair), but for
     # high multiplicities its smallest eigenvalue comes very close to 0.
     min_eig, scale = psd_margin(q)
@@ -379,7 +381,6 @@ def assemble_bundle(
         j=j,
         e_tilde=e_tilde,
         q_inv=q_inv,
-        stein_residuals=(res_q, res_t),
     )
 
 

@@ -160,10 +160,41 @@ def fresh_builder(data, b=None):
     return a0, terms
 
 
+def stein_kronecker(j, e_tilde, z, e):
+    """Solve the two Stein equations as finite linear systems.
+
+    Test-side oracle for the library's entrywise node part: solves
+    ``Q - J Q J* = Et Et*`` via the vectorized operator
+    ``I - conj(J) (x) J`` and ``Qt - J Qt Z* = Et E*`` in one batched
+    solve over its columns (``Z`` is diagonal, so they decouple).
+
+    Returns ``(q, q_tilde, amplification)`` with ``q`` Hermitian-exact
+    and ``amplification`` the reciprocal of the smallest singular value
+    of the two operators (infinite when one is singular).
+    """
+    j, e_tilde, z, e = (np.asarray(a, dtype=complex) for a in (j, e_tilde, z, e))
+    kd = j.shape[0]
+    op = np.eye(kd * kd, dtype=complex) - np.kron(j.conj(), j)
+    # Amplification of the solve; blows up as |lambda_i conj(z_j)| -> 1.
+    smin = np.linalg.svd(op, compute_uv=False)[-1]
+    zdiag = np.diag(z)
+    col_ops = np.eye(kd)[None, :, :] - np.conj(zdiag)[:, None, None] * j[None, :, :]
+    smin = min(smin, np.min(np.linalg.svd(col_ops, compute_uv=False)[:, -1]))
+    cond = np.inf if smin == 0 else 1.0 / smin
+    rhs = (e_tilde @ e_tilde.conj().T).reshape(-1, order="F")
+    q = np.linalg.solve(op, rhs).reshape(kd, kd, order="F")
+    q = hermitian_part(q)
+
+    # Qt column i solves (I - conj(z_i) J) Qt_i = (Et E*)_i.
+    rhs_t = e_tilde @ e.conj().T
+    q_tilde = np.linalg.solve(col_ops, rhs_t.T[:, :, None])[:, :, 0].T
+    return q, q_tilde, cond
+
+
 def stein_series(j, e_tilde, z, e, terms=200):
     """Truncated-series solutions of the Stein equations.
 
-    Test-side oracle for the library's exact ``stein_solve``:
+    Test-side oracle for the library's exact node part:
     ``Q = sum_i J^i Et Et* J*^i`` and ``Qt = sum_i J^i Et E* Z*^i``,
     truncated after ``terms`` terms.
     """
@@ -525,13 +556,13 @@ def rng():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Count the ``np.linalg`` eigh, eigvalsh, cholesky, inv and svd calls made during a test.
+    """Count the ``np.linalg`` eigh, eigvalsh, cholesky, inv, solve and svd calls of a test.
 
     Returns a ``Counter`` keyed by function name.  The library looks each
     function up on ``np.linalg`` at call time, so every call is counted.
     """
     counts = collections.Counter()
-    for name in ("eigh", "eigvalsh", "cholesky", "inv", "svd"):
+    for name in ("eigh", "eigvalsh", "cholesky", "inv", "solve", "svd"):
         original = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -567,8 +598,8 @@ def kron_oracle(monkeypatch):
 
     Test-side oracle for ``_kron``: after the returned function is called,
     every build in the test forms the node matrix, the bundle's arrays
-    tensored with ``I_k``, the Cauchy blocks of the body pencil and the
-    Stein operator with ``np.kron`` itself.
+    tensored with ``I_k`` and the Cauchy blocks of the body pencil with
+    ``np.kron`` itself.
     """
 
     def use_np_kron():

@@ -93,6 +93,18 @@ def test_check_overlap_conflict(workdir, capsys):
     assert doc["status"] == "Infeasible" and doc["margin"] is None
 
 
+@pytest.mark.parametrize("first", [0.3, 0.31], ids=["on-zero", "off-zero"])
+def test_check_residual_tol_below_rounding_decides(workdir, capsys, first):
+    # A residual_tol of 1e-40 sets how closely overlap values agree; it does not refuse the bundle.
+    blaschke = {"zeros": [[0.3, 0.0], [-0.2, 0.4]], "multiplicities": [2, 1]}
+    path = write_problem(workdir / "p.json", [first, 0.5 + 0.1j], [0.1, 0.2], blaschke)
+    doc = json.loads(path.read_text())
+    doc["tolerances"] = {"residual_tol": 1e-40}
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "Infeasible"
+
+
 @pytest.mark.parametrize(
     "nodes, values, blaschke",
     [
