@@ -40,8 +40,15 @@ matrix tensored with ``I_k``, and ``G = G_1 (x) I_k``.  The value part
 ``V = diag(W_1, ..., W_n, x, ..., x)`` depends on the values and ``x``
 only.  The Caratheodory-Fejer form is ``G - V G V*``, whose node block
 ``K - Wd K Wd*`` is the classical Pick matrix (read from
-:func:`pick_matrix`, block by block), and the linearized form is its
-Schur lift: corner ``Q``, mirrored block ``Q^-1``.
+:func:`pick_matrix`), and the linearized form is its Schur lift, taken
+through the congruence ``diag(I, R^-1, R*)`` with ``Q = R R*``:
+
+    [ P                  Psi* - Wd Psi* Xd*   0  ]
+    [ Psi - Xd Psi Wd*   I                    Xd ]
+    [ 0                  Xd*                  I  ]
+
+``Psi`` (``R^-1 Qt`` up to row phases) is the Takenaka-Malmquist basis of
+``K_B = H^2 - B H^2`` at the nodes, in closed form: nothing is inverted.
 
 All builders are Hermitian-exact: Hermitian blocks are filled once and
 mirrored, never recomputed, so ``||M - M*|| = 0`` holds to the bit.
@@ -197,10 +204,11 @@ class PickBundle:
     definite, the identity exactly when all constraint zeros sit at the
     origin) and ``q_tilde`` (coupling jets to nodes) are views of its
     blocks.  ``p`` is the classical Pick matrix, ``j`` and ``e_tilde``
-    the jet matrices at the constraint zeros and ``q_inv`` the inverse
-    of ``Q``.  ``g``, ``j``, ``e_tilde`` and ``q_inv`` are their ``k = 1``
-    arrays ``(x) I_k``.  Every array is read-only, so a bundle is
-    immutable after construction and safe to share across threads.
+    the jet matrices at the constraint zeros and ``basis`` the block
+    ``Psi`` of the linearized form, in place of ``Qt`` and ``Q^-1``
+    (``Psi = Qt`` when all zeros sit at the origin).  ``g``, ``j``,
+    ``e_tilde`` and ``basis`` are their ``k = 1`` arrays ``(x) I_k``.
+    Every array is read-only, so a bundle is safe to share across threads.
     """
 
     data: DataSet
@@ -209,7 +217,7 @@ class PickBundle:
     p: np.ndarray
     j: np.ndarray
     e_tilde: np.ndarray
-    q_inv: np.ndarray
+    basis: np.ndarray
 
     @property
     def q(self) -> np.ndarray:
@@ -287,7 +295,7 @@ STEIN_COND_LIMIT = 1e13
 
 
 def _node_part(nodes: np.ndarray, b: BlaschkeSpec):
-    """``(Q, Qt, amplification)`` of the ``k = 1`` node part, built exactly with no solver.
+    """``(Q, Qt, Psi, amplification)`` of the ``k = 1`` node part, built exactly with no solver.
 
     Both are Gram matrices of Szego-kernel jets: ``Qt[(lam, p), i] =
     conj(z_i)^p / (1 - lam conj(z_i))^(p + 1)``, and ``Q - J Q J* = Et Et*``
@@ -299,6 +307,11 @@ def _node_part(nodes: np.ndarray, b: BlaschkeSpec):
     ``P - J P J* = I`` is the same run with ``[p = q]``, within each zero.
     The amplification is ``max(||P||_inf, max_i ||(I - conj(z_i) J)^-1||_inf)``,
     the latter the largest sum of ``|Qt|`` over one node and one zero's jets.
+    ``Psi[m, i] = conj(e_m(z_i))`` (``Phi^-1 Qt`` for the triangular factor ``Q = Phi Phi*``)
+    is the orthonormal Takenaka-Malmquist basis of ``K_B`` at the nodes, with ``a`` the zeros
+    in jet order: ``e_m(z) = sqrt(1 - |a_m|^2) / (1 - conj(a_m) z) prod_{j < m} b_(a_j)(z)``.
+    The product is taken as powers of each zero's factor, so zeros at the origin give the
+    bits of ``Qt``.
     """
     lam, mult = b.zeros, b.multiplicities
     top, starts = int(mult.max()), np.cumsum(mult) - mult
@@ -306,6 +319,10 @@ def _node_part(nodes: np.ndarray, b: BlaschkeSpec):
     jet = np.arange(b.degree) - starts[zero]  # its order
     zc = nodes.conj()
     q_tilde = zc ** jet[:, None] / (1.0 - lam[zero, None] * zc) ** (jet[:, None] + 1)
+    factor = (zc - lam.conj()[:, None]) / (1.0 - lam[:, None] * zc)  # conj(b_lam(z_i))
+    earlier = np.cumprod(np.vstack([np.ones_like(zc), factor[:-1] ** mult[:-1, None]]), axis=0)
+    head = np.sqrt(1.0 - np.abs(lam) ** 2)[:, None] / (1.0 - lam[:, None] * zc)
+    basis = (head * earlier)[zero] * factor[zero] ** jet[:, None]
     # runs[0 or 1, a, c, p + q + 2, p + 1] is Q or P at (lam_a, p), (lam_c, q), seeded with
     # the right-hand side; the zero padding stands for the entries at p - 1 or q - 1 = -1.
     runs = np.zeros((2, lam.size, lam.size, 2 * top + 1, top + 1), dtype=complex)
@@ -319,7 +336,7 @@ def _node_part(nodes: np.ndarray, b: BlaschkeSpec):
     q, p = runs[:, zero[:, None], zero, jet[:, None] + jet + 2, jet[:, None] + 1]
     p_norm = np.max(np.sum(np.abs(p) * (zero[:, None] == zero), axis=1))
     column_norm = np.max(np.add.reduceat(np.abs(q_tilde), starts, axis=0))
-    return hermitian_part(q), q_tilde, max(p_norm, column_norm)
+    return hermitian_part(q), q_tilde, basis, max(p_norm, column_norm)
 
 
 def _check_constrained_domain(d: DataSet, b: BlaschkeSpec):
@@ -344,8 +361,9 @@ def assemble_bundle(
 ) -> PickBundle:
     """Precompute everything the general-Blaschke builders need.
 
-    The node part is built exactly, with no solver, once at ``k = 1``
-    (:func:`_node_part`): ``g``, ``q_inv``, ``j`` and ``e_tilde`` are the
+    The node part and the identity-corner block ``Psi``
+    (:func:`_node_part`) are built exactly, with no solve or inverse,
+    once at ``k = 1``: ``g``, ``basis``, ``j`` and ``e_tilde`` are the
     scalar arrays ``(x) I_k``, so :data:`STEIN_COND_LIMIT` refuses the same
     data at every ``k``.  Amplification beyond it (zeros or nodes hugging
     the boundary) and a Q that fails the PSD test raise
@@ -354,7 +372,7 @@ def assemble_bundle(
     _check_constrained_domain(d, b)
     p = pick_matrix(d)
     j, e_tilde = jet_matrices(b, 1)
-    q, q_tilde, amplification = _node_part(d.nodes, b)
+    q, q_tilde, basis, amplification = _node_part(d.nodes, b)
     if not amplification <= STEIN_COND_LIMIT:  # written so that NaN is refused
         raise IllConditionedError(
             f"Stein operator amplification ~ {amplification:.3e} exceeds {STEIN_COND_LIMIT:.1e}",
@@ -366,22 +384,13 @@ def assemble_bundle(
     if min_eig < -tol.psd_tol * scale:
         raise IllConditionedError(f"Stein solution not PSD: min eig = {min_eig:.3e}")
 
-    q_inv = hermitian_part(np.linalg.solve(q, np.eye(q.shape[0], dtype=complex)))
     cauchy = hermitian_part(1.0 / (1.0 - np.outer(d.nodes, d.nodes.conj())))
     g = np.vstack([np.hstack([cauchy, q_tilde.conj().T]), np.hstack([q_tilde, q])])
     ik = np.eye(d.k, dtype=complex)
-    g, j, e_tilde, q_inv = (_kron(array, ik) for array in (g, j, e_tilde, q_inv))
-    for array in (g, p, j, e_tilde, q_inv):
+    g, j, e_tilde, basis = (_kron(array, ik) for array in (g, j, e_tilde, basis))
+    for array in (g, p, j, e_tilde, basis):
         array.flags.writeable = False
-    return PickBundle(
-        data=d,
-        blaschke=b,
-        g=g,
-        p=p,
-        j=j,
-        e_tilde=e_tilde,
-        q_inv=q_inv,
-    )
+    return PickBundle(data=d, blaschke=b, g=g, p=p, j=j, e_tilde=e_tilde, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +434,21 @@ def constrained_pick(
 ) -> np.ndarray:
     """Linearized constrained Pick matrix for a general Blaschke constraint.
 
-    The Schur lift of the Caratheodory-Fejer form ``G - V G V*``: its
-    jet corner becomes ``Q`` and a mirrored block ``Q^-1`` is coupled in
-    through ``Xd``.  Rows and columns are grouped (nodes, jets, mirrored
-    jets):
+    The Schur lift of the Caratheodory-Fejer form ``G - V G V*`` (corner
+    ``Q``, mirrored block ``Q^-1``) under the congruence
+    ``diag(I, R^-1, R*)``, ``Q = R R*``.  Rows and columns are grouped
+    (nodes, jets, mirrored jets):
 
-        [ P                Qt* - Wd Qt* Xd*   0     ]
-        [ Qt - Xd Qt Wd*   Q                  Xd    ]
-        [ 0                Xd*                Q^-1  ]
+        [ P                  Psi* - Wd Psi* Xd*   0  ]
+        [ Psi - Xd Psi Wd*   I                    Xd ]
+        [ 0                  Xd*                  I  ]
 
-    with ``Wd`` the block diagonal of the target matrices and ``Xd`` the
-    block-diagonal repetition of ``x`` over the jet blocks.  Solvability
-    of the constrained interpolation problem is equivalent to this
-    matrix being PSD for some ``x``.  For ``B(z) = z^2`` it reproduces
-    the 5-block linearized form of that constraint.  It is evaluated as
+    with ``Wd`` the block diagonal of the targets, ``Xd = I_deg (x) x``
+    and ``Psi`` the bundle's ``basis``.  ``R = R_1 (x) I_k`` and the row
+    phases commute with ``Xd``, so the mirrored block stays ``Xd``.
+    Solvability is equivalent to this matrix being PSD for some ``x``.
+    For ``B(z) = z^2`` (``Q = I``, ``Psi = Qt``) it is the 5-block
+    linearized form of that constraint.  It is evaluated as
     ``a0 + L + L*``, ``L = sum_ab x_ab A_ab`` (:func:`constrained_pick_terms`);
     ``L`` and ``L*`` have disjoint supports, so it is Hermitian to the bit.
     """
@@ -456,21 +466,21 @@ def constrained_pick_terms(bundle: PickBundle):
 
         constrained_pick(x) = a0 + sum_ab (x_ab A_ab + conj(x_ab) A_ab*).
 
-    ``a0`` is read off the bundle's blocks, ``[[P, Qt*, 0], [Qt, Q, 0],
-    [0, 0, Q^-1]]``.  ``A_ab`` holds ``-Qt (I_n (x) E_ab) Wd*`` in the
-    (jets, nodes) block (``Xd Qt = Qt (I_n (x) x)``, as ``Qt`` is
-    ``I_k``-structured) and ``I_deg (x) E_ab`` in the (jets, mirrored)
+    ``a0`` is read off the bundle's ``p`` and ``basis``, ``[[P, Psi*, 0],
+    [Psi, I, 0], [0, 0, I]]``.  ``A_ab`` holds ``-Psi (I_n (x) E_ab) Wd*``
+    in the (jets, nodes) block (``Xd Psi = Psi (I_n (x) x)``, as ``Psi``
+    is ``I_k``-structured) and ``I_deg (x) E_ab`` in the (jets, mirrored)
     block, zero elsewhere; ``terms`` has shape (k, k, size, size).
     """
     d, deg = bundle.data, bundle.blaschke.degree
     k, nk, dk = d.k, d.n * d.k, deg * d.k
-    a0 = np.zeros((nk + 2 * dk, nk + 2 * dk), dtype=complex)
-    a0[: nk + dk, : nk + dk] = bundle.g
+    a0 = np.eye(nk + 2 * dk, dtype=complex)
     a0[:nk, :nk] = bundle.p
-    a0[nk + dk :, nk + dk :] = bundle.q_inv
+    a0[nk : nk + dk, :nk] = bundle.basis
+    a0[:nk, nk : nk + dk] = bundle.basis.conj().T
     terms = np.zeros((k, k) + a0.shape, dtype=complex)
-    # Column (i, c) of Qt (I_n (x) E_ab) Wd* is Qt[:, (i, a)] conj(W_i[c, b]).
-    coupling = np.einsum("ria,icb->abric", bundle.q_tilde.reshape(dk, d.n, k), d.values.conj())
+    # Column (i, c) of Psi (I_n (x) E_ab) Wd* is Psi[:, (i, a)] conj(W_i[c, b]).
+    coupling = np.einsum("ria,icb->abric", bundle.basis.reshape(dk, d.n, k), d.values.conj())
     terms[:, :, nk : nk + dk, :nk] = -coupling.reshape(k, k, dk, nk)
     jets = k * np.arange(deg)
     for a, b in np.ndindex(k, k):

@@ -118,13 +118,30 @@ def random_blaschke(seed, max_degree=4):
     return BlaschkeSpec(zeros, np.array(mult))
 
 
-def constrained_pick_lift(bundle, x):
-    """The linearized constrained Pick matrix as the Schur lift of the CF form.
+def degree4_feasible(rng, n):
+    """Degree-4 data from ``c + B g``: two double zeros off the origin.
 
-    Test-side oracle for the library's evaluation of the affine map: the
-    Caratheodory-Fejer form ``G - V G V*`` with its jet corner replaced
-    by ``Q``, bordered by ``Xd = I_deg (x) x`` and the mirrored block
-    ``Q^-1``, assembled with ``np.block``.
+    Test-side copy of the benchmark's construction: ``g`` is a scaled
+    disk automorphism and ``|c| + ||g|| < 0.9``, so the data are feasible;
+    scaling the values walks them past their threshold.
+    """
+    b = BlaschkeSpec(distinct_nodes(rng, 2, rmin=0.2, rmax=0.6, gap=0.1), np.array([2, 2]))
+    nodes = distinct_nodes(rng, n)
+    c = rng.uniform(0.0, 0.4) * np.exp(2j * np.pi * rng.uniform())
+    gain = rng.uniform(0.0, 0.9 - abs(c)) * np.exp(2j * np.pi * rng.uniform())
+    h = rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
+    values = c + b.evaluate(nodes) * gain * (nodes - h) / (1.0 - np.conj(h) * nodes)
+    return DataSet.scalar(nodes, values), b
+
+
+def constrained_pick_lift(bundle, x):
+    """The linearized constrained Pick matrix as the unconjugated Schur lift of the CF form.
+
+    The Caratheodory-Fejer form ``G - V G V*`` with its jet corner
+    replaced by ``Q``, bordered by ``Xd = I_deg (x) x`` and the mirrored
+    block ``Q^-1`` (inverted here, on the test side), assembled with
+    ``np.block``.  The library evaluates its congruent image,
+    :func:`congruent_lift`.
     """
     d, b = bundle.data, bundle.blaschke
     x = _as_param(x, d.k)
@@ -133,14 +150,50 @@ def constrained_pick_lift(bundle, x):
     form[nk:, nk:] = bundle.q
     x_d = np.kron(np.eye(b.degree, dtype=complex), x)
     x_col = np.vstack([np.zeros((nk, x_d.shape[1]), dtype=complex), x_d])
-    return np.block([[form, x_col], [x_col.conj().T, bundle.q_inv]])
+    q_inv = hermitian_part(np.linalg.inv(bundle.q))
+    return np.block([[form, x_col], [x_col.conj().T, q_inv]])
+
+
+def lift_congruence(bundle):
+    """``T = diag(I, Phi R^-1, Phi R*)``, with ``R = cholesky(Q)`` and ``Phi`` the row phases.
+
+    The Takenaka-Malmquist factor of ``Q`` (lower triangular, with
+    ``e_m``'s leading jet at ``a_m`` on the diagonal) is ``R`` times the
+    phases of the earlier zeros' Blaschke factors at ``a_m``; ``Phi``
+    undoes them, so ``Phi R^-1 Qt`` is the library's ``basis``.
+    """
+    d, b = bundle.data, bundle.blaschke
+    lam, mult = b.zeros, b.multiplicities
+    lead = np.array([
+        np.prod([((a - mu) / (1.0 - np.conj(mu) * a)) ** r for mu, r in zip(lam[:c], mult[:c])])
+        for c, a in enumerate(lam)
+    ])
+    phi = np.diag(np.repeat(np.conj(lead) / np.abs(lead), mult * d.k))
+    r = np.linalg.cholesky(bundle.q)
+    nk, dk = d.n * d.k, b.degree * d.k
+    t = np.zeros((nk + 2 * dk, nk + 2 * dk), dtype=complex)
+    t[:nk, :nk] = np.eye(nk)
+    t[nk : nk + dk, nk : nk + dk] = phi @ np.linalg.inv(r)
+    t[nk + dk :, nk + dk :] = phi @ r.conj().T
+    return t
+
+
+def congruent_lift(bundle, x):
+    """``T A T*`` for the Schur lift ``A`` of :func:`constrained_pick_lift`.
+
+    Test-side oracle for the library's linearized form: ``T`` makes both
+    corners identities and the mirrored block stays ``Xd``.  Equal to the
+    library's matrix to rounding amplified by ``cond(Q)``, not to the bit.
+    """
+    t = lift_congruence(bundle)
+    return hermitian_part(t @ constrained_pick_lift(bundle, x) @ t.conj().T)
 
 
 def fresh_builder(data, b=None):
     """Affine coefficients ``(a0, terms)`` of the constrained Pick matrix by finite differences.
 
     Test-side oracle, independent of the library's closed form: ``2 k^2 + 1``
-    builds of :func:`constrained_pick_lift` give ``a0 = A(0)`` and
+    builds of :func:`congruent_lift` give ``a0 = A(0)`` and
     ``terms[a, b] = ((A(E_ab) - a0) - i (A(i E_ab) - a0)) / 2``.
     """
     b = b if b is not None else BlaschkeSpec.z_squared()
@@ -148,7 +201,7 @@ def fresh_builder(data, b=None):
     k = data.k
 
     def build(x):
-        return constrained_pick_lift(bundle, x)
+        return congruent_lift(bundle, x)
 
     a0 = build(np.zeros((k, k), dtype=complex))
     terms = np.empty((k, k) + a0.shape, dtype=complex)

@@ -204,6 +204,34 @@ def test_check_matrix_data_infeasible_exit_1(workdir, capsys):
     assert bound <= out["grid_stats"]["upper_bound"] + 1e-12
 
 
+def test_check_degree4_below_its_own_dual_bound_exit_1(workdir, capsys):
+    """Degree-4 data whose dual bound is negative at a CF-sized scale: Infeasible, certified."""
+    doc = {
+        "k": 1,
+        "nodes": [[-0.10078682161407505, 0.4247439276739423],
+                  [-0.19209133188690974, 0.3373740606543954],
+                  [-0.28051246153244747, -0.2602229353910166]],
+        "values": [[[[0.1580619759559745, 0.47143391958982706]]],
+                   [[[0.16091433632180868, 0.4705816935782864]]],
+                   [[[0.1692471422600311, 0.45395031880304865]]]],
+        "blaschke": {"zeros": [[-0.17161480344525007, 0.3070073215512465],
+                               [-0.1866993594051302, 0.12453422065859715]],
+                     "multiplicities": [2, 2]},
+        "tolerances": {"psd_tol": 1e-09, "residual_tol": 1e-08},
+    }
+    path = workdir / "p.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", str(path), "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["status"] == "Infeasible"
+    assert out["grid_stats"]["best_scale"] <= 10.0
+    problem = parse_problem(path)
+    report = search_x_grid(problem.data, problem.blaschke, problem.tol)
+    assert report.certificate_kind == "dual"
+    bound = _dual_bound(*fresh_builder(problem.data, problem.blaschke), report.certificate)
+    assert bound < -problem.tol.psd_tol * report.grid_stats["best_scale"]
+
+
 def test_solve_then_verify_round_trip(workdir, capsys):
     path = write_problem(workdir / "p.json", [0.5], [0.5])
     chain_path = workdir / "chain.json"

@@ -47,10 +47,11 @@ from cnpick.interpolant import generate_feasible
 
 from conftest import (
     accept5_instances,
+    congruent_lift,
     constrained_pick_z2_quadratic,
+    degree4_feasible,
     disk_grid_oracle,
     disk_point,
-    constrained_pick_lift,
     fresh_builder,
     matrix_feasible,
     node_matrices,
@@ -647,8 +648,8 @@ class TestWitnessRecheck:
 
     CF_TOL = ToleranceConfig(psd_tol=1e-7)
 
-    def passes_cf(self, data, report):
-        cf = constrained_pick_cf(data, BlaschkeSpec.z_squared(), report.witness_x)
+    def passes_cf(self, data, report, b=BlaschkeSpec.z_squared()):
+        cf = constrained_pick_cf(data, b, report.witness_x)
         return is_psd(cf, self.CF_TOL)[0]
 
     def test_solver_and_lambda_witnesses(self):
@@ -675,6 +676,32 @@ class TestWitnessRecheck:
                 assert report.certificate is not None
         assert feasible >= 10 and infeasible >= 40
 
+    def test_scaled_degree4_family(self):
+        """Degree-4 data scaled by s = 1, ..., 8 while |s W| < 1: 189 runs over 40 instances.
+
+        The lifted LMI has identity corners, so its scale is that of the
+        CF form: every ``best_scale`` stays below 10, no Feasible verdict
+        sits on its own negative dual bound, and every Feasible witness
+        passes the CF form.
+        """
+        rng = rng_for(11)
+        runs = feasible = 0
+        for _ in range(40):
+            data, b = degree4_feasible(rng, int(rng.integers(2, 5)))
+            for s in range(1, 9):
+                if np.max(np.abs(s * data.values)) >= 1.0:
+                    break
+                scaled = DataSet(data.nodes, s * data.values)
+                report = search_x_grid(scaled, b)
+                stats = report.grid_stats
+                runs += 1
+                assert stats["best_scale"] <= 10.0
+                if report.feasible:
+                    feasible += 1
+                    assert stats["upper_bound"] >= -DEFAULT_TOL.psd_tol * stats["best_scale"]
+                    assert self.passes_cf(scaled, report, b)
+        assert (runs, feasible) == (189, 109)
+
 
 def degree4_blaschke():
     return BlaschkeSpec(np.array([0.4 + 0.2j, -0.3 + 0.3j]), np.array([2, 2]))
@@ -699,7 +726,7 @@ class TestBatchEvaluator:
         for x in xs:
             mat = a0 + np.einsum("ab,abij->ij", x, terms)
             mat = mat + np.einsum("ab,abji->ij", x.conj(), terms.conj())
-            direct = constrained_pick_lift(bundle, x)
+            direct = congruent_lift(bundle, x)
             assert np.max(np.abs(mat - direct)) <= 1e-12 * (1.0 + np.max(np.abs(direct)))
 
     @pytest.mark.parametrize(

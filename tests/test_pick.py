@@ -20,8 +20,8 @@ from cnpick.pick import (
 )
 
 from conftest import (
+    congruent_lift,
     constrained_pick_cf_blocks,
-    constrained_pick_lift,
     constrained_pick_z2,
     constrained_pick_z2_quadratic,
     distinct_nodes,
@@ -227,7 +227,7 @@ class TestStein:
             else:
                 assert amplification <= STEIN_COND_LIMIT
             if amplification <= 1e15:
-                assert 1.0 - 1e-14 <= _node_part(d.nodes, b)[2] / amplification <= 2.0
+                assert 1.0 - 1e-14 <= _node_part(d.nodes, b)[3] / amplification <= 2.0
         assert refused == 398
 
     def test_high_multiplicity_is_built_to_rounding(self):
@@ -240,22 +240,22 @@ class TestStein:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("k", [2, 3])
     def test_node_part_is_the_scalar_one_tensor_identity(self, k, seed):
-        # G = G_1 (x) I_k, and likewise Q^-1, J and Et: exactly, not to rounding.
+        # G = G_1 (x) I_k, and likewise Psi, J and Et: exactly, not to rounding.
         b = random_blaschke(seed + 1000, max_degree=8)
         d = random_dataset(seed + 1100, n=int(rng_for(seed).integers(1, 4)), k=k)
         bundle = assemble_bundle(d, b)
         scalar = assemble_bundle(DataSet.scalar(d.nodes, np.zeros(d.n)), b)
-        for name in ("g", "q_inv", "j", "e_tilde"):
+        for name in ("g", "basis", "j", "e_tilde"):
             assert np.array_equal(getattr(bundle, name), np.kron(getattr(scalar, name), np.eye(k)))
 
-    def test_bundle_solves_only_for_q_inverse(self, linalg_calls):
-        # No SVD and no Stein solve: one solve for Q^-1 and one eigvalsh for Q's PSD test.
+    def test_bundle_solves_nothing(self, linalg_calls):
+        # No solve, SVD or factorisation: one eigvalsh, for Q's PSD test, per bundle.
         b = BlaschkeSpec(np.array([0.2, -0.3j]), np.array([3, 1]))
         for k in (1, 2, 3):
             before = linalg_calls.copy()
             assemble_bundle(random_dataset(5, n=2, k=k), b)
             made = linalg_calls - before
-            assert (made["svd"], made["solve"], made["eigvalsh"]) == (0, 1, 1)
+            assert [made[name] for name in ("solve", "svd", "cholesky", "eigvalsh")] == [0, 0, 0, 1]
 
 
 class TestGramPair:
@@ -291,21 +291,24 @@ class TestGramPair:
         scale = operator_norm(oracle)
         cf = constrained_pick_cf(d, b, x, bundle=bundle)
         assert operator_norm(cf - oracle) <= 1e-14 * scale
-        # The linearized form lifts the CF form: corner Q, mirrored block Q^-1.
+        # The linearized form is the congruent image of the Schur lift of the CF form:
+        # identity corners, the mirrored block Xd, and Psi in place of Qt.
         nk, dk = d.n * k, b.degree * k
-        oracle[nk:, nk:] = bundle.q
         full = constrained_pick(d, b, x, bundle=bundle)
-        assert operator_norm(full[: nk + dk, : nk + dk] - oracle) <= 1e-14 * scale
-        assert operator_norm(full - constrained_pick_lift(bundle, x)) <= 1e-14 * scale
+        lift = congruent_lift(bundle, x)
+        rounding = 1e-15 * np.linalg.cond(bundle.q) * operator_norm(lift)
+        assert operator_norm(full - lift) <= rounding
+        assert np.array_equal(full[:nk, :nk], bundle.p)
         assert np.array_equal(full[nk : nk + dk, nk + dk :], np.kron(np.eye(b.degree), x))
         assert not full[:nk, nk + dk :].any()
-        assert np.array_equal(full[nk + dk :, nk + dk :], bundle.q_inv)
+        for corner in (slice(nk, nk + dk), slice(nk + dk, None)):
+            assert np.array_equal(full[corner, corner], np.eye(dk))
 
     def test_bundle_is_read_only(self):
         d = DataSet(np.array([0.5, -0.3 + 0.2j]), 0.3 * np.stack([np.eye(2), 1j * np.eye(2)]))
         b = BlaschkeSpec(np.array([0.2, -0.1j]), np.array([2, 1]))
         bundle = assemble_bundle(d, b)
-        for name in ("g", "p", "j", "e_tilde", "q_inv", "q", "q_tilde"):
+        for name in ("g", "p", "j", "e_tilde", "basis", "q", "q_tilde"):
             with pytest.raises(ValueError):
                 getattr(bundle, name)[0, 0] = 5.0
         x = np.array([[0.3, 0.1j], [0.0, -0.2]])
@@ -382,7 +385,8 @@ class TestGeneralBuilders:
         m = constrained_pick(d, b, 0.0, bundle=bundle)
         nk, dk = d.n, b.degree
         assert np.allclose(m[nk : nk + dk, nk + dk :], np.zeros((dk, dk)))
-        assert np.allclose(m[nk : nk + dk, nk : nk + dk], bundle.q)
+        assert np.array_equal(m[nk:, nk:], np.eye(2 * dk))
+        assert np.array_equal(m[nk : nk + dk, :nk], bundle.basis)
 
     def test_cf_expansive_parameter(self):
         d = DataSet.scalar([0.5], [0.0])
@@ -478,7 +482,7 @@ class TestOverlap:
         b = BlaschkeSpec(np.array([0.3]), np.array([1]))
         report = search_x_grid(d, b)
         assert report.status == FEASIBLE  # the constant 0.2 solves the whole instance
-        assert report.margin == pytest.approx(0.08315492751794226, rel=1e-12)
+        assert report.margin == pytest.approx(0.07890188361068684, rel=1e-12)
         assert report.detail == self.REDUCED
         assert np.array_equal(report.witness_x, [[0.2]])
 
@@ -497,7 +501,7 @@ class TestOverlap:
         b = BlaschkeSpec(np.array([0.3]), np.array([2]))
         report = search_x_grid(d, b)
         assert report.status == FEASIBLE and report.detail == self.REDUCED
-        assert report.margin == pytest.approx(0.009566054857440099, rel=1e-12)
+        assert report.margin == pytest.approx(0.008214446465154648, rel=1e-12)
         assert np.array_equal(report.witness_x, w)
 
     def test_total_overlap_expansive_value_infeasible(self):
@@ -513,7 +517,7 @@ class TestOverlap:
         b = BlaschkeSpec(np.array([0.3, 0.5]), np.array([2, 1]))
         report = search_x_grid(d, b)
         assert report.status == INFEASIBLE and report.detail == self.REDUCED
-        assert report.margin == pytest.approx(-0.0765750743443135, rel=1e-12)
+        assert report.margin == pytest.approx(-0.08340600670932795, rel=1e-12)
         assert report.witness_x is None
         # The certificate v v* re-checks on a freshly built matrix at the shared value.
         pick = constrained_pick(DataSet.scalar([-0.4j], [0.5]), b, np.array([[0.1]]))
@@ -534,7 +538,7 @@ class TestOverlap:
         b = BlaschkeSpec(np.array([0.3, 0.5]), np.array([2, 1]))
         report = search_x_grid(d, b)
         assert report.status == FEASIBLE and report.detail == self.REDUCED
-        assert report.margin == pytest.approx(0.0004482680449298271, rel=1e-12)
+        assert report.margin == pytest.approx(0.006241237438687486, rel=1e-12)
         assert np.array_equal(report.witness_x, [[0.1]])
         rest = DataSet.scalar([-0.4j], [0.05j])
         assert is_psd(constrained_pick_cf(rest, b, report.witness_x))[0]
@@ -546,7 +550,7 @@ class TestBuildBits:
     @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a0_is_the_build_at_zero(self, degree, k):
-        # Entry for entry; the build at x = 0 conjugates zero blocks, so a zero may differ in sign.
+        # To rounding: the oracle conjugates the Schur lift with Cholesky factors of Q.
         rng = rng_for(100 * degree + k)
         zeros = 0.5 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
         mult = [degree - degree // 2, degree // 2][: 1 + (degree > 1)]  # one zero for degree 1
@@ -554,7 +558,8 @@ class TestBuildBits:
         d = random_dataset(degree + k, n=3, k=k)
         bundle = assemble_bundle(d, b)
         a0, _ = constrained_pick_terms(bundle)
-        assert np.array_equal(a0, constrained_pick_lift(bundle, np.zeros((k, k))))
+        lift = congruent_lift(bundle, np.zeros((k, k)))
+        assert operator_norm(a0 - lift) <= 1e-15 * np.linalg.cond(bundle.q) * operator_norm(lift)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kron_free_arrays_match_np_kron(self, seed, kron_oracle):
@@ -566,7 +571,7 @@ class TestBuildBits:
         def builds():
             bundle = assemble_bundle(d, b)
             ball = unconstrained_body(d, 0.1 - 0.2j)
-            return (bundle.g, bundle.p, bundle.q_inv, np.array(bundle.stein_residuals),
+            return (bundle.g, bundle.p, bundle.basis, np.array(bundle.stein_residuals),
                     constrained_pick(d, b, x, bundle=bundle), ball.center, ball.left, ball.right,
                     *pencil_build(d))
 
@@ -574,3 +579,24 @@ class TestBuildBits:
         kron_oracle()
         for array, expected in zip(arrays, builds(), strict=True):
             assert array.tobytes() == expected.tobytes()
+
+
+class TestBasis:
+    """The Takenaka-Malmquist block ``Psi`` of the linearized form."""
+
+    def test_gram_is_the_kernel_of_k_b(self):
+        # Psi* Psi = (1 - B(z_i) conj(B(z_j))) / (1 - z_i conj(z_j)), over 300 random B.
+        for seed in range(300):
+            rng = rng_for(95_000 + seed)
+            m = int(rng.integers(1, 4))
+            b = BlaschkeSpec(distinct_nodes(rng, m, rmin=0.0, rmax=0.9), rng.integers(1, 4, m))
+            nodes = distinct_nodes(rng, 3)
+            psi, values = _node_part(nodes, b)[2], b.evaluate(nodes)
+            kernel = (1.0 - np.outer(values, values.conj())) / (1.0 - np.outer(nodes, nodes.conj()))
+            assert np.max(np.abs(psi.conj().T @ psi - kernel)) <= 1e-13 * np.max(np.abs(kernel))
+
+    @pytest.mark.parametrize("multiplicity", range(1, 9))
+    def test_origin_zero_gives_the_bits_of_q_tilde(self, multiplicity):
+        d = random_dataset(multiplicity, n=4, k=2)
+        bundle = assemble_bundle(d, BlaschkeSpec(np.array([0.0]), np.array([multiplicity])))
+        assert np.array_equal(bundle.basis, bundle.q_tilde)
