@@ -246,26 +246,13 @@ class PickBundle:
 def pick_matrix(d: DataSet) -> np.ndarray:
     """Classical Pick matrix with blocks ``(I - W_i W_j*) / (1 - z_i conj(z_j))``.
 
-    Upper-triangle blocks are computed once and mirrored, so the result
-    is Hermitian to the bit.
+    One broadcast over all blocks; the strict upper triangle is mirrored
+    and the diagonal taken real, so the result is Hermitian to the bit.
     """
-    n, k = d.n, d.k
-    out = np.empty((n * k, n * k), dtype=complex)
-    eye = np.eye(k, dtype=complex)
-    for i in range(n):
-        rows = slice(i * k, (i + 1) * k)
-        diag = (eye - d.values[i] @ d.values[i].conj().T) / (
-            1.0 - d.nodes[i] * np.conj(d.nodes[i])
-        )
-        out[rows, rows] = hermitian_part(diag)
-        for j in range(i + 1, n):
-            cols = slice(j * k, (j + 1) * k)
-            block = (eye - d.values[i] @ d.values[j].conj().T) / (
-                1.0 - d.nodes[i] * np.conj(d.nodes[j])
-            )
-            out[rows, cols] = block
-            out[cols, rows] = block.conj().T
-    return out
+    w, z = d.values.reshape(d.n * d.k, d.k), np.repeat(d.nodes, d.k)
+    full = (np.tile(np.eye(d.k), (d.n, d.n)) - w @ w.conj().T) / (1.0 - np.outer(z, z.conj()))
+    upper = np.triu(full, 1)
+    return upper + upper.conj().T + np.diag(full.diagonal().real)
 
 
 def jet_matrices(b: BlaschkeSpec, k: int):
