@@ -205,8 +205,8 @@ class PickBundle:
     origin) and ``q_tilde`` (coupling jets to nodes) are views of its
     blocks.  ``p`` is the classical Pick matrix, ``j`` and ``e_tilde``
     the jet matrices at the constraint zeros and ``basis`` the block
-    ``Psi`` of the linearized form, in place of ``Qt`` and ``Q^-1``
-    (``Psi = Qt`` when all zeros sit at the origin).  ``g``, ``j``,
+    ``Psi`` of the linearized form (:func:`constrained_pick`; ``Psi = Qt``
+    when all zeros sit at the origin).  ``g``, ``j``,
     ``e_tilde`` and ``basis`` are their ``k = 1`` arrays ``(x) I_k``.
     Every array is read-only, so a bundle is safe to share across threads.
     """
@@ -284,7 +284,7 @@ STEIN_COND_LIMIT = 1e13
 def _node_part(nodes: np.ndarray, b: BlaschkeSpec):
     """``(Q, Qt, Psi, amplification)`` of the ``k = 1`` node part, built exactly with no solver.
 
-    Both are Gram matrices of Szego-kernel jets: ``Qt[(lam, p), i] =
+    ``Q`` and ``Qt`` are Gram matrices of Szego-kernel jets: ``Qt[(lam, p), i] =
     conj(z_i)^p / (1 - lam conj(z_i))^(p + 1)``, and ``Q - J Q J* = Et Et*``
     reads, entry by entry, for the jet ``p`` at ``lam`` and ``q`` at ``mu``,
 
@@ -296,19 +296,20 @@ def _node_part(nodes: np.ndarray, b: BlaschkeSpec):
     the latter the largest sum of ``|Qt|`` over one node and one zero's jets.
     ``Psi[m, i] = conj(e_m(z_i))`` (``Phi^-1 Qt`` for the triangular factor ``Q = Phi Phi*``)
     is the orthonormal Takenaka-Malmquist basis of ``K_B`` at the nodes, with ``a`` the zeros
-    in jet order: ``e_m(z) = sqrt(1 - |a_m|^2) / (1 - conj(a_m) z) prod_{j < m} b_(a_j)(z)``.
-    The product is taken as powers of each zero's factor, so zeros at the origin give the
-    bits of ``Qt``.
+    in jet order: ``e_m(z) = sqrt(1 - |a_m|^2) / (1 - conj(a_m) z) prod_{j < m} b_(a_j)(z)``,
+    ``b_a(z) = (z - a) / (1 - conj(a) z)``.  The product is taken as powers of each zero's
+    factor, so zeros at the origin give the bits of ``Qt``.
     """
     lam, mult = b.zeros, b.multiplicities
     top, starts = int(mult.max()), np.cumsum(mult) - mult
     zero = np.repeat(np.arange(lam.size), mult)  # the zero of each jet
     jet = np.arange(b.degree) - starts[zero]  # its order
     zc = nodes.conj()
-    q_tilde = zc ** jet[:, None] / (1.0 - lam[zero, None] * zc) ** (jet[:, None] + 1)
-    factor = (zc - lam.conj()[:, None]) / (1.0 - lam[:, None] * zc)  # conj(b_lam(z_i))
+    den = 1.0 - lam[:, None] * zc
+    q_tilde = zc ** jet[:, None] / den[zero] ** (jet[:, None] + 1)
+    factor = (zc - lam.conj()[:, None]) / den  # conj(b_lam(z_i))
     earlier = np.cumprod(np.vstack([np.ones_like(zc), factor[:-1] ** mult[:-1, None]]), axis=0)
-    head = np.sqrt(1.0 - np.abs(lam) ** 2)[:, None] / (1.0 - lam[:, None] * zc)
+    head = np.sqrt(1.0 - np.abs(lam) ** 2)[:, None] / den
     basis = (head * earlier)[zero] * factor[zero] ** jet[:, None]
     # runs[0 or 1, a, c, p + q + 2, p + 1] is Q or P at (lam_a, p), (lam_c, q), seeded with
     # the right-hand side; the zero padding stands for the entries at p - 1 or q - 1 = -1.

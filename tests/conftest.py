@@ -118,6 +118,22 @@ def random_blaschke(seed, max_degree=4):
     return BlaschkeSpec(zeros, np.array(mult))
 
 
+def pick_matrix_loop(d):
+    """The classical Pick matrix block by block, in a double loop over node pairs.
+
+    Test-side reference for the library's broadcast build:
+    ``(I - W_i W_j*) / (1 - z_i conj(z_j))`` from k x k products.
+    """
+    n, k = d.n, d.k
+    out = np.empty((n * k, n * k), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            block = np.eye(k) - d.values[i] @ d.values[j].conj().T
+            block /= 1.0 - d.nodes[i] * np.conj(d.nodes[j])
+            out[i * k : (i + 1) * k, j * k : (j + 1) * k] = block
+    return out
+
+
 def degree4_feasible(rng, n):
     """Degree-4 data from ``c + B g``: two double zeros off the origin.
 
@@ -154,13 +170,17 @@ def constrained_pick_lift(bundle, x):
     return np.block([[form, x_col], [x_col.conj().T, q_inv]])
 
 
-def lift_congruence(bundle):
-    """``T = diag(I, Phi R^-1, Phi R*)``, with ``R = cholesky(Q)`` and ``Phi`` the row phases.
+def congruent_lift(bundle, x):
+    """``T A T*`` for the Schur lift ``A`` of :func:`constrained_pick_lift`.
 
-    The Takenaka-Malmquist factor of ``Q`` (lower triangular, with
-    ``e_m``'s leading jet at ``a_m`` on the diagonal) is ``R`` times the
-    phases of the earlier zeros' Blaschke factors at ``a_m``; ``Phi``
-    undoes them, so ``Phi R^-1 Qt`` is the library's ``basis``.
+    Test-side oracle for the library's linearized form, with
+    ``T = diag(I, Phi R^-1, Phi R*)``, ``R = cholesky(Q)``: both corners
+    become identities and the mirrored block stays ``Xd``.  The
+    Takenaka-Malmquist factor of ``Q`` (lower triangular, ``e_m``'s leading
+    jet at ``a_m`` on its diagonal) is ``R`` times the phases of the
+    earlier zeros' Blaschke factors at ``a_m``; ``Phi`` undoes them, so
+    ``Phi R^-1 Qt`` is the library's ``basis``.  Equal to the library's
+    matrix to rounding amplified by ``cond(Q)``, not to the bit.
     """
     d, b = bundle.data, bundle.blaschke
     lam, mult = b.zeros, b.multiplicities
@@ -175,17 +195,6 @@ def lift_congruence(bundle):
     t[:nk, :nk] = np.eye(nk)
     t[nk : nk + dk, nk : nk + dk] = phi @ np.linalg.inv(r)
     t[nk + dk :, nk + dk :] = phi @ r.conj().T
-    return t
-
-
-def congruent_lift(bundle, x):
-    """``T A T*`` for the Schur lift ``A`` of :func:`constrained_pick_lift`.
-
-    Test-side oracle for the library's linearized form: ``T`` makes both
-    corners identities and the mirrored block stays ``Xd``.  Equal to the
-    library's matrix to rounding amplified by ``cond(Q)``, not to the bit.
-    """
-    t = lift_congruence(bundle)
     return hermitian_part(t @ constrained_pick_lift(bundle, x) @ t.conj().T)
 
 

@@ -681,8 +681,8 @@ class TestWitnessRecheck:
 
         The lifted LMI has identity corners, so its scale is that of the
         CF form: every ``best_scale`` stays below 10, no Feasible verdict
-        sits on its own negative dual bound, and every Feasible witness
-        passes the CF form.
+        has a dual bound below ``-psd_tol * best_scale``, and every
+        Feasible witness passes the CF form.
         """
         rng = rng_for(11)
         runs = feasible = 0

@@ -27,6 +27,7 @@ from conftest import (
     distinct_nodes,
     matrix_feasible,
     node_matrices,
+    pick_matrix_loop,
     random_blaschke,
     random_contraction,
     random_dataset,
@@ -97,6 +98,16 @@ class TestPickMatrix:
         d = random_dataset(seed, k=int(rng_for(seed).integers(1, 3)))
         p = pick_matrix(d)
         assert operator_norm(p - p.conj().T) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_block_loop(self, k):
+        # One matmul rounds differently from the loop's k x k products: a sum of k
+        # products and a division, within (2k + 2) eps of the largest entry.
+        bound = (2 * k + 2) * np.finfo(float).eps
+        for seed in range(300):
+            d = random_dataset(seed, n=int(rng_for(seed).integers(1, 9)), k=k, wmax=1.1)
+            reference = pick_matrix_loop(d)
+            assert np.max(np.abs(pick_matrix(d) - reference)) <= bound * np.max(np.abs(reference))
 
 
 class TestJetMatrices:
