@@ -33,7 +33,7 @@ from .interpolant import (
 )
 from .kernels import necessity_scan
 from .linalg import ToleranceConfig, is_psd, psd_margin
-from .pick import assemble_bundle, constrained_pick, DataSet
+from .pick import assemble_bundle, constrained_pick, DataSet, jet_matrices
 from .problemfile import (
     complex_to_json,
     load_json_text,
@@ -349,17 +349,19 @@ def cmd_stein(args) -> int:
     values = np.zeros((len(nodes), k, k), dtype=complex)
     data = DataSet(np.array(nodes, dtype=complex), values)
     bundle = assemble_bundle(data, blaschke)
+    j, e_tilde = jet_matrices(blaschke, k)
+    res_q, res_t = bundle.stein_residuals
     q_shift_min, _ = psd_margin(bundle.q - np.eye(bundle.q.shape[0]))
     document = {
         "schema": SCHEMA,
         "command": "stein",
         "k": k,
         "degree": blaschke.degree,
-        "j": matrix_to_json(bundle.j),
-        "e_tilde": matrix_to_json(bundle.e_tilde),
+        "j": matrix_to_json(j),
+        "e_tilde": matrix_to_json(e_tilde),
         "q": matrix_to_json(bundle.q),
         "q_tilde": matrix_to_json(bundle.q_tilde),
-        "residuals": {"q": bundle.stein_residuals[0], "q_tilde": bundle.stein_residuals[1]},
+        "residuals": {"q": res_q, "q_tilde": res_t},
         "q_dominates_identity": bool(q_shift_min >= -1e-9),
     }
     _emit(
@@ -367,7 +369,7 @@ def cmd_stein(args) -> int:
         document,
         [
             f"degree {blaschke.degree}, k = {k}",
-            f"Stein residuals: {bundle.stein_residuals[0]:.3e}, {bundle.stein_residuals[1]:.3e}",
+            f"Stein residuals: {res_q:.3e}, {res_t:.3e}",
             f"Q >= I: {document['q_dominates_identity']}",
             json.dumps({"q": document["q"], "q_tilde": document["q_tilde"]}, indent=2),
         ],

@@ -21,27 +21,33 @@ Builders
     Caratheodory-Fejer, and the Schur-complement compression onto the
     node block (the last one needs ``||x|| < 1``).
 
-All of them read one displacement pair.  The node part
+All of them are read off the Caratheodory-Fejer form ``G - V G V*``,
+with the value part ``V = diag(W_1, ..., W_n, x, ..., x)`` and the node
+part
 
     G = [ K   Qt* ]        K_ij = I / (1 - z_i conj(z_j))
         [ Qt  Q   ]
 
-is the Caratheodory-Fejer form of zero-value data at ``x = 0``.  It
+the Caratheodory-Fejer form of zero-value data at ``x = 0``.  ``G``
 depends on the nodes and ``B`` only and solves the Stein equation
 
     G - T G T* = F F*        T = diag(Z, J),  F = [E; Et]
 
-where ``Z, E`` encode the nodes and ``J, Et`` collect Jordan-type jet
-blocks at the constraint zeros.  ``G`` is the Gram matrix of Szego
-kernels at the nodes and of their jets at the zeros, so ``Q`` and ``Qt``
-are built exactly with no solver (solvers are test oracles, outside the
-library), once at ``k = 1``: each of ``Z, E, J, Et`` is its ``k = 1``
-matrix tensored with ``I_k``, and ``G = G_1 (x) I_k``.  The value part
-``V = diag(W_1, ..., W_n, x, ..., x)`` depends on the values and ``x``
-only.  The Caratheodory-Fejer form is ``G - V G V*``, whose node block
-``K - Wd K Wd*`` is the classical Pick matrix (read from
-:func:`pick_matrix`), and the linearized form is its Schur lift, taken
-through the congruence ``diag(I, R^-1, R*)`` with ``Q = R R*``:
+where ``Z, E`` encode the nodes and ``J, Et`` (:func:`jet_matrices`)
+collect Jordan-type jet blocks at the constraint zeros.  ``G`` is the
+Gram matrix of Szego kernels at the nodes and of their jets at the
+zeros, so ``Q`` and ``Qt`` are built exactly with no solver (solvers are
+test oracles, outside the library), once at ``k = 1`` and tensored with
+``I_k``.  ``G`` itself is never built: the node block ``K - Wd K Wd*`` of
+the form is the classical Pick matrix (read from :func:`pick_matrix`),
+so the Caratheodory-Fejer form is assembled from its block formula
+
+    [ P                Qt* - Wd Qt* Xd* ]
+    [ Qt - Xd Qt Wd*   Q - Xd Q Xd*     ]
+
+with ``Wd`` the block diagonal of the targets and ``Xd = I_deg (x) x``.
+The linearized form is its Schur lift, taken through the congruence
+``diag(I, R^-1, R*)`` with ``Q = R R*``:
 
     [ P                  Psi* - Wd Psi* Xd*   0  ]
     [ Psi - Xd Psi Wd*   I                    Xd ]
@@ -197,43 +203,32 @@ class BlaschkeSpec:
 
 @dataclass(frozen=True)
 class PickBundle:
-    """All matrices needed by the general-Blaschke builders, precomputed.
+    """The arrays the general-Blaschke builders read, precomputed.
 
-    ``g`` is the node part ``G = [[K, Qt*], [Qt, Q]]`` (see the module
-    docstring), built exactly with no solver; ``q`` (Hermitian positive
+    ``p`` is the classical Pick matrix.  ``q`` (Hermitian positive
     definite, the identity exactly when all constraint zeros sit at the
-    origin) and ``q_tilde`` (coupling jets to nodes) are views of its
-    blocks.  ``p`` is the classical Pick matrix, ``j`` and ``e_tilde``
-    the jet matrices at the constraint zeros and ``basis`` the block
-    ``Psi`` of the linearized form (:func:`constrained_pick`; ``Psi = Qt``
-    when all zeros sit at the origin).  ``g``, ``j``,
-    ``e_tilde`` and ``basis`` are their ``k = 1`` arrays ``(x) I_k``.
-    Every array is read-only, so a bundle is safe to share across threads.
+    origin) and ``q_tilde`` (coupling jets to nodes) are the jet blocks
+    of the node part (see the module docstring), built exactly with no
+    solver.  ``basis`` is the block ``Psi`` of the linearized form
+    (:func:`constrained_pick`; ``Psi = Qt`` when all zeros sit at the
+    origin).  ``q``, ``q_tilde`` and ``basis`` are their ``k = 1`` arrays
+    ``(x) I_k``.  Every array is read-only, so a bundle is safe to share
+    across threads.
     """
 
     data: DataSet
     blaschke: BlaschkeSpec
-    g: np.ndarray
     p: np.ndarray
-    j: np.ndarray
-    e_tilde: np.ndarray
+    q: np.ndarray
+    q_tilde: np.ndarray
     basis: np.ndarray
-
-    @property
-    def q(self) -> np.ndarray:
-        nk = self.data.n * self.data.k
-        return self.g[nk:, nk:]
-
-    @property
-    def q_tilde(self) -> np.ndarray:
-        nk = self.data.n * self.data.k
-        return self.g[nk:, :nk]
 
     @property
     def stein_residuals(self) -> tuple:
         """Residuals of ``Q - J Q J* = Et Et*`` and ``Qt - J Qt Z* = Et E*`` at ``k = 1``."""
         k = self.data.k
-        q, q_tilde, j, e_tilde = (a[::k, ::k] for a in (self.q, self.q_tilde, self.j, self.e_tilde))
+        q, q_tilde = self.q[::k, ::k], self.q_tilde[::k, ::k]
+        j, e_tilde = jet_matrices(self.blaschke, 1)
         res_q = operator_norm(q - j @ q @ j.conj().T - e_tilde @ e_tilde.conj().T)
         res_t = operator_norm(q_tilde - j @ q_tilde * self.data.nodes.conj() - e_tilde)
         return res_q, res_t
@@ -349,9 +344,9 @@ def assemble_bundle(
 ) -> PickBundle:
     """Precompute everything the general-Blaschke builders need.
 
-    The node part and the identity-corner block ``Psi``
-    (:func:`_node_part`) are built exactly, with no solve or inverse,
-    once at ``k = 1``: ``g``, ``basis``, ``j`` and ``e_tilde`` are the
+    The jet blocks ``Q``, ``Qt`` of the node part and the identity-corner
+    block ``Psi`` (:func:`_node_part`) are built exactly, with no solve or
+    inverse, once at ``k = 1``: ``q``, ``q_tilde`` and ``basis`` are the
     scalar arrays ``(x) I_k``, so :data:`STEIN_COND_LIMIT` refuses the same
     data at every ``k``.  Amplification beyond it (zeros or nodes hugging
     the boundary) and a Q that fails the PSD test raise
@@ -359,7 +354,6 @@ def assemble_bundle(
     """
     _check_constrained_domain(d, b)
     p = pick_matrix(d)
-    j, e_tilde = jet_matrices(b, 1)
     q, q_tilde, basis, amplification = _node_part(d.nodes, b)
     if not amplification <= STEIN_COND_LIMIT:  # written so that NaN is refused
         raise IllConditionedError(
@@ -372,13 +366,11 @@ def assemble_bundle(
     if min_eig < -tol.psd_tol * scale:
         raise IllConditionedError(f"Stein solution not PSD: min eig = {min_eig:.3e}")
 
-    cauchy = hermitian_part(1.0 / (1.0 - np.outer(d.nodes, d.nodes.conj())))
-    g = np.vstack([np.hstack([cauchy, q_tilde.conj().T]), np.hstack([q_tilde, q])])
     ik = np.eye(d.k, dtype=complex)
-    g, j, e_tilde, basis = (_kron(array, ik) for array in (g, j, e_tilde, basis))
-    for array in (g, p, j, e_tilde, basis):
+    q, q_tilde, basis = (_kron(array, ik) for array in (q, q_tilde, basis))
+    for array in (p, q, q_tilde, basis):
         array.flags.writeable = False
-    return PickBundle(data=d, blaschke=b, g=g, p=p, j=j, e_tilde=e_tilde, basis=basis)
+    return PickBundle(data=d, blaschke=b, p=p, q=q, q_tilde=q_tilde, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +398,6 @@ def _bundle_for(d, b, bundle: Optional[PickBundle]) -> PickBundle:
     if not all(np.array_equal(have, want) for have, want in pairs):
         raise DomainError("bundle was assembled for a different data set / Blaschke spec")
     return bundle
-
-
-def _value_part(d: DataSet, x: np.ndarray, degree: int) -> np.ndarray:
-    """``V = diag(W_1, ..., W_n, x, ..., x)`` with ``degree`` copies of ``x``."""
-    blocks = np.concatenate([d.values, np.broadcast_to(x, (degree,) + x.shape)])
-    m, k = blocks.shape[:2]
-    v = np.zeros((m, k, m, k), dtype=complex)
-    v[np.arange(m), :, np.arange(m)] = blocks
-    return v.reshape(m * k, m * k)
 
 
 def constrained_pick(
@@ -484,16 +467,24 @@ def constrained_pick_cf(
         G - V G V* = [ P                Qt* - Wd Qt* Xd* ]
                      [ Qt - Xd Qt Wd*   Q - Xd Q Xd*     ]
 
-    with the node part ``G`` of the bundle and the value part
-    ``V = diag(Wd, Xd)``; the node block is the bundle's ``p``.
+    with the node part ``G`` and the value part ``V = diag(Wd, Xd)``,
+    built from this block formula and the bundle's ``p``, ``q`` and
+    ``q_tilde``.  As ``Q = Q_1 (x) I_k`` and ``Qt = Qt_1 (x) I_k``, the
+    jet blocks are ``Q_1 (x) (I - x x*)`` and, at node ``i``,
+    ``Qt_1[:, i] (x) (I - x W_i*)``.  Hermitian to the bit, and
     PSD-equivalent to :func:`constrained_pick` for every ``x``.
     """
     x = _as_param(x, d.k)
     bundle = _bundle_for(d, b, bundle)
-    nk = d.n * d.k
-    v = _value_part(d, x, b.degree)
-    form = hermitian_part(bundle.g - v @ bundle.g @ v.conj().T)
+    k, ik, nk = d.k, np.eye(d.k), d.n * d.k
+    q, q_tilde = bundle.q[::k, ::k], bundle.q_tilde[::k, ::k]
+    coupling = ik - x @ d.values.conj().transpose(0, 2, 1)  # I - x W_i*, one per node
+    lower = np.einsum("ri,iac->raic", q_tilde, coupling).reshape(bundle.q_tilde.shape)
+    form = np.empty((nk + lower.shape[0],) * 2, dtype=complex)
     form[:nk, :nk] = bundle.p
+    form[nk:, :nk] = lower
+    form[:nk, nk:] = lower.conj().T
+    form[nk:, nk:] = _kron(q, hermitian_part(ik - x @ x.conj().T))
     return form
 
 

@@ -335,6 +335,43 @@ def constrained_pick_z2(d, x):
     )
 
 
+def node_part(bundle):
+    """The node part ``G = [[K, Qt*], [Qt, Q]]`` of a bundle, its Cauchy block built here.
+
+    The library builds only the jet blocks ``Q`` and ``Qt``; the Cauchy
+    block is ``K = K_1 (x) I_k`` with ``K_1[i, j] = 1 / (1 - z_i conj(z_j))``.
+    """
+    d = bundle.data
+    cauchy = hermitian_part(1.0 / (1.0 - np.outer(d.nodes, d.nodes.conj())))
+    cauchy = np.kron(cauchy, np.eye(d.k, dtype=complex))
+    return np.block([[cauchy, bundle.q_tilde.conj().T], [bundle.q_tilde, bundle.q]])
+
+
+def value_part(d, x, degree):
+    """``V = diag(W_1, ..., W_n, x, ..., x)`` with ``degree`` copies of ``x``."""
+    blocks = np.concatenate([d.values, np.broadcast_to(x, (degree,) + x.shape)])
+    m, k = blocks.shape[:2]
+    v = np.zeros((m, k, m, k), dtype=complex)
+    v[np.arange(m), :, np.arange(m)] = blocks
+    return v.reshape(m * k, m * k)
+
+
+def constrained_pick_cf_product(bundle, x):
+    """The Caratheodory-Fejer form as the product ``G - V G V*``.
+
+    Oracle for the library's block formula: the full node part
+    (:func:`node_part`) and value part (:func:`value_part`) multiplied
+    out, with the node block set to the bundle's ``p``.
+    """
+    d = bundle.data
+    x = _as_param(x, d.k)
+    g, v = node_part(bundle), value_part(d, x, bundle.blaschke.degree)
+    form = hermitian_part(g - v @ g @ v.conj().T)
+    nk = d.n * d.k
+    form[:nk, :nk] = bundle.p
+    return form
+
+
 def constrained_pick_cf_blocks(bundle, x):
     """The Caratheodory-Fejer form by its block formula.
 

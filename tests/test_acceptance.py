@@ -37,6 +37,7 @@ from cnpick.pick import (
     constrained_pick,
     constrained_pick_cf,
     constrained_pick_compressed,
+    jet_matrices,
     pick_matrix,
 )
 
@@ -167,13 +168,13 @@ def test_criterion_3_stein_correctness():
         b = random_blaschke(seed, max_degree=8)
         d = random_dataset(seed + 11, n=int(rng.integers(1, 4)), k=k)
         bundle = assemble_bundle(d, b)
+        j, e_tilde = jet_matrices(b, k)
         res_q = operator_norm(
-            bundle.q - bundle.j @ bundle.q @ bundle.j.conj().T
-            - bundle.e_tilde @ bundle.e_tilde.conj().T
+            bundle.q - j @ bundle.q @ j.conj().T - e_tilde @ e_tilde.conj().T
         ) / (1.0 + operator_norm(bundle.q))
         z, e, _ = node_matrices(d)
         res_t = operator_norm(
-            bundle.q_tilde - bundle.j @ bundle.q_tilde @ z.conj().T - bundle.e_tilde @ e.conj().T
+            bundle.q_tilde - j @ bundle.q_tilde @ z.conj().T - e_tilde @ e.conj().T
         ) / (1.0 + operator_norm(bundle.q_tilde))
         worst = max(worst, res_q, res_t)
         count += 1

@@ -682,6 +682,39 @@ def test_stein_nodes_take_a_leading_minus(workdir, capsys):
     assert main(["stein", str(blaschke), "--nodes", "--json"]) == 64  # still no value
 
 
+@pytest.mark.parametrize(
+    "blaschke, k, digests",
+    [
+        ({"zeros": [[0.0, 0.0]], "multiplicities": [2]}, 1,
+         ("21370f63a8e0dc00e96865d158ac575cc41709b5cc1dbdcd9a37832a4a0d09ff",
+          "7fd62325725d0ba567ac0a1dc7ad26fa47c630d40e4ff1beb9f153b2bee81034")),
+        ({"zeros": [[0.0, 0.0]], "multiplicities": [2]}, 2,
+         ("8ef3283948b58103d214da2dd36131cedd72c9da8c5952114f63d0318664500c",
+          "304454dea385ef26dab327abc24a79eef2560c2b8658bd591297a92b40afe8e5")),
+        ({"zeros": [[0.0, 0.0]], "multiplicities": [2]}, 3,
+         ("c138f224c3f0e79c7ec8a7c89dcfb89b9018eb0f267a5340d029305b25c14678",
+          "2e1e92e0edf7ab48466c5ca9c5e943bb0bf4162472ab6d27c92282f9cf3559ae")),
+        ({"zeros": [[0.3, 0.1], [-0.2, 0.4]], "multiplicities": [3, 2]}, 1,
+         ("c9f97c4c1167a805cf7d6e8c5192df84ba33374ef9339c70db9cb0b0c386f974",
+          "ca685521cb5718cf77384531abcfbe9a9634a62d4435aa861fa5b09f5101f84c")),
+        ({"zeros": [[0.3, 0.1], [-0.2, 0.4]], "multiplicities": [3, 2]}, 2,
+         ("12ac9a6ec339e18570340240f18fb7fe6179ed3836cf10d58a4ffdec3b800a9a",
+          "542f82d39a8ad7f47812e01e9aa8b8c59e4a57775f32bcfb488b8f31c647f2d4")),
+        ({"zeros": [[0.3, 0.1], [-0.2, 0.4]], "multiplicities": [3, 2]}, 3,
+         ("a1117e3f8c2e23aac86456d9602bb468d68b15ddb87fefcba5d0f3c0dfa61749",
+          "1b3f4b9d78c1edc7f2fcb9aad406bfe25120e71461c572af548413463bcf4e64")),
+    ],
+    ids=["origin-k1", "origin-k2", "origin-k3", "degree5-k1", "degree5-k2", "degree5-k3"],
+)
+def test_stein_output_digests(workdir, capsys, blaschke, k, digests):
+    # Golden bytes of the text and the --json stdout, by their sha256: J, Et, Q, Qt
+    # and both Stein residuals, bit for bit.
+    (workdir / "b.json").write_text(json.dumps(blaschke))
+    for extra, stdout_digest in zip(([], ["--json"]), digests):
+        assert main(["stein", "b.json", "--nodes=-0.5,0.5,0.1+0.2j", "--k", str(k), *extra]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
+
 def test_tol_env_override(workdir, capsys, monkeypatch):
     path = write_problem(workdir / "p.json", [0.5], [0.5])
     monkeypatch.setenv("CNP_TOL", "not-a-number")

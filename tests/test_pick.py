@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,13 @@ from cnpick.pick import (
 from conftest import (
     congruent_lift,
     constrained_pick_cf_blocks,
+    constrained_pick_cf_product,
     constrained_pick_z2,
     constrained_pick_z2_quadratic,
     distinct_nodes,
     matrix_feasible,
     node_matrices,
+    node_part,
     pick_matrix_loop,
     random_blaschke,
     random_contraction,
@@ -165,13 +169,11 @@ class TestStein:
         b = random_blaschke(seed, max_degree=8)
         d = random_dataset(seed + 500, n=int(rng.integers(1, 4)), k=k)
         bundle = assemble_bundle(d, b)
-        res_q = operator_norm(
-            bundle.q - bundle.j @ bundle.q @ bundle.j.conj().T
-            - bundle.e_tilde @ bundle.e_tilde.conj().T
-        )
+        j, e_tilde = jet_matrices(b, k)
+        res_q = operator_norm(bundle.q - j @ bundle.q @ j.conj().T - e_tilde @ e_tilde.conj().T)
         z, e, _ = node_matrices(d)
         res_t = operator_norm(
-            bundle.q_tilde - bundle.j @ bundle.q_tilde @ z.conj().T - bundle.e_tilde @ e.conj().T
+            bundle.q_tilde - j @ bundle.q_tilde @ z.conj().T - e_tilde @ e.conj().T
         )
         assert res_q <= 1e-10 * (1 + operator_norm(bundle.q))
         assert res_t <= 1e-10 * (1 + operator_norm(bundle.q_tilde))
@@ -193,7 +195,7 @@ class TestStein:
         d = random_dataset(seed + 300, k=1)
         bundle = assemble_bundle(d, b)
         z, e, _ = node_matrices(d)
-        q_s, qt_s = stein_series(bundle.j, bundle.e_tilde, z, e, terms=200)
+        q_s, qt_s = stein_series(*jet_matrices(b, 1), z, e, terms=200)
         assert np.allclose(q_s, bundle.q, atol=1e-10)
         assert np.allclose(qt_s, bundle.q_tilde, atol=1e-10)
 
@@ -213,7 +215,7 @@ class TestStein:
         d = DataSet.scalar(distinct_nodes(rng, 3), np.zeros(3))
         bundle = assemble_bundle(d, b)
         z, e, _ = node_matrices(d)
-        q, q_tilde, _ = stein_kronecker(bundle.j, bundle.e_tilde, z, e)
+        q, q_tilde, _ = stein_kronecker(*jet_matrices(b, 1), z, e)
         assert np.max(np.abs(bundle.q - q)) <= 1e-13 * np.max(np.abs(q))
         assert np.max(np.abs(bundle.q_tilde - q_tilde)) <= 1e-13 * np.max(np.abs(q_tilde))
 
@@ -251,13 +253,15 @@ class TestStein:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("k", [2, 3])
     def test_node_part_is_the_scalar_one_tensor_identity(self, k, seed):
-        # G = G_1 (x) I_k, and likewise Psi, J and Et: exactly, not to rounding.
+        # Q = Q_1 (x) I_k, and likewise Qt, Psi, J and Et: exactly, not to rounding.
         b = random_blaschke(seed + 1000, max_degree=8)
         d = random_dataset(seed + 1100, n=int(rng_for(seed).integers(1, 4)), k=k)
         bundle = assemble_bundle(d, b)
         scalar = assemble_bundle(DataSet.scalar(d.nodes, np.zeros(d.n)), b)
-        for name in ("g", "basis", "j", "e_tilde"):
+        for name in ("q", "q_tilde", "basis"):
             assert np.array_equal(getattr(bundle, name), np.kron(getattr(scalar, name), np.eye(k)))
+        for jets, scalar_jets in zip(jet_matrices(b, k), jet_matrices(b, 1), strict=True):
+            assert np.array_equal(jets, np.kron(scalar_jets, np.eye(k)))
 
     def test_bundle_solves_nothing(self, linalg_calls):
         # No solve, SVD or factorisation: one eigvalsh, for Q's PSD test, per bundle.
@@ -270,7 +274,7 @@ class TestStein:
 
 
 class TestGramPair:
-    """The node part ``G`` of a bundle and the forms read off ``G - V G V*``."""
+    """The node part ``G`` of a bundle's jet blocks and the forms read off ``G - V G V*``."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_g_solves_its_stein_equation(self, seed):
@@ -281,14 +285,14 @@ class TestGramPair:
         d = random_dataset(seed + 700, n=int(rng.integers(1, 4)), k=k)
         bundle = assemble_bundle(d, b)
         z, e, _ = node_matrices(d)
-        nk, dk = z.shape[0], bundle.j.shape[0]
-        t = np.block([[z, np.zeros((nk, dk))], [np.zeros((dk, nk)), bundle.j]])
-        f = np.vstack([e, bundle.e_tilde])
-        g = bundle.g
+        j, e_tilde = jet_matrices(b, k)
+        nk, dk = z.shape[0], j.shape[0]
+        t = np.block([[z, np.zeros((nk, dk))], [np.zeros((dk, nk)), j]])
+        f = np.vstack([e, e_tilde])
+        g = node_part(bundle)
         residual = operator_norm(g - t @ g @ t.conj().T - f @ f.conj().T)
         assert residual <= 1e-10 * operator_norm(g)
         assert operator_norm(g - g.conj().T) == 0.0
-        assert np.array_equal(bundle.q, g[nk:, nk:]) and np.array_equal(bundle.q_tilde, g[nk:, :nk])
 
     @pytest.mark.parametrize("seed", range(30))
     def test_forms_match_the_block_formula(self, seed):
@@ -302,6 +306,8 @@ class TestGramPair:
         scale = operator_norm(oracle)
         cf = constrained_pick_cf(d, b, x, bundle=bundle)
         assert operator_norm(cf - oracle) <= 1e-14 * scale
+        assert operator_norm(cf - constrained_pick_cf_product(bundle, x)) <= 1e-14 * scale
+        assert operator_norm(cf - cf.conj().T) == 0.0
         # The linearized form is the congruent image of the Schur lift of the CF form:
         # identity corners, the mirrored block Xd, and Psi in place of Qt.
         nk, dk = d.n * k, b.degree * k
@@ -319,7 +325,9 @@ class TestGramPair:
         d = DataSet(np.array([0.5, -0.3 + 0.2j]), 0.3 * np.stack([np.eye(2), 1j * np.eye(2)]))
         b = BlaschkeSpec(np.array([0.2, -0.1j]), np.array([2, 1]))
         bundle = assemble_bundle(d, b)
-        for name in ("g", "p", "j", "e_tilde", "basis", "q", "q_tilde"):
+        names = [field.name for field in dataclasses.fields(bundle)]
+        assert names == ["data", "blaschke", "p", "q", "q_tilde", "basis"]
+        for name in names[2:]:
             with pytest.raises(ValueError):
                 getattr(bundle, name)[0, 0] = 5.0
         x = np.array([[0.3, 0.1j], [0.0, -0.2]])
@@ -582,8 +590,9 @@ class TestBuildBits:
         def builds():
             bundle = assemble_bundle(d, b)
             ball = unconstrained_body(d, 0.1 - 0.2j)
-            return (bundle.g, bundle.p, bundle.basis, np.array(bundle.stein_residuals),
-                    constrained_pick(d, b, x, bundle=bundle), ball.center, ball.left, ball.right,
+            return (bundle.p, bundle.q, bundle.q_tilde, bundle.basis, *jet_matrices(b, k),
+                    np.array(bundle.stein_residuals), constrained_pick(d, b, x, bundle=bundle),
+                    constrained_pick_cf(d, b, x, bundle=bundle), ball.center, ball.left, ball.right,
                     *pencil_build(d))
 
         arrays = builds()

@@ -3,13 +3,18 @@
 The benchmark's tracer wraps functions by ``getattr`` on the module
 names in ``SPANNED`` and ``COUNTED``, and its hooks read attributes of
 the records those functions return; deleting or renaming one of them
-breaks a traced run without failing any other test.  cnbench is only
-read here (with ``ast``), never imported or changed.
+breaks a traced run without failing any other test.  ``tracing.py``
+imports only the standard library, so it is loaded here from its file
+path; the other cnbench files are only read (with ``ast``).  No cnbench
+file is changed.
 """
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +25,17 @@ from cnpick.pick import DataSet
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "cnbench"
 MODULES = sorted(f"cnpick.{info.name}" for info in pkgutil.iter_modules(cnpick.__path__))
+
+
+def _load_tracing():
+    """``cnbench/tracing.py`` as a module of its own, loaded from its file path."""
+    spec = importlib.util.spec_from_file_location("cnbench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = _load_tracing()
 
 
 def _package_imports():
@@ -35,45 +51,32 @@ def _package_imports():
 
 def _traced():
     """``(module, function)`` of every entry of ``SPANNED`` and ``COUNTED`` in ``tracing.py``."""
-    tree = ast.parse((BENCH / "tracing.py").read_text())
-    entries = []
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id in ("SPANNED", "COUNTED") for t in node.targets
-        ):
-            entries += [(module, function) for module, function, _ in ast.literal_eval(node.value)]
-    return entries
+    return [(module, function) for module, function, _ in TRACING.SPANNED + TRACING.COUNTED]
 
 
 def _hook_reads():
     """``(module, function, attrs)``: the ``result.<attr>`` names each hook of ``tracing.py`` reads.
 
-    Hooks are the ``_*_hook`` functions; ``HOOKS`` maps a span name to its
-    hook and ``SPANNED`` the span name to the traced functions.
+    ``HOOKS`` maps a span name to its hook and ``SPANNED`` the span name
+    to the traced functions; the reads are taken from the hook's source.
     """
-    tree = ast.parse((BENCH / "tracing.py").read_text())
-    reads, hooks, spanned = {}, {}, []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name.endswith("_hook"):
-            reads[node.name] = sorted(
-                {
-                    sub.attr
-                    for sub in ast.walk(node)
-                    if isinstance(sub, ast.Attribute)
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == "result"
-                }
-            )
-        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            if node.targets[0].id == "HOOKS":
-                hooks = {k.value: v.id for k, v in zip(node.value.keys, node.value.values)}
-            elif node.targets[0].id == "SPANNED":
-                spanned = ast.literal_eval(node.value)
-    return [
-        (module, function, reads[hooks[span]])
-        for module, function, span in spanned
-        if span in hooks and reads[hooks[span]]
-    ]
+    found = []
+    for module, function, span in TRACING.SPANNED:
+        if span not in TRACING.HOOKS:
+            continue
+        tree = ast.parse(inspect.getsource(TRACING.HOOKS[span]))
+        reads = sorted(
+            {
+                sub.attr
+                for sub in ast.walk(tree)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "result"
+            }
+        )
+        if reads:
+            found.append((module, function, reads))
+    return found
 
 
 # A small fixed call of every function whose result a hook reads.
@@ -115,6 +118,22 @@ def test_bench_lookups_found():
 @pytest.mark.parametrize("module_name, name", _traced())
 def test_traced_function_resolves(module_name, name):
     assert callable(getattr(importlib.import_module(module_name), name))
+
+
+def test_tracing_imports_only_the_standard_library():
+    # Loading it above ran its top level; that is safe only while this holds.
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    nodes = list(ast.walk(tree))
+    imported = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    assert {name.split(".")[0] for name in imported} - {"__future__"} <= sys.stdlib_module_names
+
+
+def test_cf_recheck_resolves():
+    # The benchmark re-checks every Feasible witness with the CF form, called as (d, b, x).
+    from cnpick.pick import constrained_pick_cf
+
+    assert list(inspect.signature(constrained_pick_cf).parameters)[:3] == ["d", "b", "x"]
 
 
 @pytest.mark.parametrize("module_name, name", _bench_imports())
