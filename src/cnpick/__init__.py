@@ -25,7 +25,6 @@ from .linalg import (
     hermitian_part,
     is_psd,
     operator_norm,
-    schur_complement,
     sqrt_psd,
 )
 from .pick import (
@@ -35,7 +34,6 @@ from .pick import (
     assemble_bundle,
     constrained_pick,
     constrained_pick_cf,
-    constrained_pick_compressed,
     jet_matrices,
     pick_matrix,
 )

@@ -31,8 +31,9 @@ class NotPsdError(DomainError):
 class SingularBlockError(CnpError):
     """A designated pivot block is singular or numerically unusable.
 
-    Callers that see this error should fall back to a direct eigenvalue
-    test on the uncompressed matrix instead of silently pseudo-inverting.
+    Raised by :func:`~cnpick.feasibility.matrix_ball` when its pivot
+    matrix is too ill-conditioned to invert, in place of a silent
+    pseudo-inverse.
     """
 
     def __init__(self, message, cond=None):

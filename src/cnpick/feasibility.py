@@ -518,20 +518,22 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     return best[0], best[1], best[2], upper, certificate, iterations, stop
 
 
-def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasReport:
+def _overlap_search(
+    d: DataSet, b: BlaschkeSpec, overlap: np.ndarray, tol: ToleranceConfig
+) -> FeasReport:
     """Decide instances whose nodes meet the constraint zeros.
 
-    If some nodes coincide with zeros of the Blaschke product, a
-    solution exists exactly when all the overlapped target values agree
-    (they all equal the shared value at the zeros) and the constrained
-    Pick matrix at that value, built on the de-duplicated node set, is
-    PSD.  With no remaining nodes this collapses to contractivity of the
-    shared value.  A Feasible verdict carries the shared value as
-    ``witness_x``.  An Infeasible verdict of the PSD test carries
-    ``v v*`` as its ``certificate``, ``v`` the bottom eigenvector of that
-    matrix, so ``tr(v v* A) < 0`` re-checks it.
+    ``overlap`` holds the ascending indices of the nodes that sit on zeros
+    of the Blaschke product, at least one.  A solution exists exactly
+    when all the overlapped target values agree (they all equal the
+    shared value at the zeros) and the constrained Pick matrix at that
+    value, built on the de-duplicated node set, is PSD.  With no
+    remaining nodes this collapses to contractivity of the shared value.
+    A Feasible verdict carries the shared value as ``witness_x``.  An
+    Infeasible verdict of the PSD test carries ``v v*`` as its
+    ``certificate``, ``v`` the bottom eigenvector of that matrix, so
+    ``tr(v v* A) < 0`` re-checks it.
     """
-    overlap = [i for i, z in enumerate(d.nodes) if np.any(b.zeros == z)]
     anchor = d.values[overlap[0]]
     wscale = 1.0 + max(operator_norm(d.values[i]) for i in overlap)
     for i in overlap[1:]:
@@ -539,9 +541,9 @@ def _overlap_search(d: DataSet, b: BlaschkeSpec, tol: ToleranceConfig) -> FeasRe
             pair = np.array([overlap[0], i])
             return FeasReport(INFEASIBLE, detail="overlap values differ", certificate=pair,
                               certificate_kind="overlap_pair")
-    keep = [i for i in range(d.n) if i not in overlap]
+    keep = np.delete(np.arange(d.n), overlap)
     certificate = kind = None
-    if keep:
+    if keep.size:
         reduced = DataSet(d.nodes[keep], d.values[keep])
         pick = constrained_pick(reduced, b, anchor, bundle=assemble_bundle(reduced, b, tol))
         ok, margin = is_psd(pick, tol)
@@ -572,8 +574,9 @@ def search_x_grid(
     to the exact overlap analysis (:func:`_overlap_search`).
     """
     b = b if b is not None else BlaschkeSpec.z_squared()
-    if any(np.any(b.zeros == z) for z in d.nodes):
-        return _overlap_search(d, b, tol)
+    overlap = np.flatnonzero(np.any(d.nodes[:, None] == b.zeros, axis=1))
+    if overlap.size:
+        return _overlap_search(d, b, overlap, tol)
     a0, terms = constrained_pick_terms(assemble_bundle(d, b, tol))
     best_x, best_lmin, best_scale, upper, certificate, steps, stop = _maximize_min_eig(a0, terms, tol)
     certified = upper < -tol.psd_tol * best_scale

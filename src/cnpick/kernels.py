@@ -109,6 +109,8 @@ class GrassmannParam:
         lp, l = alpha.shape
         if not 1 <= l <= lp:
             raise DomainError(f"need 1 <= ell <= ell', got ell={l}, ell'={lp}")
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):  # written so that NaN fails
+            raise DomainError("alpha and beta must be finite")
         gram = alpha @ alpha.conj().T + beta @ beta.conj().T
         if np.max(np.abs(gram - np.eye(lp))) > DEFAULT_TOL.residual_tol * 10:
             raise DomainError("alpha alpha* + beta beta* must equal the identity")

@@ -3,8 +3,8 @@ tolerance policy.
 
 Everything in this package eventually reduces to a handful of operations
 on small dense complex matrices: Hermitian eigendecomposition,
-positive-semidefiniteness tests, Schur complements and PSD square roots.
-They live here so the tolerance policy is defined in exactly one place.
+positive-semidefiniteness tests and PSD square roots.  They live here so
+the tolerance policy is defined in exactly one place.
 
 Conventions
 -----------
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotHermitianError, NotPsdError, SingularBlockError
+from .errors import DomainError, NotHermitianError, NotPsdError
 
 __all__ = [
     "ToleranceConfig",
@@ -34,7 +34,6 @@ __all__ = [
     "eig_hermitian",
     "is_psd",
     "psd_margin",
-    "schur_complement",
     "sqrt_psd",
     "inv_sqrt_psd",
     "operator_norm",
@@ -154,36 +153,6 @@ def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL):
     """
     min_eig, scale = psd_margin(a)
     return bool(min_eig >= -tol.psd_tol * scale), min_eig
-
-
-def schur_complement(a, head: int):
-    """Schur complement ``A11 - A12 A22^{-1} A21`` onto the leading block.
-
-    ``head`` is the size of the retained upper-left block; the trailing
-    block is eliminated.  When the trailing block is positive definite,
-    the full matrix is PSD exactly when the complement is.
-
-    Raises
-    ------
-    SingularBlockError
-        If the trailing block is singular or numerically unusable
-        (condition number above 1e14).  Callers should fall back to a
-        direct eigenvalue test on the full matrix.
-    """
-    a = _as_square(a)
-    n = a.shape[0]
-    if not 0 < head < n:
-        raise DomainError(f"head block size {head} out of range for {n}x{n} matrix")
-    a11 = a[:head, :head]
-    a12 = a[:head, head:]
-    a21 = a[head:, :head]
-    a22 = a[head:, head:]
-    cond = np.linalg.cond(a22)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularBlockError(
-            f"designated block is numerically singular (cond ~ {cond:.3e})", cond=cond
-        )
-    return a11 - a12 @ np.linalg.solve(a22, a21)
 
 
 def sqrt_psd(a, tol: ToleranceConfig = DEFAULT_TOL):

@@ -15,13 +15,12 @@ Builders
 --------
 ``pick_matrix``
     The classical Pick matrix of the unconstrained problem.
-``constrained_pick`` / ``constrained_pick_cf`` / ``constrained_pick_compressed``
+``constrained_pick`` / ``constrained_pick_cf``
     The general-Blaschke forms: linearized (the affine map whose
-    coefficients ``constrained_pick_terms`` returns, evaluated at ``x``),
-    Caratheodory-Fejer, and the Schur-complement compression onto the
-    node block (the last one needs ``||x|| < 1``).
+    coefficients ``constrained_pick_terms`` returns, evaluated at ``x``)
+    and Caratheodory-Fejer.
 
-All of them are read off the Caratheodory-Fejer form ``G - V G V*``,
+Both are read off the Caratheodory-Fejer form ``G - V G V*``,
 with the value part ``V = diag(W_1, ..., W_n, x, ..., x)`` and the node
 part
 
@@ -69,16 +68,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedError, SingularBlockError
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    _kron,
-    hermitian_part,
-    operator_norm,
-    psd_margin,
-    schur_complement,
-)
+from .errors import DomainError, IllConditionedError
+from .linalg import DEFAULT_TOL, ToleranceConfig, _kron, hermitian_part, operator_norm, psd_margin
 
 __all__ = [
     "DataSet",
@@ -90,7 +81,6 @@ __all__ = [
     "constrained_pick",
     "constrained_pick_terms",
     "constrained_pick_cf",
-    "constrained_pick_compressed",
 ]
 
 
@@ -120,6 +110,8 @@ class DataSet:
             raise DomainError(
                 f"values must have shape (n, k, k) with n={nodes.size}, got {values.shape}"
             )
+        if values.shape[1] < 1:
+            raise DomainError("values must be k x k matrices with k >= 1")
         if not np.all(np.isfinite(nodes.view(float))) or not np.all(
             np.isfinite(values.view(float))
         ):
@@ -323,20 +315,21 @@ def _node_part(nodes: np.ndarray, b: BlaschkeSpec):
 
 
 def _check_constrained_domain(d: DataSet, b: BlaschkeSpec):
-    for i, zi in enumerate(d.nodes):
-        for lam in b.zeros:
-            if zi == lam:
-                if zi == 0:
-                    raise DomainError(
-                        "node 0 coincides with a constraint zero at the origin; "
-                        "the instance is a Caratheodory-Fejer problem in disguise "
-                        "(value and jet data at 0) and must be posed that way, or "
-                        "decided by search_x_grid"
-                    )
-                raise DomainError(
-                    f"node {i} ({zi}) coincides with a constraint zero; "
-                    "decide the instance with search_x_grid"
-                )
+    on_zero = np.any(d.nodes[:, None] == b.zeros, axis=1)
+    if not on_zero.any():
+        return
+    i = int(np.argmax(on_zero))  # the first node on a zero
+    if d.nodes[i] == 0:
+        raise DomainError(
+            "node 0 coincides with a constraint zero at the origin; "
+            "the instance is a Caratheodory-Fejer problem in disguise "
+            "(value and jet data at 0) and must be posed that way, or "
+            "decided by search_x_grid"
+        )
+    raise DomainError(
+        f"node {i} ({d.nodes[i]}) coincides with a constraint zero; "
+        "decide the instance with search_x_grid"
+    )
 
 
 def assemble_bundle(
@@ -486,25 +479,3 @@ def constrained_pick_cf(
     form[:nk, nk:] = lower.conj().T
     form[nk:, nk:] = _kron(q, hermitian_part(ik - x @ x.conj().T))
     return form
-
-
-def constrained_pick_compressed(
-    d: DataSet, b: BlaschkeSpec, x, bundle: Optional[PickBundle] = None
-) -> np.ndarray:
-    """Schur-complement compression of the CF form onto the node block.
-
-    ``P - (Qt* - Wd Qt* Xd*) (Q - Xd Q Xd*)^{-1} (Qt - Xd Qt Wd*)``.
-    Requires ``Q - Xd Q Xd*`` invertible, which holds whenever
-    ``||x|| < 1``; on the boundary a :class:`SingularBlockError` is
-    raised and the caller should test the CF form directly.
-    """
-    cf = constrained_pick_cf(d, b, x, bundle=bundle)
-    try:
-        compressed = schur_complement(cf, head=d.n * d.k)
-    except SingularBlockError as exc:
-        raise SingularBlockError(
-            f"Q - Xd Q Xd* is numerically singular (cond ~ {exc.cond:.3e}); "
-            "test the CF form directly",
-            cond=exc.cond,
-        ) from exc
-    return hermitian_part(compressed)

@@ -36,7 +36,6 @@ from cnpick.pick import (
     assemble_bundle,
     constrained_pick,
     constrained_pick_cf,
-    constrained_pick_compressed,
     jet_matrices,
     pick_matrix,
 )
@@ -103,7 +102,7 @@ def test_criterion_1_one_point_disk_fixture():
 
 
 def test_criterion_2_equivalence_chain():
-    agree = {"quad_lin": 0, "gen_cf": 0, "cf_hat": 0}
+    agree = {"quad_lin": 0, "gen_cf": 0}
     excluded = 0
     total = 0
     seed = 0
@@ -134,14 +133,6 @@ def test_criterion_2_equivalence_chain():
                 constrained_pick_cf(d, b, x, bundle=bundle),
             )
         )
-        if operator_norm(x) < 1.0:
-            pairs.append(
-                (
-                    "cf_hat",
-                    constrained_pick_cf(d, b, x, bundle=bundle),
-                    constrained_pick_compressed(d, b, x, bundle=bundle),
-                )
-            )
         for name, lhs, rhs in pairs:
             vl, ml = is_psd(lhs)
             vr, mr = is_psd(rhs)

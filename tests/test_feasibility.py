@@ -39,11 +39,10 @@ from cnpick.pick import (
     assemble_bundle,
     constrained_pick,
     constrained_pick_cf,
-    constrained_pick_compressed,
     constrained_pick_terms,
     pick_matrix,
 )
-from cnpick.interpolant import generate_feasible
+from cnpick.interpolant import generate_feasible, schur_reduce_constrained
 
 from conftest import (
     accept5_instances,
@@ -772,16 +771,19 @@ class TestBatchEvaluator:
 
 
 class TestConjugationDiagnostic:
-    """The compressed Pick matrix at ``lam`` and the lambda-criterion matrix
-    give the same PSD verdict; only the verdicts are compared, not entries."""
+    """The lambda-criterion matrix at ``lam`` is ``diag(z^2) P_lam diag(conj(z)^2)``,
+    ``P_lam`` the Pick matrix of the data reduced at ``lam``, so the two give
+    the same PSD verdict at every ``lam``.  The congruence is compared entry by entry."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_psd_verdicts_agree_pointwise(self, seed):
         rng = rng_for(660_000 + seed)
         d = random_dataset(seed, k=1, wmax=0.8)
         lam = rng.uniform(0, 0.85) * np.exp(2j * np.pi * rng.uniform())
-        compressed = constrained_pick_compressed(d, BlaschkeSpec.z_squared(), np.array([[lam]]))
-        assert is_psd(compressed)[0] == is_psd(lambda_criterion_matrix(d, lam))[0]
+        criterion = lambda_criterion_matrix(d, lam)
+        squares = np.diag(d.nodes**2)
+        congruent = squares @ pick_matrix(schur_reduce_constrained(d, lam)) @ squares.conj()
+        assert np.max(np.abs(criterion - congruent)) <= 1e-13 * np.max(np.abs(criterion))
 
 
 def test_disk_grid_matches_ring_loop():

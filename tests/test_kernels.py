@@ -168,6 +168,13 @@ class TestGrassmannSample:
         with pytest.raises(DomainError):
             GrassmannParam(np.array([[0.0]]), np.array([[1.0]]))  # alpha not injective
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("slot", ["alpha", "beta"])
+    def test_param_rejects_non_finite(self, slot, bad):
+        entries = {"alpha": 1.0, "beta": 0.0, slot: bad}
+        with pytest.raises(DomainError, match="finite"):
+            GrassmannParam.scalar(entries["alpha"], entries["beta"])
+
 
 def candidate_alphas(seed, count, l, lp):
     """The ``alpha`` blocks of ``count`` candidates as ``_draw_params`` makes them,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnpick.errors import DomainError, NotHermitianError, NotPsdError, SingularBlockError
+from cnpick.errors import DomainError, NotHermitianError, NotPsdError
 from cnpick.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -12,7 +12,6 @@ from cnpick.linalg import (
     inv_sqrt_psd,
     is_psd,
     operator_norm,
-    schur_complement,
     sqrt_psd,
 )
 
@@ -81,39 +80,6 @@ class TestIsPsd:
         for bad in ({"psd_tol": -1.0}, {"psd_tol": np.inf}, {"residual_tol": np.nan}):
             with pytest.raises(DomainError):
                 ToleranceConfig(**bad)
-
-
-class TestSchurComplement:
-    def test_scalar_pivot(self):
-        out = schur_complement(np.array([[2.0, 1.0], [1.0, 1.0]]), head=1)
-        assert np.allclose(out, [[1.0]])
-
-    def test_contraction_block(self, rng):
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        x *= 0.8 / operator_norm(x)
-        full = np.block([[np.eye(3), x], [x.conj().T, np.eye(3)]])
-        out = schur_complement(full, head=3)
-        assert np.allclose(out, np.eye(3) - x @ x.conj().T)
-        assert is_psd(out)[0]
-
-    def test_singular_pivot_raises(self):
-        a = np.block([[np.eye(2), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
-        with pytest.raises(SingularBlockError):
-            schur_complement(a, head=2)
-
-    @pytest.mark.parametrize("seed", range(200))
-    def test_psd_equivalence(self, seed):
-        # PSD of the full matrix and of the complement agree whenever the
-        # trailing block is positive definite.
-        rng = rng_for(10_000 + seed)
-        n = int(rng.integers(2, 13))
-        head = int(rng.integers(1, n))
-        a = random_hermitian(rng, n)
-        a[head:, head:] = random_psd(rng, n - head) + 0.5 * np.eye(n - head)
-        full, _ = is_psd(a)
-        comp, margin = is_psd(schur_complement(a, head=head))
-        if abs(margin) > 10 * DEFAULT_TOL.psd_tol:
-            assert full == comp
 
 
 class TestSqrtPsd:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cnpick.body import unconstrained_body
-from cnpick.errors import DomainError, IllConditionedError, SingularBlockError
+from cnpick.errors import DomainError, IllConditionedError
 from cnpick.feasibility import FEASIBLE, INFEASIBLE, pencil_build, search_x_grid
 from cnpick.linalg import DEFAULT_TOL, ToleranceConfig, is_psd, operator_norm, psd_margin
 from cnpick.pick import (
@@ -15,7 +15,6 @@ from cnpick.pick import (
     assemble_bundle,
     constrained_pick,
     constrained_pick_cf,
-    constrained_pick_compressed,
     constrained_pick_terms,
     jet_matrices,
     pick_matrix,
@@ -66,6 +65,10 @@ class TestDataTypes:
     def test_dataset_rejects_empty(self):
         with pytest.raises(DomainError):
             DataSet.scalar([], [])
+
+    def test_dataset_rejects_empty_values(self):
+        with pytest.raises(DomainError, match="k >= 1"):
+            DataSet(np.array([0.5]), np.zeros((1, 0, 0)))
 
     def test_blaschke_validation(self):
         with pytest.raises(DomainError):
@@ -331,7 +334,7 @@ class TestGramPair:
             with pytest.raises(ValueError):
                 getattr(bundle, name)[0, 0] = 5.0
         x = np.array([[0.3, 0.1j], [0.0, -0.2]])
-        for builder in (constrained_pick, constrained_pick_cf, constrained_pick_compressed):
+        for builder in (constrained_pick, constrained_pick_cf):
             m = builder(d, b, x, bundle=bundle)
             assert m.flags.writeable and np.array_equal(m, builder(d, b, x))
         a0, terms = constrained_pick_terms(bundle)
@@ -414,11 +417,6 @@ class TestGeneralBuilders:
         assert np.allclose(corner, (1 - 1.05**2) * np.eye(2))
         assert not is_psd(m)[0]
 
-    def test_compressed_rejects_boundary_parameter(self):
-        d = DataSet.scalar([0.5], [0.0])
-        with pytest.raises(SingularBlockError):
-            constrained_pick_compressed(d, BlaschkeSpec.z_squared(), 1.0)
-
     @pytest.mark.parametrize("seed", range(60))
     def test_equivalence_chain(self, seed):
         rng = rng_for(70_000 + seed)
@@ -431,10 +429,6 @@ class TestGeneralBuilders:
         cf, m_cf = is_psd(constrained_pick_cf(d, b, x, bundle=bundle))
         if min(abs(m_full), abs(m_cf)) > 10 * DEFAULT_TOL.psd_tol:
             assert full == cf
-        if operator_norm(x) < 0.99:
-            hat, m_hat = is_psd(constrained_pick_compressed(d, b, x, bundle=bundle))
-            if min(abs(m_cf), abs(m_hat)) > 10 * DEFAULT_TOL.psd_tol:
-                assert cf == hat
 
     @pytest.mark.parametrize("seed", range(10))
     def test_builders_hermitian_to_the_bit(self, seed):
@@ -443,19 +437,13 @@ class TestGeneralBuilders:
         d = random_dataset(seed, k=k)
         b = random_blaschke(seed + 40)
         x = random_contraction(rng, k)
-        for m in (
-            constrained_pick(d, b, x),
-            constrained_pick_cf(d, b, x),
-            constrained_pick_compressed(d, b, x),
-        ):
+        for m in (constrained_pick(d, b, x), constrained_pick_cf(d, b, x)):
             assert operator_norm(m - m.conj().T) == 0.0
         if 0 not in d.nodes:
             for m in (constrained_pick_z2_quadratic(d, x), constrained_pick_z2(d, x)):
                 assert operator_norm(m - m.conj().T) == 0.0
 
-    @pytest.mark.parametrize(
-        "builder", [constrained_pick, constrained_pick_cf, constrained_pick_compressed]
-    )
+    @pytest.mark.parametrize("builder", [constrained_pick, constrained_pick_cf])
     def test_rejects_bundle_of_other_data(self, builder):
         d1 = DataSet.scalar([0.5, -0.3], [0.2, 0.1])
         d2 = DataSet.scalar([0.5, -0.3], [0.2, -0.4])
