@@ -98,6 +98,20 @@ def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_T
 # rim is left out because its disks shrink to points.
 INTERIOR_SHRINK = 0.995
 
+# Most entries in one broadcast block of ``BodyReport.covers`` and
+# ``BodyReport.diameter``.  A complex block of 2**12 entries is 64 KiB; with
+# the iteration buffers numpy allocates for a broadcast, a block peaks near
+# 200 KiB at any resolution, which is less than the rest of a default
+# ``body`` command allocates.  Twice the size raised the command's peak.
+_BLOCK_ENTRIES = 1 << 12
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of ``range(rows)`` whose ``rows x width`` blocks hold at most
+    ``_BLOCK_ENTRIES`` entries (one row when a single row is wider)."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
 
 def _check_body_args(z1, w1, z0):
     if not 0 < abs(z1) < 1 or not 0 < abs(z0) < 1:
@@ -210,19 +224,33 @@ class BodyReport:
         object.__setattr__(self, "inside", self.covers(self.outer_grid))
 
     def diameter(self) -> float:
-        """Exact diameter of the union of the inner disks (0 for none)."""
-        i, j = np.triu_indices(self.radii.size, 1)
-        pairs = np.abs(self.centers[i] - self.centers[j]) + self.radii[i] + self.radii[j]
-        return float(max(2.0 * self.radii.max(initial=0.0), pairs.max(initial=0.0)))
+        """Exact diameter of the union of the inner disks (0 for none).
+
+        The largest of ``2 r_i`` and ``(|c_i - c_j| + r_i) + r_j`` over the
+        pairs ``i < j``.  The pair matrix is built in row blocks of at most
+        ``_BLOCK_ENTRIES`` entries, each holding the columns from its first row on,
+        and reduced over its strict upper triangle; so the temporaries stay under
+        a megabyte however many disks there are.
+        """
+        c, r = self.centers, self.radii
+        pairs = 0.0
+        for rows in _row_blocks(r.size, r.size):
+            block = np.abs(c[rows, None] - c[rows.start :])
+            block += r[rows, None]
+            block += r[rows.start :]
+            pairs = np.maximum(pairs, np.triu(block, 1).max(initial=0.0))
+        return float(max(2.0 * r.max(initial=0.0), pairs))
 
     def covers(self, w0, slack: float = 0.0):
         """Whether ``w0`` lies in some inner disk; elementwise for arrays.
 
         A point is covered when ``|w0 - c| <= r + slack`` for some disk.
         Only the points inside the disks' bounding box, widened by a
-        relative pad far above rounding, get that per-disk test; the
-        others cannot pass it.  When the box is not finite (no disks, or
-        NaN or infinite entries), every point is tested.
+        relative pad far above rounding, get that test; the others cannot
+        pass it.  When the box is not finite (no disks, or NaN or infinite
+        entries), every point is tested.  The tested points meet all disks
+        in one broadcast per block of at most ``_BLOCK_ENTRIES`` point-disk
+        pairs, so the temporaries stay under a megabyte at any raster size.
         """
         w0 = np.asarray(w0)
         points = w0.reshape(-1)
@@ -241,9 +269,9 @@ class BodyReport:
                 (re >= re_lo - pad) & (re <= re_hi + pad) & (im >= im_lo - pad) & (im <= im_hi + pad)
             )
         candidates = points[near]
-        found = np.zeros(candidates.shape, dtype=bool)
-        for center, radius in zip(self.centers.tolist(), reach.tolist()):
-            found |= np.abs(candidates - center) <= radius
+        found = np.empty(candidates.shape, dtype=bool)
+        for rows in _row_blocks(candidates.size, reach.size):
+            found[rows] = (np.abs(candidates[rows, None] - self.centers) <= reach).any(axis=1)
         hit = np.zeros(points.shape, dtype=bool)
         hit[near] = found
         return bool(hit[0]) if w0.ndim == 0 else hit.reshape(w0.shape)

@@ -160,15 +160,14 @@ def cmd_witness(args) -> int:
         "beta": matrix_to_json(report.witness_param.beta),
         "tuple": [matrix_to_json(x) for x in report.witness_tuple],
     }
-    _emit(
-        args,
-        document,
-        [
-            f"WITNESS at sample {report.witness_index}: form value {report.witness_value:.6e}",
-            json.dumps(document, indent=2, sort_keys=True),
-        ],
-    )
+    _emit(args, document, _witness_lines(report, document))
     return EXIT_INFEASIBLE
+
+
+def _witness_lines(report, document):
+    # A generator, as _check_lines: under --json the document is encoded once.
+    yield f"WITNESS at sample {report.witness_index}: form value {report.witness_value:.6e}"
+    yield json.dumps(document, indent=2, sort_keys=True)
 
 
 def _write_csv(path, header, columns):
@@ -177,9 +176,13 @@ def _write_csv(path, header, columns):
     The file is built as one string and written at once.  Each field is
     ``repr`` of a Python float or int, which is what ``csv.writer`` writes
     for numbers (it never quotes them), so the bytes match a row-by-row
-    writer.
+    writer.  A bool column is written as 0/1, the bytes of the same column
+    as ints, without a ``repr`` per entry.
     """
-    fields = (map(repr, column.tolist()) for column in columns)
+    fields = (
+        np.where(column, "1", "0").tolist() if column.dtype == bool else map(repr, column.tolist())
+        for column in columns
+    )
     text = "\n".join([",".join(header), *map(",".join, zip(*fields)), ""])
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
@@ -209,8 +212,7 @@ def cmd_body(args) -> int:
     xs, centers, grid = report.xs, report.centers, report.outer_grid
     disk_columns = (xs.real, xs.imag, centers.real, centers.imag, report.radii)
     _write_csv(disks_path, ["x_re", "x_im", "c_re", "c_im", "R"], disk_columns)
-    flags = report.inside.astype(int)
-    _write_csv(members_path, ["w_re", "w_im", "inside"], (grid.real, grid.imag, flags))
+    _write_csv(members_path, ["w_re", "w_im", "inside"], (grid.real, grid.imag, report.inside))
 
     document = {
         "schema": SCHEMA,
@@ -364,17 +366,16 @@ def cmd_stein(args) -> int:
         "residuals": {"q": res_q, "q_tilde": res_t},
         "q_dominates_identity": bool(q_shift_min >= -1e-9),
     }
-    _emit(
-        args,
-        document,
-        [
-            f"degree {blaschke.degree}, k = {k}",
-            f"Stein residuals: {res_q:.3e}, {res_t:.3e}",
-            f"Q >= I: {document['q_dominates_identity']}",
-            json.dumps({"q": document["q"], "q_tilde": document["q_tilde"]}, indent=2),
-        ],
-    )
+    _emit(args, document, _stein_lines(document, res_q, res_t))
     return EXIT_FEASIBLE
+
+
+def _stein_lines(document, res_q, res_t):
+    # A generator, as _check_lines: under --json the matrices are encoded once.
+    yield f"degree {document['degree']}, k = {document['k']}"
+    yield f"Stein residuals: {res_q:.3e}, {res_t:.3e}"
+    yield f"Q >= I: {document['q_dominates_identity']}"
+    yield json.dumps({"q": document["q"], "q_tilde": document["q_tilde"]}, indent=2)
 
 
 # Options whose value may start with a minus sign, e.g. ``--z0 -0.3,0.2``.

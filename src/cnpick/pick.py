@@ -118,10 +118,10 @@ class DataSet:
             raise DomainError("data set contains non-finite entries")
         if np.max(np.abs(nodes)) >= 1.0:
             raise DomainError("all nodes must lie in the open unit disk")
-        for i in range(nodes.size):
-            for j in range(i + 1, nodes.size):
-                if nodes[i] == nodes[j]:
-                    raise DomainError(f"nodes {i} and {j} coincide ({nodes[i]})")
+        same = nodes[:, None] == nodes
+        if np.count_nonzero(same) > nodes.size:  # more than the diagonal (entries are finite)
+            i, j = divmod(int(np.triu(same, 1).argmax()), nodes.size)  # first pair, row-major
+            raise DomainError(f"nodes {i} and {j} coincide ({nodes[i]})")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -161,10 +161,8 @@ class BlaschkeSpec:
             raise DomainError("multiplicities must be >= 1")
         if not np.all(np.abs(zeros) < 1.0):  # written so that NaN fails
             raise DomainError("Blaschke zeros must be finite and lie in the open unit disk")
-        for i in range(zeros.size):
-            for j in range(i + 1, zeros.size):
-                if zeros[i] == zeros[j]:
-                    raise DomainError("Blaschke zeros must be pairwise distinct")
+        if np.count_nonzero(zeros[:, None] == zeros) > zeros.size:  # more than the diagonal
+            raise DomainError("Blaschke zeros must be pairwise distinct")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "multiplicities", mult)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -348,6 +350,14 @@ class TestBodyUnion:
                 best = max(best, abs(a.center - b.center) + a.radius + b.radius)
         assert abs(report.diameter() - best) <= 1e-15 * best
 
+    @pytest.mark.parametrize("case", BODY_CASES)
+    @pytest.mark.parametrize("resolutions", [(10, 4), (25, 4)])
+    def test_diameter_is_the_pair_formula_bit_for_bit(self, case, resolutions):
+        # numpy's complex abs and Python's can differ in the last bit, so the
+        # loop above is held to 1e-15; the array pair formula is held exactly.
+        report = body_union(*case, *resolutions)
+        assert report.diameter() == pair_formula_diameter(report.centers, report.radii)
+
     def test_diameter_of_no_and_one_disk(self):
         def report(centers, radii):
             xs = np.full(len(radii), 0.1 + 0j)
@@ -372,6 +382,41 @@ class TestBodyUnion:
         x_disk_diameter = 2 * one_point_disk(0.5, 0.2).radius
         assert diameters[3] <= x_disk_diameter + 1e-9
         assert diameters[3] >= 0.8 * x_disk_diameter
+
+
+def pair_formula_diameter(centers, radii):
+    """The largest ``2 r_i`` and ``(|c_i - c_j| + r_i) + r_j`` over the pairs ``i < j``,
+    gathered pair by pair: the association ``BodyReport.diameter`` must keep bit for bit."""
+    i, j = np.triu_indices(radii.size, 1)
+    pairs = np.abs(centers[i] - centers[j]) + radii[i] + radii[j]
+    return float(max(2.0 * radii.max(initial=0.0), pairs.max(initial=0.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0, 1, 2, 7, 90, 91, 300]))
+def test_diameter_matches_pair_formula_on_random_disks(seed, count):
+    # 91 and 300 disks need more than one row block; the radii span 1e-8 to 1,
+    # so the two orders of adding r_i and r_j round apart somewhere.
+    rng = rng_for(seed)
+    centers = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
+    radii = 10.0 ** rng.uniform(-8, 0, count)
+    report = BodyReport(0.3 + 0j, centers, centers, radii, np.zeros(0))
+    assert report.diameter() == pair_formula_diameter(centers, radii)
+
+
+def test_covers_and_diameter_memory_stays_blocked():
+    # 1,263 disks and 31,422 raster points: one unblocked broadcast would take
+    # hundreds of MB for covers and about 36 MB for diameter.
+    report = body_union(0.5, 0.3 + 0.1j, -0.4 + 0.2j, x_resolution=40, w_resolution=200)
+    assert report.radii.size == 1263 and report.outer_grid.size == 31_422
+    for method, args in ((report.covers, (report.outer_grid,)), (report.diameter, ())):
+        tracemalloc.start()
+        try:
+            method(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, method.__name__
 
 
 @settings(max_examples=60, deadline=None)

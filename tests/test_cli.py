@@ -602,11 +602,11 @@ def test_body_output_digests(workdir, capsys, resolutions, z0, digests):
     assert tuple(hashlib.sha256(data).hexdigest() for data in outputs) == digests
 
 
-def assert_csv_bytes_match(header, columns):
+def assert_csv_bytes_match(header, columns, oracle_columns=None):
     with tempfile.TemporaryDirectory() as directory:
         ours, theirs = os.path.join(directory, "ours.csv"), os.path.join(directory, "theirs.csv")
         _write_csv(ours, header, columns)
-        csv_oracle(theirs, header, columns)
+        csv_oracle(theirs, header, columns if oracle_columns is None else oracle_columns)
         with open(ours, "rb") as a, open(theirs, "rb") as b:
             assert a.read() == b.read()
 
@@ -625,6 +625,39 @@ def test_write_csv_bytes_on_random_columns(rows):
     im = np.array([r[1] for r in rows], dtype=float)
     flags = np.array([r[2] for r in rows], dtype=bool).astype(int)
     assert_csv_bytes_match(["w_re", "w_im", "inside"], (re, im, flags))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.booleans(), max_size=40))
+def test_write_csv_bool_column_is_written_as_ints(flags):
+    flags = np.array(flags, dtype=bool)
+    assert_csv_bytes_match(["w_re", "inside"], (flags * 0.5, flags), (flags * 0.5, flags.astype(int)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "gap.json", "--json"],
+        ["witness", "p.json", "--json"],
+        ["stein", "b.json", "--nodes=-0.5,0.5", "--k", "2", "--json"],
+    ],
+    ids=["witness-hit", "witness-pass", "stein"],
+)
+def test_json_document_is_encoded_once(workdir, capsys, monkeypatch, argv):
+    write_problem(workdir / "gap.json", [0.3, -0.3], [0.3, -0.3])
+    write_problem(workdir / "p.json", [0.5, -0.4j], [0.2, 0.1])
+    (workdir / "b.json").write_text(json.dumps({"zeros": [[0.0, 0.0]], "multiplicities": [2]}))
+    calls = []
+    encode = json.dumps
+
+    def counting_dumps(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr("cnpick.cli.json.dumps", counting_dumps)
+    main(argv)
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+    assert len(calls) == 1
 
 
 def test_body_z0_takes_a_leading_minus(workdir, capsys):

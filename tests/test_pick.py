@@ -58,6 +58,21 @@ class TestDataTypes:
         with pytest.raises(DomainError):
             DataSet.scalar([0.3, 0.3], [0.1, 0.2])
 
+    def test_dataset_names_first_duplicate_pair(self):
+        # Pairs are searched in row-major order: (3, 30) comes before (5, 6).
+        nodes = np.linspace(-0.9, 0.9, 40).astype(complex)
+        nodes[30], nodes[6] = nodes[3], nodes[5]
+        with pytest.raises(DomainError, match=r"^nodes 3 and 30 coincide \(\(-0\.76"):
+            DataSet(nodes, np.zeros((40, 1, 1)))
+        with pytest.raises(DomainError, match="^nodes 5 and 6 coincide"):
+            DataSet(nodes[:30], np.zeros((30, 1, 1)))
+
+    def test_blaschke_duplicate_zeros_message(self):
+        zeros = np.linspace(-0.5, 0.5, 12).astype(complex)
+        zeros[9] = zeros[2]
+        with pytest.raises(DomainError, match="^Blaschke zeros must be pairwise distinct$"):
+            BlaschkeSpec(zeros, np.ones(12, dtype=int))
+
     def test_dataset_rejects_boundary_nodes(self):
         with pytest.raises(DomainError):
             DataSet.scalar([1.0], [0.0])
