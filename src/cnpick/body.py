@@ -32,7 +32,6 @@ single membership query is decided by the certified solver behind
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -50,6 +49,7 @@ from .feasibility import (
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, _kron
 from .pick import DataSet, pick_matrix
+from .record import Record
 
 __all__ = [
     "Disk",
@@ -201,8 +201,7 @@ def body_membership(
     return search_x_grid(DataSet.scalar([z1, z0], [w1, w0]), tol=tol)
 
 
-@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
-class BodyReport:
+class BodyReport(Record, eq=False):  # array fields: compare and hash by identity
     """Inner and outer approximations of a constrained interpolation body.
 
     ``xs`` are the admissible swept origin values and ``centers``,
@@ -218,10 +217,11 @@ class BodyReport:
     centers: np.ndarray
     radii: np.ndarray
     outer_grid: np.ndarray
-    inside: np.ndarray = field(init=False)
+    inside: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "inside", self.covers(self.outer_grid))
+    def __init__(self, z0, xs, centers, radii, outer_grid):
+        self.__dict__.update(z0=z0, xs=xs, centers=centers, radii=radii, outer_grid=outer_grid)
+        self.__dict__["inside"] = self.covers(outer_grid)
 
     def diameter(self) -> float:
         """Exact diameter of the union of the inner disks (0 for none).

@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-import traceback
 
 import numpy as np
 
@@ -483,6 +482,8 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception as exc:  # a bug; its exit 1 would read as "infeasible / fail"
+        import traceback  # only here: loading it would cost every start about 0.7 ms
+
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_NUMERIC

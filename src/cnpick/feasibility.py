@@ -53,7 +53,7 @@ the lambda criterion is not affine in its parameter, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from typing import Optional
 
 import numpy as np
@@ -80,6 +80,7 @@ from .pick import (
     constrained_pick_terms,
     pick_matrix,
 )
+from .record import FACTORY, Record
 
 __all__ = [
     "FEASIBLE",
@@ -118,18 +119,18 @@ STEP_FRACTION = 0.98
 DECIDED_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(Record):
     """Closed disk in the complex plane."""
 
     center: complex
     radius: float
 
-    def __post_init__(self):
-        if not np.isfinite(self.center):
+    def __init__(self, center, radius):
+        if not np.isfinite(center):
             raise DomainError("disk center must be finite")
-        if not self.radius >= 0:  # written so that NaN fails
+        if not radius >= 0:  # written so that NaN fails
             raise DomainError("disk radius must be nonnegative")
+        self.__dict__.update(center=center, radius=radius)
 
     def contains(self, point: complex, slack: float = 0.0) -> bool:
         return abs(point - self.center) <= self.radius + slack
@@ -139,13 +140,15 @@ class Disk:
         return self.center + self.radius * np.exp(1j * theta)
 
 
-@dataclass(frozen=True)
-class MatrixBall:
+class MatrixBall(Record):
     """Matrix ball ``{ C + left^(1/2) K right^(1/2) : ||K|| <= 1 }``."""
 
     center: np.ndarray
     left: np.ndarray
     right: np.ndarray
+
+    def __init__(self, center, left, right):
+        self.__dict__.update(center=center, left=left, right=right)
 
     def as_disk(self) -> Disk:
         """Scalar specialization (all blocks 1 x 1)."""
@@ -184,8 +187,7 @@ def ball_membership(ball: MatrixBall, xt, tol: ToleranceConfig = DEFAULT_TOL):
     return bool(norm <= 1.0 + tol.psd_tol), k, norm
 
 
-@dataclass(frozen=True)
-class FeasReport:
+class FeasReport(Record):
     """Verdict of a solvability question, the one record every route returns.
 
     ``status`` is Feasible, Infeasible or Undetermined.  A Feasible
@@ -221,12 +223,20 @@ class FeasReport:
     """
 
     status: str
-    witness_x: Optional[np.ndarray] = None
-    margin: float = -np.inf
-    grid_stats: dict = field(default_factory=dict)
-    detail: str = ""
-    certificate: Optional[np.ndarray] = None
-    certificate_kind: Optional[str] = None
+    witness_x: Optional[np.ndarray]
+    margin: float
+    grid_stats: dict
+    detail: str
+    certificate: Optional[np.ndarray]
+    certificate_kind: Optional[str]
+
+    def __init__(self, status, witness_x=None, margin=-np.inf, grid_stats=FACTORY, detail="",
+                 certificate=None, certificate_kind=None):
+        self.__dict__.update(
+            status=status, witness_x=witness_x, margin=margin,
+            grid_stats={} if grid_stats is FACTORY else grid_stats, detail=detail,
+            certificate=certificate, certificate_kind=certificate_kind,
+        )
 
     @property
     def feasible(self) -> bool:
@@ -317,15 +327,17 @@ def _disk_grid(resolution: int) -> np.ndarray:
     resolution^2.
     """
     rings = max(1, resolution // 2)
-    i = np.arange(1, rings + 1)
-    counts = np.maximum(8, np.rint(np.pi * (2 * i - 1)).astype(int))
-    # One entry per point: its ring, its ring's size and its index on the ring.
-    ring = np.repeat(i, counts)
-    count = np.repeat(counts, counts)
-    j = np.arange(count.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    theta = 2.0 * np.pi * (j + 0.5 * (ring % 2)) / count
-    radius = np.sqrt((ring - 0.5) / rings)
-    return np.concatenate([[0.0 + 0.0j], radius * np.exp(1j * theta)])
+    # Per ring, the center first as a ring of one point at radius 0: the index of
+    # its first point less the ring's half-step offset, its size and its radius.
+    # The rings are few, so Python builds this table and numpy repeats it per point.
+    start, first, count, radius = 1, [0.0], [1], [0.0]
+    for i in range(1, rings + 1):
+        first.append(start - 0.5 * (i % 2))
+        count.append(max(8, round(math.pi * (2 * i - 1))))
+        radius.append(math.sqrt((i - 0.5) / rings))
+        start += count[-1]
+    first, size, radius = np.repeat([first, count, radius], count, axis=1)
+    return radius * np.exp(1j * (2.0 * np.pi * (np.arange(start) - first) / size))
 
 
 def _refine_grid(center: complex, halfwidth: float, per_side: int = 17) -> np.ndarray:

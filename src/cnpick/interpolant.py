@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -38,6 +37,7 @@ from .errors import DomainError, ProblemFileError
 from .linalg import operator_norm, psd_margin
 from .pick import BlaschkeSpec, DataSet, pick_matrix
 from .problemfile import _complex_from
+from .record import Record
 
 __all__ = [
     "SchurChain",
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SchurChain:
+class SchurChain(Record):
     """Moebius-Blaschke reduction chain: steps ``(zeta_j, v_j)`` plus tail.
 
     Step nodes and values lie strictly inside the disk; the terminal
@@ -66,17 +65,16 @@ class SchurChain:
     """
 
     steps: Tuple[Tuple[complex, complex], ...]
-    tail: complex = 0.0 + 0.0j
+    tail: complex
 
-    def __post_init__(self):
-        steps = tuple((complex(z), complex(v)) for z, v in self.steps)
+    def __init__(self, steps, tail=0.0 + 0.0j):
+        steps = tuple((complex(z), complex(v)) for z, v in steps)
         for zeta, v in steps:
             if not (abs(zeta) < 1 and abs(v) < 1):  # written so that NaN fails
                 raise DomainError("chain steps must be finite, strictly inside the unit disk")
-        if not abs(self.tail) <= 1:  # likewise
+        if not abs(tail) <= 1:  # likewise
             raise DomainError("chain tail must be finite and lie in the closed unit disk")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "tail", complex(self.tail))
+        self.__dict__.update(steps=steps, tail=complex(tail))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -226,8 +224,7 @@ def derivative_at(fn, point: complex, order: int = 1):
     return _quadrature(weights, np.asarray(evaluate(ring), dtype=complex))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Residuals of a candidate interpolant against data and constraint.
 
     ``interpolation[i] = |s(z_i) - w_i|`` (operator norm for matrix
@@ -244,6 +241,12 @@ class ResidualReport:
     sup_norm: float
     tol: float
     passed: bool
+
+    def __init__(self, interpolation, jets, coupling, sup_norm, tol, passed):
+        self.__dict__.update(
+            interpolation=interpolation, jets=jets, coupling=coupling, sup_norm=sup_norm, tol=tol,
+            passed=passed,
+        )
 
     def worst(self) -> float:
         vals = list(self.interpolation) + [r for js in self.jets for r in js] + list(self.coupling)

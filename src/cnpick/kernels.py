@@ -53,7 +53,6 @@ at its first random index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -61,6 +60,7 @@ import numpy as np
 from .errors import CnpError, DomainError
 from .linalg import DEFAULT_TOL, ToleranceConfig, _batched_margins
 from .pick import DataSet
+from .record import Record
 
 # Least singular value of ``alpha`` at or below which a drawn parameter
 # counts as non-injective; the next draw from the same generator replaces it.
@@ -94,16 +94,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GrassmannParam:
+class GrassmannParam(Record):
     """Normalized kernel parameter: ``alpha alpha* + beta beta* = I``, alpha injective."""
 
     alpha: np.ndarray
     beta: np.ndarray
 
-    def __post_init__(self):
-        alpha = np.atleast_2d(np.asarray(self.alpha, dtype=complex))
-        beta = np.atleast_2d(np.asarray(self.beta, dtype=complex))
+    def __init__(self, alpha, beta):
+        alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
+        beta = np.atleast_2d(np.asarray(beta, dtype=complex))
         if alpha.shape != beta.shape:
             raise DomainError("alpha and beta must have the same shape")
         lp, l = alpha.shape
@@ -117,8 +116,7 @@ class GrassmannParam:
         smin = np.linalg.svd(alpha, compute_uv=False)[-1]
         if smin <= DEFAULT_TOL.residual_tol:
             raise DomainError(f"alpha must be injective (min singular value {smin:.2e})")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self.__dict__.update(alpha=alpha, beta=beta)
 
     @classmethod
     def scalar(cls, alpha: complex, beta: complex) -> "GrassmannParam":
@@ -321,8 +319,7 @@ def necessity_form_matrix(d: DataSet, p: GrassmannParam) -> np.ndarray:
     return _form_stack(d, p.alpha[None], p.beta[None])[0]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     """Outcome of a necessity scan.
 
     ``status`` is ``"PASS"`` (no witness found among the evaluated
@@ -341,10 +338,18 @@ class ScanReport:
     samples_evaluated: int
     min_value: float
     forms_evaluated: int
-    witness_param: Optional[GrassmannParam] = None
-    witness_tuple: Optional[np.ndarray] = None
-    witness_value: Optional[float] = None
-    witness_index: Optional[int] = None
+    witness_param: Optional[GrassmannParam]
+    witness_tuple: Optional[np.ndarray]
+    witness_value: Optional[float]
+    witness_index: Optional[int]
+
+    def __init__(self, status, samples_requested, samples_evaluated, min_value, forms_evaluated,
+                 witness_param=None, witness_tuple=None, witness_value=None, witness_index=None):
+        self.__dict__.update(
+            status=status, samples_requested=samples_requested, samples_evaluated=samples_evaluated,
+            min_value=min_value, forms_evaluated=forms_evaluated, witness_param=witness_param,
+            witness_tuple=witness_tuple, witness_value=witness_value, witness_index=witness_index,
+        )
 
     @property
     def passed(self) -> bool:

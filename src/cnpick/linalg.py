@@ -21,11 +21,11 @@ All functions are pure and reentrant; none keeps mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NotHermitianError, NotPsdError
+from .record import Record
 
 __all__ = [
     "ToleranceConfig",
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class ToleranceConfig(Record):
     """Numerical tolerances used by every PSD test and residual check.
 
     psd_tol
@@ -51,16 +50,17 @@ class ToleranceConfig:
         checks.
     """
 
-    psd_tol: float = 1e-9
-    residual_tol: float = 1e-8
+    psd_tol: float
+    residual_tol: float
 
-    def __post_init__(self):
+    def __init__(self, psd_tol=1e-9, residual_tol=1e-8):
         # NaN compares false against everything and inf passes every PSD
         # test, so either would silently change verdicts.
-        if not (np.isfinite(self.psd_tol) and np.isfinite(self.residual_tol)):
+        if not (np.isfinite(psd_tol) and np.isfinite(residual_tol)):
             raise DomainError("tolerances must be finite")
-        if self.psd_tol < 0 or self.residual_tol < 0:
+        if psd_tol < 0 or residual_tol < 0:
             raise DomainError("tolerances must be nonnegative")
+        self.__dict__.update(psd_tol=psd_tol, residual_tol=residual_tol)
 
 
 DEFAULT_TOL = ToleranceConfig()

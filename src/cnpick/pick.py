@@ -63,13 +63,13 @@ a bundle is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
 from .linalg import DEFAULT_TOL, ToleranceConfig, _kron, hermitian_part, operator_norm, psd_margin
+from .record import Record
 
 __all__ = [
     "DataSet",
@@ -88,8 +88,7 @@ __all__ = [
 # data types
 
 
-@dataclass(frozen=True)
-class DataSet:
+class DataSet(Record):
     """Interpolation data: nodes in the open disk and k x k target matrices.
 
     ``nodes`` has shape (n,), ``values`` shape (n, k, k).  Nodes must be
@@ -101,9 +100,9 @@ class DataSet:
     nodes: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=complex).reshape(-1)
-        values = np.asarray(self.values, dtype=complex)
+    def __init__(self, nodes, values):
+        nodes = np.asarray(nodes, dtype=complex).reshape(-1)
+        values = np.asarray(values, dtype=complex)
         if nodes.size < 1:
             raise DomainError("data set needs at least one node")
         if values.ndim != 3 or values.shape[0] != nodes.size or values.shape[1] != values.shape[2]:
@@ -122,8 +121,7 @@ class DataSet:
         if np.count_nonzero(same) > nodes.size:  # more than the diagonal (entries are finite)
             i, j = divmod(int(np.triu(same, 1).argmax()), nodes.size)  # first pair, row-major
             raise DomainError(f"nodes {i} and {j} coincide ({nodes[i]})")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(nodes=nodes, values=values)
 
     @classmethod
     def scalar(cls, nodes, values) -> "DataSet":
@@ -145,16 +143,15 @@ class DataSet:
         return self.values[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class BlaschkeSpec:
+class BlaschkeSpec(Record):
     """Finite Blaschke product given by its distinct zeros and multiplicities."""
 
     zeros: np.ndarray
     multiplicities: np.ndarray
 
-    def __post_init__(self):
-        zeros = np.asarray(self.zeros, dtype=complex).reshape(-1)
-        mult = np.asarray(self.multiplicities, dtype=int).reshape(-1)
+    def __init__(self, zeros, multiplicities):
+        zeros = np.asarray(zeros, dtype=complex).reshape(-1)
+        mult = np.asarray(multiplicities, dtype=int).reshape(-1)
         if zeros.size < 1 or mult.size != zeros.size:
             raise DomainError("need matching nonempty zero and multiplicity lists")
         if np.any(mult < 1):
@@ -163,8 +160,7 @@ class BlaschkeSpec:
             raise DomainError("Blaschke zeros must be finite and lie in the open unit disk")
         if np.count_nonzero(zeros[:, None] == zeros) > zeros.size:  # more than the diagonal
             raise DomainError("Blaschke zeros must be pairwise distinct")
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "multiplicities", mult)
+        self.__dict__.update(zeros=zeros, multiplicities=mult)
 
     @classmethod
     def z_squared(cls) -> "BlaschkeSpec":
@@ -191,8 +187,7 @@ class BlaschkeSpec:
         return out
 
 
-@dataclass(frozen=True)
-class PickBundle:
+class PickBundle(Record):
     """The arrays the general-Blaschke builders read, precomputed.
 
     ``p`` is the classical Pick matrix.  ``q`` (Hermitian positive
@@ -212,6 +207,9 @@ class PickBundle:
     q: np.ndarray
     q_tilde: np.ndarray
     basis: np.ndarray
+
+    def __init__(self, data, blaschke, p, q, q_tilde, basis):
+        self.__dict__.update(data=data, blaschke=blaschke, p=p, q=q, q_tilde=q_tilde, basis=basis)
 
     @property
     def stein_residuals(self) -> tuple:

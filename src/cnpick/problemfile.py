@@ -24,13 +24,13 @@ path of the offending element (or line/column for syntax errors).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CnpError, ProblemFileError
 from .linalg import ToleranceConfig
 from .pick import BlaschkeSpec, DataSet
+from .record import Record
 
 __all__ = [
     "ProblemFile",
@@ -45,11 +45,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(Record):
     data: DataSet
     blaschke: BlaschkeSpec
     tol: ToleranceConfig
+
+    def __init__(self, data, blaschke, tol):
+        self.__dict__.update(data=data, blaschke=blaschke, tol=tol)
 
 
 def _want(obj, types, what, location):

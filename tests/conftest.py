@@ -548,6 +548,24 @@ def disk_grid_oracle(resolution):
     return np.concatenate([np.atleast_1d(p) for p in points])
 
 
+def disk_grid_formula_oracle(resolution):
+    """The equal-area polar grid of the unit disk from one array per point quantity.
+
+    Test-side oracle for the library's table-driven grid: every point gets
+    its ring, its ring's size and its index on the ring, and the angles and
+    radii follow elementwise; the origin is prepended.
+    """
+    rings = max(1, resolution // 2)
+    i = np.arange(1, rings + 1)
+    counts = np.maximum(8, np.rint(np.pi * (2 * i - 1)).astype(int))
+    ring = np.repeat(i, counts)
+    count = np.repeat(counts, counts)
+    j = np.arange(count.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    theta = 2.0 * np.pi * (j + 0.5 * (ring % 2)) / count
+    radius = np.sqrt((ring - 0.5) / rings)
+    return np.concatenate([[0.0 + 0.0j], radius * np.exp(1j * theta)])
+
+
 def covers_oracle(centers, radii, w0, slack=0.0):
     """Whether ``w0`` lies in some disk ``D(c, r + slack)``, testing every point against every disk.
 

@@ -49,6 +49,7 @@ from conftest import (
     congruent_lift,
     constrained_pick_z2_quadratic,
     degree4_feasible,
+    disk_grid_formula_oracle,
     disk_grid_oracle,
     disk_point,
     fresh_builder,
@@ -790,6 +791,14 @@ def test_disk_grid_matches_ring_loop():
     # search_lambda, body_union and ACCEPT-5 read the same points: bit for bit.
     for resolution in range(1, 201):
         grid, expected = _disk_grid(resolution), disk_grid_oracle(resolution)
+        assert grid.dtype == expected.dtype and grid.shape == expected.shape
+        assert grid.tobytes() == expected.tobytes(), resolution
+
+
+def test_disk_grid_matches_per_point_formula():
+    # The table-driven grid must keep every raster bit for bit, the sign of zeros included.
+    for resolution in [*range(1, 65), 100, 255, 400]:
+        grid, expected = _disk_grid(resolution), disk_grid_formula_oracle(resolution)
         assert grid.dtype == expected.dtype and grid.shape == expected.shape
         assert grid.tobytes() == expected.tobytes(), resolution
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -343,7 +341,7 @@ class TestGramPair:
         d = DataSet(np.array([0.5, -0.3 + 0.2j]), 0.3 * np.stack([np.eye(2), 1j * np.eye(2)]))
         b = BlaschkeSpec(np.array([0.2, -0.1j]), np.array([2, 1]))
         bundle = assemble_bundle(d, b)
-        names = [field.name for field in dataclasses.fields(bundle)]
+        names = list(bundle._fields)
         assert names == ["data", "blaschke", "p", "q", "q_tilde", "basis"]
         for name in names[2:]:
             with pytest.raises(ValueError):
