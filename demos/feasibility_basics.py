@@ -51,5 +51,9 @@ report = search_x_grid(data)
 print(f"constrained search: {report.status}, best margin {report.margin:.4f}")
 print(f"grid stats: {report.grid_stats}")
 
+# The one-parameter route can only prove feasibility: a data set is
+# solvable iff some lambda passes, and no finite grid shows that none
+# does.  Here no lambda passes, so it says Undetermined; the solver's
+# dual certificate above is the proof of infeasibility.
 report = search_lambda(data, resolution=200)
-print(f"one-parameter route agrees: {report.status}")
+print(f"one-parameter route: {report.status} ({report.detail})")

@@ -49,6 +49,9 @@ augmented data.  ``search_lambda`` alone stays a grid search (one
 batched eigenvalue call per stack of points, then local refinement):
 the lambda criterion is not affine in its parameter, and
 ``search_lambda`` is the independent cross-check of ``search_x_grid``.
+A passing grid point proves Feasible, but no finite grid proves that
+no point passes, so ``search_lambda`` says Feasible or Undetermined and
+every Infeasible verdict comes with a certificate from the solver route.
 """
 
 from __future__ import annotations
@@ -105,10 +108,6 @@ UNDETERMINED = "Undetermined"
 # Pivot matrices with condition number beyond this give no matrix ball.
 M_COND_LIMIT = 1e12
 
-# Grid-based infeasibility is only declared at or beyond this resolution
-# and with margins uniformly below 10 * psd_tol (relative).
-INFEASIBLE_MIN_RESOLUTION = 200
-INFEASIBLE_MARGIN_FACTOR = 10.0
 # Local refinement passes of ``search_lambda`` after the disk grid.
 REFINE_PASSES = 2
 # Iteration cap of the primal-dual solver, the fraction of the largest
@@ -620,8 +619,11 @@ def search_lambda(
     A single parameter value ``lambda`` whose criterion matrix is PSD
     certifies feasibility and is reported as ``witness_x = [[lambda]]``:
     the criterion matrix at ``lambda`` is congruent to the reduced Pick
-    matrix at the origin value ``x = lambda``.  Infeasible needs
-    resolution >= 200 and uniformly negative margins.
+    matrix at the origin value ``x = lambda``.  The data are solvable iff
+    some ``lambda`` in the disk passes, and no finite grid shows that none
+    does, so without a passing point the verdict is Undetermined at every
+    ``resolution``; that only sets the grid's fineness.  Infeasible
+    verdicts, each with a certificate, come from :func:`search_x_grid`.
     """
     if d.k != 1:
         raise DomainError("the one-parameter criterion applies to scalar data only")
@@ -633,7 +635,7 @@ def search_lambda(
     # Best point by relative margin, then ``REFINE_PASSES`` passes over a square
     # of ``halfwidth`` around it (shrinking six-fold); ties go to the earliest index.
     best_l, best_lmin, best_scale = None, -np.inf, 1.0
-    total, uniform = 0, True
+    total = 0
     for step in range(REFINE_PASSES + 1):
         if step:
             points = _refine_grid(best_l, halfwidth)
@@ -644,16 +646,10 @@ def search_lambda(
         rel = lmin / scale
         best = int(np.argmax(rel))
         total += len(points)
-        uniform = uniform and bool(np.all(lmin < -INFEASIBLE_MARGIN_FACTOR * tol.psd_tol * scale))
         if best_l is None or rel[best] > best_lmin / best_scale:
             best_l, best_lmin, best_scale = points[best], lmin[best], scale[best]
     best_lmin, best_scale = float(best_lmin), float(best_scale)
-    stats = {
-        "resolution": int(resolution),
-        "points": total,
-        "best_margin": best_lmin,
-        "uniform_infeasible": uniform,
-    }
+    stats = {"resolution": int(resolution), "points": total, "best_margin": best_lmin}
     if best_lmin >= -tol.psd_tol * best_scale:
         return FeasReport(
             FEASIBLE,
@@ -662,13 +658,7 @@ def search_lambda(
             grid_stats=stats,
             detail="criterion matrix PSD at the reported parameter",
         )
-    if resolution >= INFEASIBLE_MIN_RESOLUTION and uniform:
-        return FeasReport(
-            INFEASIBLE, margin=best_lmin, grid_stats=stats,
-            detail="margin uniformly negative over the refined grid",
-        )
     return FeasReport(
         UNDETERMINED, margin=best_lmin, grid_stats=stats,
-        detail="no witness found; grid too coarse to certify infeasibility",
+        detail="no witness found; the one-parameter route certifies no infeasibility",
     )
-

@@ -27,6 +27,7 @@ Chains are immutable values and evaluation is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import Callable, Optional, Tuple, Union
@@ -183,17 +184,14 @@ def construct_interpolant(d: DataSet, x: complex) -> SchurChain:
 
 MAX_ORDER = 4
 CAUCHY_NODES = 256
-# The unit Cauchy ring and its turns ``exp(-i j theta)`` for orders j = 0..MAX_ORDER.
-_CAUCHY_THETA = 2.0 * np.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES
-_CAUCHY_UNIT = np.exp(1j * _CAUCHY_THETA)
-_CAUCHY_TURNS = tuple(np.exp(-1j * order * _CAUCHY_THETA) for order in range(MAX_ORDER + 1))
 
 
 def _cauchy_ring(point, order: int):
     """Cauchy ring around ``point`` and the weights that take its values to the derivative."""
+    unit, turns, _ = _rings()
     rho = min(0.1, (1.0 - abs(point)) / 2.0)
-    weights = _CAUCHY_TURNS[order] * (math.factorial(order) / (CAUCHY_NODES * rho**order))
-    return point + rho * _CAUCHY_UNIT, weights
+    weights = turns[order] * (math.factorial(order) / (CAUCHY_NODES * rho**order))
+    return point + rho * unit, weights
 
 
 def _quadrature(weights, vals):
@@ -256,8 +254,16 @@ class ResidualReport(Record):
 SUP_NORM_SLACK = 1e-6
 SUP_NORM_RADIUS = 0.999
 SUP_NORM_SAMPLES = 4096
-_SUP_THETA = 2.0 * np.pi * np.arange(SUP_NORM_SAMPLES) / SUP_NORM_SAMPLES
-_SUP_RING = SUP_NORM_RADIUS * np.exp(1j * _SUP_THETA)
+
+
+@functools.cache
+def _rings():
+    """The unit Cauchy ring, its turns ``exp(-i j theta)`` for orders j = 0..MAX_ORDER,
+    and the sup-norm ring, built on first use: only derivatives and verification read them."""
+    theta = 2.0 * np.pi * np.arange(CAUCHY_NODES) / CAUCHY_NODES
+    turns = tuple(np.exp(-1j * order * theta) for order in range(MAX_ORDER + 1))
+    sup_theta = 2.0 * np.pi * np.arange(SUP_NORM_SAMPLES) / SUP_NORM_SAMPLES
+    return np.exp(1j * theta), turns, SUP_NORM_RADIUS * np.exp(1j * sup_theta)
 
 
 def check_residual_tol(tol: float) -> None:
@@ -303,7 +309,7 @@ def verify_interpolant(
         for lam, r in zip(b.zeros, b.multiplicities)
     ]
     rings = [orders[0][0] for orders in rules if orders]
-    points = np.concatenate([d.nodes, b.zeros, *rings, _SUP_RING])
+    points = np.concatenate([d.nodes, b.zeros, *rings, _rings()[2]])
 
     vals = chain_eval(fn, points) if isinstance(fn, SchurChain) else fn(points)
     vals = np.asarray(vals, dtype=complex)

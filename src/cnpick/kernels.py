@@ -126,10 +126,6 @@ class GrassmannParam(Record):
     def ell(self) -> int:
         return self.alpha.shape[1]
 
-    @property
-    def ell_prime(self) -> int:
-        return self.alpha.shape[0]
-
 
 def _injective(alpha: np.ndarray) -> np.ndarray:
     """Mask of the stacked ``alpha`` whose least singular value exceeds ``_INJECTIVITY_FLOOR``."""

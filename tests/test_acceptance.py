@@ -241,7 +241,7 @@ def test_criterion_5_criterion_agreement():
         else:
             indeterminate_pairs.append(idx)
 
-    # escalate a few indeterminate pairs to the certifying resolution
+    # retry a few indeterminate pairs on a finer lambda grid
     for idx in indeterminate_pairs[:8]:
         rx = search_x_grid(instances[idx])
         rl = search_lambda(instances[idx], resolution=200)

@@ -392,8 +392,28 @@ class TestSearch:
         assert report.status == FEASIBLE
 
     def test_lambda_documented_gap(self):
+        """The one-parameter route finds no witness and certifies nothing: the solver proves it."""
         report = search_lambda(INFEASIBLE_DATA, resolution=200)
-        assert report.status == INFEASIBLE
+        assert report.status == UNDETERMINED
+        assert report.certificate is None and report.certificate_kind is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lambda_never_infeasible_below_threshold(self, seed):
+        """Just below the solver's threshold scale, the one-parameter route never says Infeasible."""
+        data, _ = generate_feasible(seed, 2 + seed % 2)
+
+        def scaled(s):
+            return DataSet(data.nodes, data.values * s)
+
+        lo, hi = 1.0, 1.0 / np.max(np.abs(data.values))
+        assert search_x_grid(scaled(hi)).status != FEASIBLE
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if search_x_grid(scaled(mid)).status == FEASIBLE else (lo, mid)
+        for eps in (1e-2, 1e-4, 1e-6):
+            near = scaled(lo * (1 - eps))
+            assert search_x_grid(near).status == FEASIBLE
+            assert search_lambda(near, resolution=200).status != INFEASIBLE
 
     def test_overlap_routes(self):
         d = DataSet.scalar([0.3, 0.5], [0.1, 0.4])
@@ -636,7 +656,7 @@ class TestCertificateKind:
                 BlaschkeSpec(np.array([0.3]), np.array([1])),
             ),
         ],
-        ids=["solver-feasible", "lambda-infeasible", "total-overlap-infeasible"],
+        ids=["solver-feasible", "lambda-undetermined", "total-overlap-infeasible"],
     )
     def test_no_certificate_no_kind(self, route):
         report = route()
