@@ -41,7 +41,6 @@ from .feasibility import (
     Disk,
     FeasReport,
     MatrixBall,
-    INFEASIBLE,
     _disk_grid,
     matrix_ball,
     one_point_disk,
@@ -185,19 +184,9 @@ def body_membership(
     says whether ``w0`` is inside, a Feasible report carries the
     solver's witness origin value as ``witness_x`` and an Infeasible one a
     dual ``certificate``.  Certified Infeasible and Undetermined stay
-    apart.  A value with ``|w0| > 1`` is Infeasible without the solver.
+    apart.
     """
     _check_body_args(z1, w1, z0)
-    if abs(w0) > 1.0:
-        # Its Pick entry (1 - |w0|^2) / (1 - |z0|^2) < 0 does not depend on
-        # x, so the unit matrix at that row is a dual certificate of the
-        # 6 x 6 LMI (two nodes, two jets and their mirrors).
-        certificate = np.zeros((6, 6))
-        certificate[1, 1] = 1.0
-        return FeasReport(
-            INFEASIBLE, detail="|w0| > 1 exceeds the sup-norm bound", certificate=certificate,
-            certificate_kind="dual",
-        )
     return search_x_grid(DataSet.scalar([z1, z0], [w1, w0]), tol=tol)
 
 

@@ -68,7 +68,7 @@ def _tolerances(args, file_tol: ToleranceConfig) -> ToleranceConfig:
             psd = float(env)
         except ValueError:
             raise ProblemFileError(f"CNP_TOL must be a number, got {env!r}")
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         psd = args.tol
     return ToleranceConfig(psd_tol=psd, residual_tol=file_tol.residual_tol)
 
@@ -86,8 +86,10 @@ def _json_number(value: float) -> float | None:
     return value if np.isfinite(value) else None
 
 
-def _optional_disk(data: DataSet) -> dict | None:
-    if data.n != 1 or data.k != 1:
+def _optional_disk(problem) -> dict | None:
+    # one_point_disk's formula holds for B = z^2 only.
+    data = problem.data
+    if data.n != 1 or data.k != 1 or not problem.blaschke.is_z_squared():
         return None
     z1, w1 = data.nodes[0], data.scalar_values()[0]
     if not 0 < abs(z1) < 1 or abs(w1) >= 1:
@@ -109,7 +111,7 @@ def cmd_check(args) -> int:
         "detail": report.detail,
         "witness_x": matrix_to_json(report.witness_x) if report.witness_x is not None else None,
     }
-    disk = _optional_disk(problem.data)
+    disk = _optional_disk(problem)
     if disk is not None:
         document["one_point_disk"] = disk
     _emit(args, document, _check_lines(report, disk))
@@ -407,9 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, tol=True):
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        p.add_argument("--tol", type=float, default=None, help="PSD tolerance override")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="PSD tolerance override")
 
     p = sub.add_parser("check", help="decide solvability of a problem file")
     p.add_argument("input")
@@ -449,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chain")
     p.add_argument("input")
     p.add_argument("--check-tol", type=float, default=1e-7, help="verification residual tolerance")
-    add_common(p)
+    add_common(p, tol=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stein", help="jet matrices and Stein solutions (exact, no solver) for a Blaschke file")
@@ -457,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", required=True,
                    help="comma-separated complex nodes, e.g. '-0.5,0.5,0.1+0.2j'")
     p.add_argument("--k", type=int, default=1, help="matrix size of the data")
-    add_common(p)
+    add_common(p, tol=False)
     p.set_defaults(func=cmd_stein)
 
     return parser

@@ -83,7 +83,7 @@ from .pick import (
     constrained_pick_terms,
     pick_matrix,
 )
-from .record import FACTORY, Record
+from .record import Record
 
 __all__ = [
     "FEASIBLE",
@@ -229,11 +229,11 @@ class FeasReport(Record):
     certificate: Optional[np.ndarray]
     certificate_kind: Optional[str]
 
-    def __init__(self, status, witness_x=None, margin=-np.inf, grid_stats=FACTORY, detail="",
+    def __init__(self, status, witness_x=None, margin=-np.inf, grid_stats=None, detail="",
                  certificate=None, certificate_kind=None):
         self.__dict__.update(
             status=status, witness_x=witness_x, margin=margin,
-            grid_stats={} if grid_stats is FACTORY else grid_stats, detail=detail,
+            grid_stats={} if grid_stats is None else grid_stats, detail=detail,
             certificate=certificate, certificate_kind=certificate_kind,
         )
 

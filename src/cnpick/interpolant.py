@@ -354,7 +354,7 @@ def verify_interpolant(
     )
 
 
-def generate_feasible(seed: int, n: int, b: Optional[BlaschkeSpec] = None):
+def generate_feasible(seed: int, n: int):
     """Seeded generator of guaranteed-feasible scalar instances.
 
     Builds a random constrained function ``s = mu(z^2 g(z), x)`` with a
@@ -366,9 +366,6 @@ def generate_feasible(seed: int, n: int, b: Optional[BlaschkeSpec] = None):
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    b = b if b is not None else BlaschkeSpec.z_squared()
-    if not b.is_z_squared():
-        raise DomainError("the generator targets the origin constraint (B = z^2)")
     rng = np.random.default_rng(seed)
 
     def disk_point(radius):

@@ -4,11 +4,10 @@ A record class lists its fields as annotated class attributes, in order,
 and writes an ``__init__`` whose parameters are the leading fields; any
 fields after them are derived, set by ``__init__`` itself.  ``__init__``
 validates its arguments and stores the values with
-``self.__dict__.update(...)``.  The base class adds what a frozen
-dataclass would, without generating code:
+``self.__dict__.update(...)``, so :func:`inspect.signature` of a record
+class is that of its ``__init__``.  The base class adds, without
+generating code:
 
-- ``__signature__`` for :mod:`inspect`: the parameters of ``__init__``
-  with their defaults and the fields' annotations;
 - a ``Name(field=value, ...)`` repr over every field;
 - ``==`` and ``hash`` on the tuple of field values, between records of
   the same class (``class X(Record, eq=False)`` keeps identity);
@@ -20,19 +19,7 @@ dataclass would, without generating code:
 
 from __future__ import annotations
 
-import inspect
-import reprlib
-
-__all__ = ["Record", "FACTORY"]
-
-
-class _Factory:
-    def __repr__(self):
-        return "<factory>"
-
-
-# Default of a parameter whose value ``__init__`` builds anew for each record.
-FACTORY = _Factory()
+__all__ = ["Record"]
 
 
 class Record:
@@ -43,27 +30,10 @@ class Record:
 
     def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        annotations = cls.__dict__.get("__annotations__", {})
-        cls._fields = tuple(annotations)
-        init = cls.__dict__["__init__"]
-        names = init.__code__.co_varnames[1 : init.__code__.co_argcount]
-        if names != cls._fields[: len(names)]:
-            raise TypeError(f"{cls.__qualname__}.__init__ must take the leading fields, in order")
-        defaults = init.__defaults__ or ()
-        defaults = (inspect.Parameter.empty,) * (len(names) - len(defaults)) + defaults
-        cls.__match_args__ = names
-        cls.__signature__ = inspect.Signature(
-            [
-                inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default=default,
-                                  annotation=annotations[name])
-                for name, default in zip(names, defaults)
-            ],
-            return_annotation=None,
-        )
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
-    @reprlib.recursive_repr()
     def __repr__(self):
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({body})"

@@ -256,7 +256,7 @@ class TestBodyMembership:
     def test_outside_unit_disk(self):
         report = body_membership(0.5, 0.3, 0.2, 1.5)
         assert report.status == INFEASIBLE and report.witness_x is None
-        assert report.margin == -np.inf
+        assert report.margin < 0
         # The certificate bounds the augmented LMI below zero for every x.
         data = DataSet.scalar([0.5, 0.2], [0.3, 1.5])
         a0, terms = constrained_pick_terms(assemble_bundle(data, BlaschkeSpec.z_squared()))

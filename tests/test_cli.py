@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnpick.cli import _optional_disk, _write_csv, build_parser, main
-from cnpick.feasibility import _dual_bound, search_x_grid
+from cnpick.feasibility import _dual_bound, one_point_disk, search_x_grid
 from cnpick.interpolant import chain_from_json, generate_feasible, verify_interpolant
-from cnpick.pick import DataSet
+from cnpick.pick import DataSet, constrained_pick_cf
 from cnpick.problemfile import complex_to_json, matrix_to_json, parse_problem
 
 from conftest import (
@@ -52,6 +53,20 @@ def test_check_feasible_one_point(workdir, capsys):
     assert out["status"] == "Feasible"
     center = complex(*out["one_point_disk"]["center"])
     assert abs(complex(*out["witness_x"][0][0]) - center) <= out["one_point_disk"]["radius"] + 1e-9
+
+
+def test_check_writes_no_one_point_disk_for_other_constraints(workdir, capsys):
+    # one_point_disk is the z^2 disk; for this B (a double zero at 0.2) points inside it fail.
+    path = write_problem(workdir / "p.json", [0.5], [0.3], {"zeros": [[0.2, 0.0]], "multiplicities": [2]})
+    assert main(["check", str(path), "--json"]) == 0
+    assert "one_point_disk" not in json.loads(capsys.readouterr().out)
+    assert main(["check", str(path)]) == 0
+    assert "one-point" not in capsys.readouterr().out
+    problem = parse_problem(path)
+    z2_disk = one_point_disk(0.5, 0.3)
+    for x in (z2_disk.center + 0.97 * z2_disk.radius, z2_disk.center - 0.97 * z2_disk.radius):
+        pick = constrained_pick_cf(problem.data, problem.blaschke, np.array([[x]]))
+        assert np.linalg.eigvalsh(pick).min() < -0.02
 
 
 def test_check_matches_library_verdict(workdir, capsys):
@@ -120,7 +135,7 @@ def test_check_text_matches_eager_lines(workdir, capsys, nodes, values, blaschke
     problem = parse_problem(path)
     report = search_x_grid(problem.data, problem.blaschke)
     main(["check", str(path)])
-    lines = check_lines_oracle(report, _optional_disk(problem.data))
+    lines = check_lines_oracle(report, _optional_disk(problem))
     assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
 
 
@@ -812,10 +827,19 @@ def test_stein_malformed_node_is_usage_error(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["check", "p.json", "--bogus"], ["check"], ["check", "p.json", "--grid", "abc"]]
+    "argv",
+    [
+        ["check", "p.json", "--bogus"],
+        ["check"],
+        ["check", "p.json", "--grid", "abc"],
+        ["verify", "c.json", "p.json", "--tol", "-5"],  # verify and stein use no PSD tolerance
+        ["stein", "b.json", "--nodes", "0.5", "--tol", "-1"],
+    ],
 )
 def test_command_line_usage_error_exit_64(workdir, capsys, argv):
     write_problem(workdir / "p.json", [0.5], [0.5])
+    (workdir / "c.json").write_text(json.dumps({"steps": [], "tail": [0.5, 0.0]}))
+    (workdir / "b.json").write_text(json.dumps({"zeros": [[0.0, 0.0]], "multiplicities": [2]}))
     assert main(argv) == 64
 
 
@@ -873,3 +897,45 @@ def test_malformed_chain_is_usage_error(workdir, capsys, chain):
     chain_path.write_text(json.dumps(chain))
     assert main(["verify", str(chain_path), str(path)]) == 64
     assert "error:" in capsys.readouterr().err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """An ``argparse.Namespace`` that notes the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            super().__getattribute__("_reads").add(name)
+        return super().__getattribute__(name)
+
+
+# One run per subcommand, in order: verify reads the chain that solve writes.
+OPTION_RUNS = {
+    "check": ["check", "p.json", "--json"],
+    "witness": ["witness", "p.json", "--samples", "8", "--json"],
+    "body": ["body", "p.json", "--z0", "0.3,0", "--xres", "2", "--wres", "4", "--csv", "out", "--json"],
+    "solve": ["solve", "p.json", "--out", "chain.json", "--json"],
+    "verify": ["verify", "chain.json", "p.json", "--json"],
+    "stein": ["stein", "b.json", "--nodes", "0.5", "--json"],
+}
+
+
+def test_every_registered_option_is_read(workdir, capsys):
+    """A dest that no run reads is an option that does nothing."""
+    write_problem(workdir / "p.json", [0.5], [0.5])
+    (workdir / "b.json").write_text(json.dumps({"zeros": [[0.0, 0.0]], "multiplicities": [2]}))
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(OPTION_RUNS) == list(commands)
+    unread = {}
+    for name, argv in OPTION_RUNS.items():
+        args = parser.parse_args(argv, namespace=_ReadRecorder())
+        args._reads.clear()  # argparse's own reads while parsing
+        assert args.func(args) == 0, name
+        dests = {action.dest for action in commands[name]._actions if action.default != argparse.SUPPRESS}
+        if dests - args._reads:
+            unread[name] = sorted(dests - args._reads)
+    assert unread == {}

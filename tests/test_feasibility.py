@@ -628,7 +628,6 @@ class TestCertificateKind:
     def test_sup_norm_dual(self):
         report = body_membership(0.5, 0.2, -0.3, 1.5 + 0.0j)
         assert report.status == INFEASIBLE and report.certificate_kind == "dual"
-        # The unit matrix at the new node's row of the 6 x 6 LMI: tr(Y A(X)) < 0 for every X.
         data = DataSet.scalar([0.5, -0.3], [0.2, 1.5])
         assert _dual_bound(*fresh_builder(data), report.certificate) < -1e-3
 
