@@ -40,7 +40,7 @@ data = DataSet(np.array([0.4, -0.3 + 0.2j]), values)
 pencil = pencil_build(data)
 print(f"Pick matrix min eig: {np.linalg.eigvalsh(pencil[0])[0]:.4f}")
 
-# Raises NotPsdError or SingularBlockError on unusable data, None when empty.
+# Raises NotPsdError or IllConditionedError on unusable data, None when empty.
 ball = matrix_ball(*pencil)
 print(f"relaxed LMI solvable: {ball is not None}")
 print(f"center norm {operator_norm(ball.center):.4f}, semi-radius norms "

@@ -16,16 +16,13 @@ from .errors import (
     NotHermitianError,
     NotPsdError,
     ProblemFileError,
-    SingularBlockError,
 )
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    eig_hermitian,
     hermitian_part,
     is_psd,
     operator_norm,
-    sqrt_psd,
 )
 from .pick import (
     BlaschkeSpec,

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NotPsdError, SingularBlockError
+from .errors import DomainError, IllConditionedError, NotPsdError
 from .feasibility import (
     Disk,
     FeasReport,
@@ -82,7 +82,7 @@ def unconstrained_body(d: DataSet, z0: complex, tol: ToleranceConfig = DEFAULT_T
     w_t = -cauchy @ d.values.reshape(d.n * d.k, d.k) * np.sqrt(delta0)
     try:
         ball = matrix_ball(pick_matrix(d), e_t, w_t, tol)
-    except SingularBlockError as err:
+    except IllConditionedError as err:
         raise NotPsdError(f"body pencil unusable: {err}") from err
     if ball is None:
         # With P > 0 the unconstrained problem is solvable, so only rounding lands here.

@@ -5,7 +5,6 @@ __all__ = [
     "DomainError",
     "NotHermitianError",
     "NotPsdError",
-    "SingularBlockError",
     "IllConditionedError",
     "DegenerateDataError",
     "ProblemFileError",
@@ -28,21 +27,10 @@ class NotPsdError(DomainError):
     """Matrix fails a positive-semidefiniteness precondition."""
 
 
-class SingularBlockError(CnpError):
-    """A designated pivot block is singular or numerically unusable.
-
-    Raised by :func:`~cnpick.feasibility.matrix_ball` when its pivot
-    matrix is too ill-conditioned to invert, in place of a silent
-    pseudo-inverse.
-    """
-
-    def __init__(self, message, cond=None):
-        super().__init__(message)
-        self.cond = cond
-
-
 class IllConditionedError(CnpError):
-    """A linear operator is too ill-conditioned to solve reliably."""
+    """A linear operator is too ill-conditioned to solve reliably: the node part
+    of :func:`~cnpick.pick.assemble_bundle` or the pivot matrix of
+    :func:`~cnpick.feasibility.matrix_ball`.  ``cond`` measures it when known."""
 
     def __init__(self, message, cond=None):
         super().__init__(message)

@@ -61,19 +61,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, NotPsdError, SingularBlockError
+from .errors import CnpError, DegenerateDataError, DomainError, IllConditionedError, NotPsdError
 from .kernels import lambda_criterion_matrix
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _batched_margins,
     _kron,
+    _psd_root,
     hermitian_part,
-    inv_sqrt_psd,
     is_psd,
     operator_norm,
     psd_margin,
-    sqrt_psd,
 )
 from .pick import (
     BlaschkeSpec,
@@ -167,7 +166,7 @@ def _ball_shaped(ball: MatrixBall, a, name: str) -> np.ndarray:
 def ball_sample(ball: MatrixBall, k_param, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Point of the ball at the free contraction parameter ``k_param`` (shaped like a point)."""
     k = _ball_shaped(ball, k_param, "k_param")
-    return ball.center + sqrt_psd(ball.left, tol) @ k @ sqrt_psd(ball.right, tol)
+    return ball.center + _psd_root(ball.left, tol) @ k @ _psd_root(ball.right, tol)
 
 
 def ball_membership(ball: MatrixBall, xt, tol: ToleranceConfig = DEFAULT_TOL):
@@ -181,7 +180,8 @@ def ball_membership(ball: MatrixBall, xt, tol: ToleranceConfig = DEFAULT_TOL):
     :class:`DomainError`.
     """
     xt = _ball_shaped(ball, xt, "xt")
-    k = inv_sqrt_psd(ball.left, tol) @ (xt - ball.center) @ inv_sqrt_psd(ball.right, tol)
+    left, right = (_psd_root(r, tol, inverse=True) for r in (ball.left, ball.right))
+    k = left @ (xt - ball.center) @ right
     norm = operator_norm(k)
     return bool(norm <= 1.0 + tol.psd_tol), k, norm
 
@@ -263,7 +263,7 @@ def matrix_ball(p, e_tilde, w_tilde, tol: ToleranceConfig = DEFAULT_TOL) -> Opti
     """Solution set of the relaxed LMI as a matrix ball, or None when it is empty.
 
     Raises :class:`NotPsdError` unless the Pick matrix ``P`` is positive
-    definite and :class:`SingularBlockError` when the pivot matrix is
+    definite and :class:`IllConditionedError` when the pivot matrix is
     nearly singular (condition number beyond ``M_COND_LIMIT``).  An
     indefinite ``Lam`` certifies that the relaxed LMI, hence the
     structured problem as well, has no solution: the result is None.
@@ -274,7 +274,7 @@ def matrix_ball(p, e_tilde, w_tilde, tol: ToleranceConfig = DEFAULT_TOL) -> Opti
         raise NotPsdError(f"Pick matrix must be positive definite (min eig {min_eig:.3e})")
     cond = float(np.linalg.cond(_pivot(p, e_tilde, w_tilde)))
     if not cond <= M_COND_LIMIT:
-        raise SingularBlockError(f"pivot matrix nearly singular (cond ~ {cond:.3e})", cond=cond)
+        raise IllConditionedError(f"pivot matrix nearly singular (cond ~ {cond:.3e})", cond=cond)
     a = e_tilde.shape[1]
     solved = np.linalg.solve(p + w_tilde @ w_tilde.conj().T, np.hstack([e_tilde, w_tilde]))
     lam = hermitian_part(np.eye(a) - e_tilde.conj().T @ solved[:, :a])
@@ -325,6 +325,8 @@ def _disk_grid(resolution: int) -> np.ndarray:
     the angular count matched per ring.  Total points ~ pi/4 *
     resolution^2.
     """
+    if resolution < 1:
+        raise DomainError(f"grid resolution must be >= 1, got {resolution}")
     rings = max(1, resolution // 2)
     # Per ring, the center first as a ring of one point at radius 0: the index of
     # its first point less the ring's half-step offset, its size and its radius.
@@ -458,6 +460,8 @@ def _maximize_min_eig(a0: np.ndarray, terms: np.ndarray, tol: ToleranceConfig):
     v = np.zeros(len(fj))
     v[-1] = w[0] - 0.01 * (1.0 + max(abs(w[0]), abs(w[-1])))
     s = f0 + combine(v)
+    if not np.all(np.isfinite(s)):  # entries near the float limit overflow the pencil or its t
+        raise CnpError("solver start is not finite: the data overflow")
     z = np.linalg.inv(s)
     z /= np.trace(z[:m, :m]).real  # the central point of S, with a unit-trace Y block
     best = (None, -np.inf, 1.0)

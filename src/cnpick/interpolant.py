@@ -364,6 +364,8 @@ def generate_feasible(seed: int, n: int):
     construction (strictly: the chain tail stays inside the disk, so the
     function has sup-norm < 1).
     """
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     if n < 1:
         raise DomainError("need n >= 1")
     rng = np.random.default_rng(seed)

@@ -2,9 +2,10 @@
 tolerance policy.
 
 Everything in this package eventually reduces to a handful of operations
-on small dense complex matrices: Hermitian eigendecomposition,
-positive-semidefiniteness tests and PSD square roots.  They live here so
-the tolerance policy is defined in exactly one place.
+on small dense complex matrices: Hermitian parts, positive-semidefiniteness
+tests and margins, and operator norms, plus the private PSD square root
+behind the matrix ball.  They live here so the tolerance policy is defined
+in exactly one place.
 
 Conventions
 -----------
@@ -31,11 +32,8 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "hermitian_part",
-    "eig_hermitian",
     "is_psd",
     "psd_margin",
-    "sqrt_psd",
-    "inv_sqrt_psd",
     "operator_norm",
 ]
 
@@ -87,41 +85,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
-def eig_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    a
-        Square matrix, Hermitian within ``residual_tol * (1 + ||a||)``
-        measured entrywise.
-    tol
-        Tolerance configuration.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        Eigenvalues ascending and real; eigenvector columns unitary, so
-        ``a ~= V @ diag(w) @ V*``.
-
-    Raises
-    ------
-    NotHermitianError
-        If the asymmetry exceeds the tolerance.  The check runs before
-        symmetrization so genuinely non-Hermitian input is rejected
-        rather than silently averaged.
-    """
-    a = _as_square(a)
-    scale = 1.0 + np.max(np.abs(a), initial=0.0)
-    asym = np.max(np.abs(a - a.conj().T), initial=0.0)
-    if asym > tol.residual_tol * scale:
-        raise NotHermitianError(
-            f"matrix asymmetry {asym:.3e} exceeds {tol.residual_tol:.1e} * {scale:.3e}"
-        )
-    w, v = np.linalg.eigh(hermitian_part(a))
-    return w, v
-
-
 def psd_margin(a):
     """Smallest eigenvalue and the relative scale used by :func:`is_psd`.
 
@@ -155,32 +118,30 @@ def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL):
     return bool(min_eig >= -tol.psd_tol * scale), min_eig
 
 
-def sqrt_psd(a, tol: ToleranceConfig = DEFAULT_TOL):
-    """Hermitian PSD square root via eigendecomposition.
+def _psd_root(a, tol: ToleranceConfig, inverse: bool = False):
+    """Hermitian square root of a PSD matrix, or with ``inverse`` the
+    inverse square root of a positive definite one.
 
-    Requires ``is_psd(a)``; eigenvalues inside the negative tolerance
-    band are clamped to zero before taking roots.
+    Asymmetry beyond ``residual_tol * (1 + max |a_ij|)``, checked before
+    symmetrizing, raises :class:`NotHermitianError`.  An eigenvalue below
+    ``-psd_tol * scale`` (for the inverse, at or below ``psd_tol * scale``)
+    raises :class:`NotPsdError`; the square root clamps the band to zero.
     """
     a = _as_square(a)
-    w, v = eig_hermitian(a, tol)
-    scale = 1.0 + (max(abs(w[0]), abs(w[-1])) if w.size else 0.0)
-    if w.size and w[0] < -tol.psd_tol * scale:
-        raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return hermitian_part(root)
-
-
-def inv_sqrt_psd(a, tol: ToleranceConfig = DEFAULT_TOL):
-    """Hermitian inverse square root of a positive definite matrix."""
-    a = _as_square(a)
-    w, v = eig_hermitian(a, tol)
-    scale = 1.0 + (max(abs(w[0]), abs(w[-1])) if w.size else 0.0)
-    if w.size == 0 or w[0] <= tol.psd_tol * scale:
-        raise NotPsdError(
-            f"matrix is not positive definite: min eigenvalue {w[0] if w.size else 0.0:.3e}"
+    scale = 1.0 + np.max(np.abs(a), initial=0.0)
+    asym = np.max(np.abs(a - a.conj().T), initial=0.0)
+    if asym > tol.residual_tol * scale:
+        raise NotHermitianError(
+            f"matrix asymmetry {asym:.3e} exceeds {tol.residual_tol:.1e} * {scale:.3e}"
         )
-    root = v @ np.diag(w ** -0.5) @ v.conj().T
-    return hermitian_part(root)
+    w, v = np.linalg.eigh(hermitian_part(a))
+    lmin, scale = (w[0], 1.0 + max(abs(w[0]), abs(w[-1]))) if w.size else (0.0, 1.0)
+    if inverse and lmin <= tol.psd_tol * scale:
+        raise NotPsdError(f"matrix is not positive definite: min eigenvalue {lmin:.3e}")
+    if lmin < -tol.psd_tol * scale:
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {lmin:.3e}")
+    roots = w ** -0.5 if inverse else np.sqrt(np.clip(w, 0.0, None))
+    return hermitian_part(v @ np.diag(roots) @ v.conj().T)
 
 
 def operator_norm(a):

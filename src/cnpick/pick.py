@@ -67,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedError
+from .errors import CnpError, DomainError, IllConditionedError
 from .linalg import DEFAULT_TOL, ToleranceConfig, _kron, hermitian_part, operator_norm, psd_margin
 from .record import Record
 
@@ -339,10 +339,13 @@ def assemble_bundle(
     scalar arrays ``(x) I_k``, so :data:`STEIN_COND_LIMIT` refuses the same
     data at every ``k``.  Amplification beyond it (zeros or nodes hugging
     the boundary) and a Q that fails the PSD test raise
-    :class:`IllConditionedError`.
+    :class:`IllConditionedError`; a Pick matrix that overflows raises
+    :class:`CnpError`.
     """
     _check_constrained_domain(d, b)
     p = pick_matrix(d)
+    if not np.all(np.isfinite(p)):
+        raise CnpError("Pick matrix is not finite: the data overflow")
     q, q_tilde, basis, amplification = _node_part(d.nodes, b)
     if not amplification <= STEIN_COND_LIMIT:  # written so that NaN is refused
         raise IllConditionedError(

@@ -19,16 +19,16 @@ from cnpick.kernels import (
     necessity_form,
     necessity_form_matrix,
 )
-from cnpick.errors import DomainError, NotPsdError, SingularBlockError
+from cnpick.errors import DomainError, IllConditionedError, NotHermitianError, NotPsdError
 from cnpick.interpolant import ResidualReport, SchurChain, generate_feasible
 from cnpick.linalg import (
     DEFAULT_TOL,
+    _as_square,
+    _psd_root,
     hermitian_part,
-    inv_sqrt_psd,
     is_psd,
     operator_norm,
     psd_margin,
-    sqrt_psd,
 )
 from cnpick.pick import (
     BlaschkeSpec,
@@ -415,7 +415,7 @@ def scalar_delta(d):
     delta = hermitian_part(p + w @ w.conj().T + z @ w @ w.conj().T @ z.conj().T)
     cond = np.linalg.cond(delta)
     if not np.isfinite(cond) or cond > 1e14:
-        raise SingularBlockError("Delta is numerically singular", cond=cond)
+        raise IllConditionedError("Delta is numerically singular", cond=cond)
     cross = e @ w.conj().T + z @ e @ w.conj().T @ z.conj().T  # E W* + Z E W* Z*
     delta_tilde = hermitian_part(
         p
@@ -444,7 +444,7 @@ def scalar_feasible_x(d, x, deltas=None, tol=DEFAULT_TOL):
         raise NotPsdError("Delta must be positive definite for the scalar route")
     z, e, w = node_matrices(d)
     cross = e @ w.conj().T + z @ e @ w.conj().T @ z.conj().T
-    k_mat = np.conj(x) * sqrt_psd(delta, tol) - inv_sqrt_psd(delta, tol) @ cross
+    k_mat = np.conj(x) * _psd_root(delta, tol) - _psd_root(delta, tol, inverse=True) @ cross
     return is_psd(delta_tilde - k_mat.conj().T @ k_mat, tol)
 
 
@@ -564,6 +564,47 @@ def disk_grid_formula_oracle(resolution):
     theta = 2.0 * np.pi * (j + 0.5 * (ring % 2)) / count
     radius = np.sqrt((ring - 0.5) / rings)
     return np.concatenate([[0.0 + 0.0j], radius * np.exp(1j * theta)])
+
+
+def _eig_hermitian_oracle(a, tol):
+    a = _as_square(a)
+    scale = 1.0 + np.max(np.abs(a), initial=0.0)
+    asym = np.max(np.abs(a - a.conj().T), initial=0.0)
+    if asym > tol.residual_tol * scale:
+        raise NotHermitianError(
+            f"matrix asymmetry {asym:.3e} exceeds {tol.residual_tol:.1e} * {scale:.3e}"
+        )
+    return np.linalg.eigh(hermitian_part(a))
+
+
+def sqrt_psd_oracle(a, tol=DEFAULT_TOL):
+    """Hermitian PSD square root from a separate Hermitian eigendecomposition.
+
+    Test-side oracle for ``_psd_root``: the checked eigendecomposition
+    first, then its own scale, PSD floor and root, eigenvalues inside the
+    negative tolerance band clamped to zero.
+    """
+    a = _as_square(a)
+    w, v = _eig_hermitian_oracle(a, tol)
+    scale = 1.0 + (max(abs(w[0]), abs(w[-1])) if w.size else 0.0)
+    if w.size and w[0] < -tol.psd_tol * scale:
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return hermitian_part(root)
+
+
+def inv_sqrt_psd_oracle(a, tol=DEFAULT_TOL):
+    """Hermitian inverse square root of a positive definite matrix; the
+    oracle for ``_psd_root(a, tol, inverse=True)``, built as :func:`sqrt_psd_oracle`."""
+    a = _as_square(a)
+    w, v = _eig_hermitian_oracle(a, tol)
+    scale = 1.0 + (max(abs(w[0]), abs(w[-1])) if w.size else 0.0)
+    if w.size == 0 or w[0] <= tol.psd_tol * scale:
+        raise NotPsdError(
+            f"matrix is not positive definite: min eigenvalue {w[0] if w.size else 0.0:.3e}"
+        )
+    root = v @ np.diag(w ** -0.5) @ v.conj().T
+    return hermitian_part(root)
 
 
 def covers_oracle(centers, radii, w0, slack=0.0):

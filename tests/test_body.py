@@ -215,6 +215,12 @@ class TestInnerDisks:
             else:
                 assert disk is None
 
+    @pytest.mark.parametrize("resolutions", [(0, 8), (8, 0)], ids=["x", "w"])
+    def test_union_rejects_resolution_below_one(self, resolutions):
+        x_resolution, w_resolution = resolutions
+        with pytest.raises(DomainError, match="grid resolution must be >= 1"):
+            body_union(0.5, 0.3, 0.3, x_resolution=x_resolution, w_resolution=w_resolution)
+
     def test_rejects_parameter_off_disk(self):
         with pytest.raises(DomainError):
             body_disk_x(0.5, 0.3, 0.3, 1.0)

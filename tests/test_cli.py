@@ -432,6 +432,56 @@ def test_witness_overflowing_forms_are_numeric_failure(workdir, capsys):
     assert captured.err.startswith("numeric failure: necessity form matrices are not finite")
 
 
+def overflow_problem(path, w, k):
+    doc = {
+        "k": k,
+        "nodes": [complex_to_json(0.5), complex_to_json(-0.3 + 0.2j)],
+        "values": [matrix_to_json(w * np.eye(k)), matrix_to_json(np.zeros((k, k)))],
+    }
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# Each case: the command, k, and the values w that reach the refusal.  From 1e155
+# the Pick matrix overflows; at 1e154 it is finite but the solver's start is not,
+# and solve --x reads the Pick matrix without starting the solver.
+OVERFLOW_CASES = {
+    "check-k1": (["check"], 1, (1e154, 1e155, 1e200)),
+    "check-k2": (["check"], 2, (1e154, 1e155, 1e200)),
+    "check-json-k2": (["check", "--json"], 2, (1e154, 1e155, 1e200)),
+    "solve-k1": (["solve"], 1, (1e154, 1e155, 1e200)),
+    "solve-x-json-k1": (["solve", "--x=0.1,0", "--json"], 1, (1e155, 1e200)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, k, w",
+    [(argv, k, w) for argv, k, values in OVERFLOW_CASES.values() for w in values],
+    ids=[f"{name}-{w:.0e}" for name, (_, _, values) in OVERFLOW_CASES.items() for w in values],
+)
+def test_overflowing_data_are_numeric_failure(workdir, capsys, argv, k, w):
+    path = overflow_problem(workdir / "p.json", w, k)
+    assert main([*argv, str(path)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = "solver start" if w == 1e154 else "Pick matrix"
+    expected = f"numeric failure: {where} is not finite: the data overflow"
+    assert captured.err.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize("command, k", [("check", 1), ("check", 2), ("solve", 1)])
+def test_large_finite_data_are_still_certified(workdir, capsys, command, k):
+    # One decade below the overflow the dual certifies Infeasible at iteration 0.
+    path = overflow_problem(workdir / "p.json", 1e153, k)
+    assert main([command, str(path), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "Infeasible"
+    if command == "check":
+        assert doc["grid_stats"]["stop"] == "certified" and doc["grid_stats"]["points"] == 0
+
+
 def test_witness_deterministic(workdir, capsys):
     path = write_problem(workdir / "p.json", [0.3, -0.3], [0.3, -0.3])
     main(["witness", str(path), "--samples", "128", "--seed", "3", "--json"])

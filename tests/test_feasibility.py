@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnpick.body import body_membership
-from cnpick.errors import DegenerateDataError, DomainError, NotPsdError, SingularBlockError
+from cnpick.errors import DegenerateDataError, DomainError, IllConditionedError, NotPsdError
 from cnpick.feasibility import (
     FEASIBLE,
     INFEASIBLE,
@@ -156,7 +156,7 @@ class TestPencil:
 
     def test_singular_pivot_refuses_ball(self):
         # P = I, Wt = 0 and Et* Et = 1 make the pivot's leading block, Lam, zero.
-        with pytest.raises(SingularBlockError) as err:
+        with pytest.raises(IllConditionedError) as err:
             matrix_ball(np.eye(2), np.array([[1.0], [0.0]]), np.zeros((2, 1)))
         assert not err.value.cond <= M_COND_LIMIT
 
@@ -390,6 +390,11 @@ class TestSearch:
         d = DataSet.scalar([0.5], [0.3 + 0.2j])
         report = search_lambda(d, resolution=32)
         assert report.status == FEASIBLE
+
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_lambda_rejects_resolution_below_one(self, resolution):
+        with pytest.raises(DomainError, match="grid resolution must be >= 1"):
+            search_lambda(DataSet.scalar([0.5], [0.3 + 0.2j]), resolution=resolution)
 
     def test_lambda_documented_gap(self):
         """The one-parameter route finds no witness and certifies nothing: the solver proves it."""

@@ -409,6 +409,11 @@ class TestGenerator:
         report = verify_interpolant(certificate, data, tol=1e-9)
         assert report.passed
 
+    @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "float"])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            generate_feasible(seed, 3)
+
     def test_deterministic(self):
         a, _ = generate_feasible(11, 3)
         b, _ = generate_feasible(11, 3)

@@ -1,3 +1,6 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,50 +10,57 @@ from cnpick.errors import DomainError, NotHermitianError, NotPsdError
 from cnpick.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    eig_hermitian,
+    _psd_root,
     hermitian_part,
-    inv_sqrt_psd,
     is_psd,
     operator_norm,
-    sqrt_psd,
 )
 
-from conftest import random_hermitian, random_psd, rng_for
+from conftest import inv_sqrt_psd_oracle, random_hermitian, random_psd, rng_for, sqrt_psd_oracle
 
 
 class TestEigHermitian:
+    """The checked Hermitian eigendecomposition inside ``_psd_root``: its
+    refusals, and the spectrum it reports through the PSD floor."""
+
     def test_identity(self):
-        w, v = eig_hermitian(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-        assert np.allclose(v @ v.conj().T, np.eye(2))
+        assert np.allclose(_psd_root(np.eye(2), DEFAULT_TOL), np.eye(2))
+        assert np.allclose(_psd_root(np.eye(2), DEFAULT_TOL, inverse=True), np.eye(2))
 
     def test_symmetric_2x2(self):
-        w, _ = eig_hermitian(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert np.allclose(w, [-1.0, 3.0])
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
+        with pytest.raises(NotPsdError, match="min eigenvalue -1.000e"):
+            _psd_root(a, DEFAULT_TOL)
+        assert np.allclose(_psd_root(a + np.eye(2), DEFAULT_TOL), np.ones((2, 2)))
 
     def test_diagonal(self):
-        w, _ = eig_hermitian(np.diag([5.0, -3.0, 0.0]))
-        assert np.allclose(w, [-3.0, 0.0, 5.0])
+        with pytest.raises(NotPsdError, match="min eigenvalue -3.000e"):
+            _psd_root(np.diag([5.0, -3.0, 0.0]), DEFAULT_TOL)
+        root = _psd_root(np.diag([5.0, 3.0, 0.0]), DEFAULT_TOL)
+        assert np.allclose(root, np.diag(np.sqrt([5.0, 3.0, 0.0])))
 
     def test_rejects_non_square(self):
         with pytest.raises(DomainError):
-            eig_hermitian(np.ones((2, 3)))
+            _psd_root(np.ones((2, 3)), DEFAULT_TOL)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            _psd_root(np.array([[0.0, 1.0], [0.0, 0.0]]), DEFAULT_TOL)
 
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
-            eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            _psd_root(np.array([[np.nan, 0.0], [0.0, 1.0]]), DEFAULT_TOL)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_reconstruction(self, seed):
+        # a^2 has a's eigenvectors, so its root squares back and its inverse root inverts.
         a = random_hermitian(rng_for(seed), int(rng_for(seed).integers(1, 9)))
-        w, v = eig_hermitian(a)
-        residual = operator_norm(a - v @ np.diag(w) @ v.conj().T)
-        assert residual <= DEFAULT_TOL.residual_tol * (1.0 + operator_norm(a))
-        assert operator_norm(v @ v.conj().T - np.eye(a.shape[0])) <= DEFAULT_TOL.residual_tol
+        square = hermitian_part(a @ a) + np.eye(a.shape[0])
+        root = _psd_root(square, DEFAULT_TOL)
+        inverse = _psd_root(square, DEFAULT_TOL, inverse=True)
+        bound = DEFAULT_TOL.residual_tol * (1.0 + operator_norm(square))
+        assert operator_norm(root @ root - square) <= bound
+        assert operator_norm(inverse @ square @ inverse - np.eye(len(a))) <= DEFAULT_TOL.residual_tol
 
 
 class TestIsPsd:
@@ -84,32 +94,79 @@ class TestIsPsd:
 
 class TestSqrtPsd:
     def test_identity(self):
-        assert np.allclose(sqrt_psd(np.eye(3)), np.eye(3))
+        assert np.allclose(_psd_root(np.eye(3), DEFAULT_TOL), np.eye(3))
 
     def test_diagonal(self):
-        assert np.allclose(sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        assert np.allclose(_psd_root(np.diag([4.0, 9.0]), DEFAULT_TOL), np.diag([2.0, 3.0]))
 
     def test_projection_idempotent(self, rng):
         v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         q, _ = np.linalg.qr(v)
         proj = q @ q.conj().T
-        assert np.allclose(sqrt_psd(proj), proj, atol=1e-10)
+        assert np.allclose(_psd_root(proj, DEFAULT_TOL), proj, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_square_reconstructs(self, seed):
         a = random_psd(rng_for(seed), 5)
-        s = sqrt_psd(a)
+        s = _psd_root(a, DEFAULT_TOL)
         assert is_psd(s)[0]
         assert operator_norm(s @ s - a) <= DEFAULT_TOL.residual_tol * (1 + operator_norm(a))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPsdError):
-            sqrt_psd(np.diag([1.0, -1.0]))
+            _psd_root(np.diag([1.0, -1.0]), DEFAULT_TOL)
 
     def test_inverse_root(self, rng):
         a = random_psd(rng, 4) + np.eye(4)
-        r = inv_sqrt_psd(a)
+        r = _psd_root(a, DEFAULT_TOL, inverse=True)
         assert np.allclose(r @ a @ r, np.eye(4), atol=1e-9)
+
+
+def _root_cases(count=1_500):
+    """Seeded matrices of size 1-8: PD, PSD and singular PSD (400 each), then 300
+    that add indefinite ones and singular PSD ones perturbed into the tolerance
+    band or off Hermitian, then the empty matrix."""
+    for seed in range(count):
+        rng = rng_for(770_000 + seed)
+        n = int(rng.integers(1, 9))
+        kind = seed % 5 if seed >= 1_200 else seed % 3
+        if kind == 0:
+            yield random_psd(rng, n) + np.eye(n)
+        elif kind == 1:
+            yield random_psd(rng, n)
+        elif kind == 2:
+            yield random_psd(rng, n, rank=int(rng.integers(0, n)))
+        elif kind == 3:
+            yield random_hermitian(rng, n)
+        else:
+            a = random_psd(rng, n, rank=int(rng.integers(0, n)))
+            a += float(rng.choice([-1e-12, 1e-9, 1e-6])) * rng.standard_normal((n, n))
+            yield a
+    yield np.zeros((0, 0))
+
+
+def _outcome(root, a):
+    try:
+        return root(a).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_psd_root_matches_separate_roots():
+    # Both directions of the helper keep the bits and the refusals of the separate roots.
+    # A zero PSD tolerance puts exact zero eigenvalues on the floor; a tight residual
+    # tolerance puts the perturbed cases on both sides of the Hermitian check.
+    tols = (DEFAULT_TOL, ToleranceConfig(psd_tol=0.0, residual_tol=1e-10))
+    refusals = collections.Counter()
+    for a, tol in itertools.product(_root_cases(), tols):
+        for inverse, oracle in ((False, sqrt_psd_oracle), (True, inv_sqrt_psd_oracle)):
+            got = _outcome(lambda m: _psd_root(m, tol, inverse=inverse), a)
+            assert got == _outcome(lambda m: oracle(m, tol), a)
+            if isinstance(got, tuple):
+                refusals[inverse, got[0]] += 1
+    # Singular PSD input and the tail refuse, each error in both directions.
+    errors = (NotPsdError, NotHermitianError)
+    assert set(refusals) == {(inverse, error) for inverse in (False, True) for error in errors}
 
 
 class TestOperatorNorm:
